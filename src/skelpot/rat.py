@@ -16,8 +16,6 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rat
 
-QQ = Rat  # convenience alias for callers that prefer a noun
-
 ZERO = Rat(0)
 ONE = Rat(1)
 
@@ -58,13 +56,6 @@ def rfloor(q) -> int:
 
 def rceil(q) -> int:
     return int(math.ceil(Rat(q)))
-
-
-def as_int(q) -> int:
-    q = Rat(q)
-    if q.denominator != 1:
-        raise ValueError(f"{q} is not an integer")
-    return int(q.numerator)
 
 
 def vec(*entries) -> tuple:

@@ -290,9 +290,10 @@ def _run_testideal(payload, opts: _Options) -> ScenarioOutput:
     if lam < 0:
         raise SchemaError("lambda must be >= 0")
     tau = test_ideal(a, lam, p)
-    result = {"test_ideal": jsonio.ideal_to_json(tau)}
-    if a.n <= 3:
-        result["newton_agrees"] = newton_test_ideal(a, lam) == tau
+    result = {
+        "test_ideal": jsonio.ideal_to_json(tau),
+        "newton_agrees": newton_test_ideal(a, lam) == tau,
+    }
     return ScenarioOutput(result)
 
 
@@ -324,7 +325,7 @@ _KINDS = {
     "testideal": (
         _schema(
             {
-                "n": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer", "minimum": 1, "maximum": 3},
                 "p": {"type": "integer", "minimum": 2},
                 "gens": _ANY,
                 "lambda": jsonio.RAT_SCHEMA,
@@ -349,8 +350,10 @@ def execute(scenario, *, bbox=DEFAULT_BBOX, max_lp_vars=DEFAULT_MAX_LP_VARS):
     schema, runner = _KINDS[kind]
     jsonio.validate(scenario, schema, f"{kind} scenario")
     if kind == "testideal":
-        from .testideals import is_prime
+        from .testideals import PRIME_LIMIT, is_prime
 
+        if scenario["p"] >= PRIME_LIMIT:
+            raise SchemaError(f"p must be below {PRIME_LIMIT}, where primality is exact")
         if not is_prime(scenario["p"]):
             raise SchemaError(f"p = {scenario['p']} is not prime")
     out = runner(scenario, _Options(bbox=bbox, max_lp_vars=max_lp_vars))

@@ -3,17 +3,22 @@
 Monomial ideals make every Frobenius-side operation exactly computable:
 bracket powers scale exponents, bracket roots floor-divide them, and the
 test ideal tau(a^lambda) is the stable value of the increasing chain
-(a^ceil(lambda p^e))^[1/p^e].  A Newton-polyhedron route computes the same
-ideal from the interior condition u + (1,..,1) in int(lambda * Newt(a)); it
-shares no code with the stabilization loop and is used to cross-validate it.
+(a^ceil(lambda p^e))^[1/p^e].  Large powers are never materialized: the
+root is probed by membership queries, each a packing integer program with
+at most 3 rows that an exact integer-only solver decides from the basic
+solutions of its LP relaxation (no simplex, no rationals).  A
+Newton-polyhedron route computes the same ideal from the interior condition
+u + (1,..,1) in int(lambda * Newt(a)); it shares no code with the
+stabilization loop and is used to cross-validate it.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 
-from .lp import LinearProgram, lp_solve
 from .rat import Rat, rat, rceil, rfloor
 
 VAR_NAMES = ("x", "y", "z", "w")
@@ -23,14 +28,36 @@ class TestIdealError(Exception):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson-Webster, Math. Comp. 2017: the least strong
+# pseudoprime to all of them is 3317044064679887385961981).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < PRIME_LIMIT, beyond which
+    it raises TestIdealError rather than guess."""
+    if p >= PRIME_LIMIT:
+        raise TestIdealError(f"primality is decided only below {PRIME_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -245,43 +272,146 @@ class _PowerCache:
 _BB_NODE_LIMIT = 20_000
 
 
-def _count_feasible(gens, w, m: int) -> bool:
+def _det(mat) -> int:
+    """Determinant of a small square integer matrix (cofactor expansion)."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * mat[0][j] * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+        if mat[0][j]
+    )
+
+
+def _adjugate(mat):
+    """adj(M) with M @ adj(M) = det(M) * I, as a tuple of rows."""
+    k = len(mat)
+    return tuple(
+        tuple(
+            (-1) ** (r + c)
+            * _det([row[:c] + row[c + 1 :] for i, row in enumerate(mat) if i != r])
+            for r in range(k)
+        )
+        for c in range(k)
+    )
+
+
+class _BasisTable:
+    """Integer precomputation for packing queries against fixed generators.
+
+    For the LP relaxation  max sum(c)  s.t.  sum(c_k u_k) <= w,  c >= 0,
+    every basic solution picks coordinates S and generators B with
+    |S| = |B| <= n and U[S,B] nonsingular, and sets c_B = adj U[S,B] w_S /
+    det U[S,B] (the other c_k at a bound).  `bases` holds (S, B, det, adj,
+    rest) for each such subsystem, det > 0, where rest lists the rows
+    outside S with their coefficients on B.  Subsystems whose complementary
+    dual point is feasible come first: when primal feasible they are LP
+    optima.  `duals` holds the vertices y of {y >= 0 : <y, u_k> >= 1} as
+    (integer numerators, denominator); by LP duality the relaxation's
+    optimum is min <w, y> over them."""
+
+    __slots__ = ("gens", "bases", "duals")
+
+    def __init__(self, gens):
+        gens = tuple(gens)
+        n, g = len(gens[0]), len(gens)
+        dual_feasible, other, duals = [], [((), (), 1, (), ())], set()
+        for k in range(1, min(n, g) + 1):
+            for S in combinations(range(n), k):
+                for B in combinations(range(g), k):
+                    mat = [[gens[b][i] for b in B] for i in S]
+                    det = _det(mat)
+                    if det == 0:
+                        continue
+                    adj = _adjugate(mat)
+                    if det < 0:
+                        det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
+                    rest = tuple(
+                        (i, tuple(gens[b][i] for b in B)) for i in range(n) if i not in S
+                    )
+                    entry = (S, B, det, adj, rest)
+                    y = [0] * n
+                    for r, i in enumerate(S):
+                        y[i] = sum(row[r] for row in adj)
+                    if min(y) >= 0 and all(
+                        sum(yi * ui for yi, ui in zip(y, u)) >= det for u in gens
+                    ):
+                        d = gcd(det, *y)
+                        duals.add((tuple(yi // d for yi in y), det // d))
+                        dual_feasible.append(entry)
+                    else:
+                        other.append(entry)
+        self.gens = gens
+        self.bases = tuple(dual_feasible + other)
+        self.duals = tuple(sorted(duals))
+
+
+def _count_feasible(table: _BasisTable, w, m: int) -> bool:
     """Is there c in N^g with sum(c) = m and sum(c_k gens_k) <= w
     componentwise?  Equivalent to: the max total count packable under the
     capacity vector w is >= m (dropping generators from a larger packing
-    never raises the weighted sums)."""
+    never raises the weighted sums).
+
+    Exact and integer-only.  After the fast paths, the dual vertices bound
+    the LP relaxation (False when its optimum is < m); otherwise a basic
+    solution whose floors sum to >= m is an integer witness (True).  The
+    rare rest is branch-and-bound on the first fractional coordinate of the
+    best basic solution: the lower branch adds an upper bound, the upper
+    branch shifts its lower bound into (w, m)."""
     if any(x < 0 for x in w):
         return False
+    gens = table.gens
     if any(all(m * u[i] <= w[i] for i in range(len(w))) for u in gens):
         return True
-    g = len(gens)
-    base_rows = [
-        (tuple(Rat(u[i]) for u in gens), "<=", Rat(w[i])) for i in range(len(w))
-    ]
-    ones = (Rat(1),) * g
+    if any(sum(a * b for a, b in zip(w, y)) < m * den for y, den in table.duals):
+        return False
     nodes = 0
 
-    def search(extra) -> bool:
+    def search(w, m, hi) -> bool:
+        # hi: generator -> upper bound.  A basic solution sets each
+        # generator outside B to 0 or, if it has one, to its upper bound.
         nonlocal nodes
         nodes += 1
         if nodes > _BB_NODE_LIMIT:
             raise TestIdealError("feasibility search exceeded its node budget")
-        res = lp_solve(
-            LinearProgram(objective=ones, constraints=base_rows + extra, nonneg=True)
-        )
-        if res.status == "infeasible" or res.value < m:
+        if min(w) < 0:
             return False
-        point = res.point
-        floors = [rfloor(x) for x in point]
-        if sum(floors) >= m:
+        best = None
+        best_val, best_den = -1, 1
+        for S, B, det, adj, rest in table.bases:
+            capped = [k for k in hi if k not in B]
+            for mask in range(1 << len(capped)):
+                base, wt = 0, list(w)
+                for j, k in enumerate(capped):
+                    if mask >> j & 1:
+                        base += hi[k]
+                        for i, x in enumerate(gens[k]):
+                            wt[i] -= hi[k] * x
+                if min(wt) < 0:
+                    continue
+                num = [sum(a * wt[i] for a, i in zip(row, S)) for row in adj]
+                if any(x < 0 or (b in hi and x > hi[b] * det) for b, x in zip(B, num)):
+                    continue
+                if any(sum(a * x for a, x in zip(co, num)) > wt[i] * det for i, co in rest):
+                    continue
+                if base + sum(x // det for x in num) >= m:
+                    return True  # the floors are an integer witness
+                val = base * det + sum(num)
+                if val * best_den > best_val * det:
+                    best, best_val, best_den = (B, num, det), val, det
+        if best is None or best_val < m * best_den:
+            return False
+        B, num, det = best
+        i, f = next((b, x // det) for b, x in zip(B, num) if x % det)
+        if search(w, m, {**hi, i: f}):
             return True
-        i = next(k for k in range(g) if point[k] != floors[k])
-        unit = tuple(Rat(1) if k == i else Rat(0) for k in range(g))
-        return search(extra + [(unit, "<=", Rat(floors[i]))]) or search(
-            extra + [(unit, ">=", Rat(floors[i] + 1))]
-        )
+        right = dict(hi)
+        if i in right:
+            right[i] -= f + 1
+        shifted = tuple(wi - (f + 1) * x for wi, x in zip(w, gens[i]))
+        return search(shifted, m - f - 1, right)
 
-    return search([])
+    return search(tuple(w), m, {})
 
 
 def _least_member(member1, hi: int):
@@ -325,15 +455,16 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     gens = a.gens
     n = a.n
     box = tuple(
-        max(0, rceil(Rat(m * max(u[i] for u in gens) - q + 1, q))) for i in range(n)
+        max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n)
     )
+    table = _BasisTable(gens)
     memo = {}
 
     def member(v) -> bool:
         got = memo.get(v)
         if got is None:
             w = tuple(q * vi + q - 1 for vi in v)
-            got = memo[v] = _count_feasible(gens, w, m)
+            got = memo[v] = _count_feasible(table, w, m)
         return got
 
     assert member(box)  # every coordinate constraint is slack at the corner

@@ -181,6 +181,27 @@ def test_testideal_scenario(tmp_path):
     assert r.returncode == 2
 
 
+def test_testideal_large_prime(tmp_path):
+    s = {"kind": "testideal", "n": 2, "p": 2**61 - 1,
+         "gens": [[2, 0], [1, 1], [0, 3]], "lambda": "5/2"}
+    r = cli("run", write_scenario(tmp_path, "t.json", s), "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["newton_agrees"] is True
+
+    s["p"] = 3317044064679887385961981  # past the exact Miller-Rabin range
+    r = cli("run", write_scenario(tmp_path, "big.json", s), "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "3317044064679887385961981" in _stderr_error(r)["message"]
+
+
+def test_testideal_rejects_four_variables(tmp_path):
+    s = {"kind": "testideal", "n": 4, "p": 2, "gens": [[1, 0, 0, 1]], "lambda": "1"}
+    r = cli("run", write_scenario(tmp_path, "t.json", s), "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert _stderr_error(r)["kind"] == "validation"
+
+
 def test_result_json_has_no_floats(tmp_path):
     for builtin in ("envelope_edge.json", "ma_star.json", "skeleton_pi.json",
                     "testideal_basic.json", "counterexample.json"):

@@ -1,14 +1,19 @@
 """Frobenius powers/roots and test ideals for monomial ideals.
 
 Dual routes everywhere: the floor-division root is checked against its
-defining minimality property, and the stabilization-loop test ideal against
-the Newton-polyhedron membership oracle.
+defining minimality property, the stabilization-loop test ideal against
+the Newton-polyhedron membership oracle, and the integer-only packing
+solver behind the membership queries against brute-force enumeration and a
+branch-and-bound over the general simplex.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import skelpot.testideals
+from skelpot.lp import LinearProgram, lp_solve
 from skelpot.testideals import (
     GradedSequence,
     MonomialIdeal,
@@ -21,7 +26,8 @@ from skelpot.testideals import (
 from skelpot.testideals import TestIdealError as IdealError
 from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
-from skelpot.rat import Rat
+from skelpot.testideals import _BasisTable, _count_feasible, is_prime
+from skelpot.rat import Rat, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
 
@@ -231,6 +237,120 @@ def test_query_route_matches_materialized_floors():
         )
         assert _root_by_queries(a, m, p, e) == expected
         done += 1
+
+
+# -- exact packing queries ------------------------------------------------
+
+
+def _packable_brute(gens, w, m):
+    """Enumerate c generator by generator: is there c >= 0 with sum(c) = m
+    and sum(c_k gens_k) <= w?"""
+
+    def rec(k, left, cap):
+        if left == 0:
+            return True
+        if k == len(gens) or min(cap) < 0:
+            return False
+        for c in range(left + 1):
+            rest = tuple(x - c * u for x, u in zip(cap, gens[k]))
+            if min(rest) < 0:
+                return False
+            if rec(k + 1, left - c, rest):
+                return True
+        return False
+
+    return min(w) >= 0 and rec(0, m, tuple(w))
+
+
+def _packable_lp(gens, w, m):
+    """Branch-and-bound over the general simplex: the LP relaxation bounds,
+    its floors witness, and the first fractional coordinate is split."""
+    if min(w) < 0:
+        return False
+    if any(all(m * u[i] <= w[i] for i in range(len(w))) for u in gens):
+        return True
+    g = len(gens)
+    rows = [(tuple(Rat(u[i]) for u in gens), "<=", Rat(w[i])) for i in range(len(w))]
+
+    def search(extra):
+        res = lp_solve(
+            LinearProgram(objective=(Rat(1),) * g, constraints=rows + extra, nonneg=True)
+        )
+        if res.status == "infeasible" or res.value < m:
+            return False
+        floors = [rfloor(x) for x in res.point]
+        if sum(floors) >= m:
+            return True
+        i = next(k for k in range(g) if res.point[k] != floors[k])
+        unit = tuple(Rat(int(k == i)) for k in range(g))
+        return search(extra + [(unit, "<=", Rat(floors[i]))]) or search(
+            extra + [(unit, ">=", Rat(floors[i] + 1))]
+        )
+
+    return search([])
+
+
+@st.composite
+def _packing_instances(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 6)] * n)
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    m = draw(st.integers(0, 10))
+    # capacities near a random packing of m generators, where queries are
+    # close calls rather than settled by one generator alone
+    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=m, max_size=m))
+    noise = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    w = tuple(e + sum(gens[k][i] for k in picks) for i, e in enumerate(noise))
+    return gens, w, m
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_packing_instances())
+def test_count_feasible_two_routes(instance):
+    gens, w, m = instance
+    got = _count_feasible(_BasisTable(gens), w, m)
+    assert got == _packable_brute(gens, w, m) == _packable_lp(gens, w, m)
+
+
+@pytest.mark.parametrize(
+    "gens, w, m, expected",
+    [
+        # LP optimum 97/16 >= 6, but at most 5 generators fit
+        (((0, 4), (4, 1)), (15, 13), 6, False),
+        # LP optimum (23/6, 19/3) floors to 9; c = (4, 6) packs 10
+        (((0, 2), (3, 1)), (19, 14), 10, True),
+    ],
+)
+def test_count_feasible_branches(monkeypatch, gens, w, m, expected):
+    """Neither the LP bound nor a floored basic solution decides these, so
+    the search must branch: with a one-node budget it runs out."""
+    table = _BasisTable(gens)
+    assert _count_feasible(table, w, m) is expected
+    assert _packable_brute(gens, w, m) is expected
+    monkeypatch.setattr(skelpot.testideals, "_BB_NODE_LIMIT", 1)
+    with pytest.raises(IdealError, match="node budget"):
+        _count_feasible(table, w, m)
+
+
+def test_testideals_does_not_use_the_simplex():
+    for name in ("lp_solve", "LinearProgram"):
+        assert not hasattr(skelpot.testideals, name)
+
+
+def test_is_prime_against_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(-3, 5000) if is_prime(p)] == [
+        p for p in range(-3, 5000) if trial(p)
+    ]
+    # strong pseudoprimes to the first few prime bases
+    for c in (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(c)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    with pytest.raises(IdealError, match="below"):
+        is_prime(skelpot.testideals.PRIME_LIMIT)
 
 
 # -- graded sequences ---------------------------------------------------
