@@ -3,7 +3,7 @@ Plurisubharmonic envelopes on a metrized graph
 ==============================================
 
 Everything below is exact rational arithmetic: graph edge lengths,
-curvature weights, function values, LP pivots.  No floats anywhere.
+curvature weights, function values, linear solves.  No floats anywhere.
 """
 
 from skelpot import CurvatureData, MetrizedGraph, PLFunction
@@ -42,7 +42,7 @@ print("u is theta-psh?", is_theta_psh(g, theta, u)[0])
 res = envelope(g, theta, u)
 phi = res.envelope
 print("envelope vertex values:", [rat_str(x) for x in phi.vertex_values])
-print("LP size:", res.lp_summary["n_vars"], "vars,",
+print("problem size:", res.lp_summary["n_vars"], "unknowns,",
       res.lp_summary["n_constraints"], "constraints")
 
 # The envelope is psh, sits below u, and touching happens exactly where the

@@ -3,7 +3,6 @@ polyhedral complexes, plus Frobenius test-ideal calculus for monomial
 ideals.  Everything is rational arithmetic; no floats, no tolerances."""
 
 from .rat import Rat, rat, rat_str
-from .lp import LinearProgram, LPError, LPResult, check_certificate, lp_solve, reoptimize
 from .polyhedra import (
     Polyhedron,
     convex_hull_2d,

@@ -14,7 +14,6 @@ import sys
 
 from . import jsonio, scenarios
 from .jsonio import SchemaError
-from .lp import LPError
 from .potential import EnvelopeInfeasible, MassMismatch, PotentialError
 from .testideals import TestIdealError
 from .toric import ComplexInvalid, ToricError
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
         return _emit_error(EXIT_INFEASIBLE, "infeasible", str(ex))
     except OSError as ex:
         return _emit_error(EXIT_VALIDATION, "validation", str(ex))
-    except (PotentialError, LPError) as ex:
+    except PotentialError as ex:
         return _emit_error(EXIT_INTERNAL, "internal", str(ex))
     except Exception as ex:  # noqa: BLE001 - the contract wants exit 1 + JSON
         return _emit_error(EXIT_INTERNAL, "internal", f"{type(ex).__name__}: {ex}")

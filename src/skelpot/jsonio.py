@@ -182,12 +182,23 @@ IDEAL_SCHEMA = {
 }
 
 
+# id(schema) -> (schema, validator); holding the schema keeps its id unique.
+_VALIDATORS = {}
+
+
 def validate(obj, schema, where: str = "payload") -> None:
-    try:
-        jsonschema.validate(obj, schema, cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as ex:
+    """Raise SchemaError naming jsonschema's best-matching error.  Each
+    schema is checked and compiled once, so schemas should be long-lived
+    objects such as the module-level constants."""
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        jsonschema.Draft202012Validator.check_schema(schema)
+        entry = (schema, jsonschema.Draft202012Validator(schema))
+        _VALIDATORS[id(schema)] = entry
+    ex = jsonschema.exceptions.best_match(entry[1].iter_errors(obj))
+    if ex is not None:
         path = "/".join(str(k) for k in ex.absolute_path) or "."
-        raise SchemaError(f"{where} at {path}: {ex.message}") from None
+        raise SchemaError(f"{where} at {path}: {ex.message}")
 
 
 # ---------------------------------------------------------------------------

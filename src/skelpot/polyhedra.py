@@ -2,9 +2,12 @@
 
 A polyhedron is conv(points) + cone(rays) with at least one point.  That is
 the natural form for polyhedral complexes built from fans and skeletons.
-Membership and redundancy are decided by exact LP feasibility; for the
-2-dimensional case there is a full facet (H-) representation, intersection,
-and hull-area toolkit, all over Q.
+Membership and redundancy are decided by exact determinant predicates: a
+point u lies in the polyhedron when (u, 1) lies in the cone over the
+homogenised generators (p, 1) and (r, 0), and by Caratheodory's theorem some
+linearly independent subset of at most three of them then carries it, which
+Cramer's rule decides.  For the 2-dimensional case there is a full facet
+(H-) representation, intersection, and hull-area toolkit, all over Q.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lp import LinearProgram, lp_solve
-from .rat import Rat, rat, dot, vec_sub, primitive, matrix_rank, cross2
+from .rat import Rat, rat, dot, vec_sub, primitive, matrix_rank, cross2, det3
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -51,23 +53,57 @@ class Polyhedron:
         )
 
 
+def _minor(vecs, coords):
+    """Determinant of the square matrix whose columns are vecs restricted
+    to the coordinates coords (at most 3 of them)."""
+    rows = [[v[i] for i in coords] for v in vecs]
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        return cross2(rows[0], rows[1])
+    return det3(*rows)
+
+
+def _cone_contains(r, gens) -> bool:
+    """Is r a nonnegative combination of gens?  Vectors have at most 3
+    coordinates.  By Caratheodory's theorem some linearly independent
+    subset of gens carries r if any combination does; each subset is solved
+    by Cramer's rule on a nonsingular minor, then checked on every
+    coordinate.  Coefficients are kept as numerators over the minor, so
+    nothing is divided."""
+    k = len(r)
+    if all(x == 0 for x in r):
+        return True
+    for size in range(1, min(k, len(gens)) + 1):
+        for sub in itertools.combinations(gens, size):
+            for coords in itertools.combinations(range(k), size):
+                det = _minor(sub, coords)
+                if det != 0:
+                    break
+            else:
+                continue  # linearly dependent subset
+            nums = [
+                _minor(sub[:j] + (r,) + sub[j + 1 :], coords) for j in range(size)
+            ]
+            if all(a * det >= 0 for a in nums) and all(
+                sum((a * g[i] for a, g in zip(nums, sub)), start=ZERO) == det * r[i]
+                for i in range(k)
+            ):
+                return True
+    return False
+
+
 def poly_contains(poly: Polyhedron, u) -> bool:
     """Exact membership: is u = sum a_i p_i + sum t_j r_j with a in the
-    simplex and t >= 0 feasible?  Decided by LP."""
+    simplex and t >= 0?  Ambient dimension at most 2."""
     u = tuple(rat(x) for x in u)
     d = poly.ambient_dim
     if len(u) != d:
         raise ValueError("point dimension mismatch")
-    k = len(poly.gen_points)
-    l = len(poly.gen_rays)
-    n = k + l
-    cons = []
-    for i in range(d):
-        coeffs = [p[i] for p in poly.gen_points] + [r[i] for r in poly.gen_rays]
-        cons.append((tuple(coeffs), "=", u[i]))
-    cons.append((tuple([ONE] * k + [ZERO] * l), "=", ONE))
-    res = lp_solve(LinearProgram(objective=(ZERO,) * n, constraints=cons, nonneg=True))
-    return res.status == "optimal"
+    if d > 2:
+        raise ValueError("membership is decided in ambient dimension at most 2")
+    gens = [p + (ONE,) for p in poly.gen_points] + [r + (ZERO,) for r in poly.gen_rays]
+    return _cone_contains(u + (ONE,), gens)
 
 
 def recession(poly: Polyhedron) -> Polyhedron:
@@ -105,7 +141,7 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     keep_r = []
     for i, r in enumerate(rays):
         others = [x for j, x in enumerate(rays) if j != i]
-        if not others or not _in_cone(r, others):
+        if not others or not _cone_contains(r, others):
             keep_r.append(r)
     keep_p = []
     for i, p in enumerate(pts):
@@ -119,15 +155,11 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     return Polyhedron(tuple(keep_p), tuple(keep_r))
 
 
-def _in_cone(r, gens) -> bool:
-    d = len(r)
-    cons = []
-    for i in range(d):
-        cons.append((tuple(g[i] for g in gens), "=", r[i]))
-    res = lp_solve(
-        LinearProgram(objective=(ZERO,) * len(gens), constraints=cons, nonneg=True)
-    )
-    return res.status == "optimal"
+def is_pointed(poly: Polyhedron) -> bool:
+    """True when poly contains no line: no ray r has -r in the cone of the
+    rays."""
+    rays = poly.gen_rays
+    return not any(_cone_contains(tuple(-x for x in r), rays) for r in rays)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +239,9 @@ def vrep_from_halfplanes(hps) -> Polyhedron | None:
         if (-r[0], -r[1]) in rays:
             raise ValueError("region is not pointed (contains a line)")
     if not verts:
-        # pointed and nonempty implies a vertex exists; so check emptiness
-        cons = [(n, "<=", c) for n, c in hps]
-        feas = lp_solve(LinearProgram(objective=(ZERO, ZERO), constraints=cons))
-        if feas.status == "infeasible":
+        # Parallel normals put a line into the rays above, so here some two
+        # normals are independent and a nonempty region has a vertex.
+        if any(cross2(n1, n2) != 0 for (n1, _), (n2, _) in itertools.combinations(hps, 2)):
             return None
         raise ValueError("region is not pointed (no vertex)")
     return minimalize(Polyhedron(tuple(sorted(verts)), tuple(sorted(rays))))

@@ -14,12 +14,16 @@ The Monge-Ampere operator assigns to F the atomic measure whose mass at x
 is exactly that excess; its total telescopes to the total theta-degree.
 dd^c is the theta = 0 case (a signed measure of total mass zero).
 
-Envelopes are computed by exact LP: after subdividing at the breakpoints of
-u and absorbing dd^c(u) into the curvature, the candidates F - u = G <= 0
-are affine on edges, and maximizing sum G(v) over the slope constraints
-yields the upper envelope.  The optimum is the unique pointwise maximal
-feasible point; the solver re-solves with each coordinate as objective and
-asserts equality, so degenerate optima cannot slip through silently.
+Envelopes are a Z-matrix linear complementarity problem.  After
+subdividing at the breakpoints of u and absorbing dd^c(u) into the
+curvature d, the candidates F = u - y are affine on edges, and F is
+theta-psh exactly when  Delta y + d >= 0,  where Delta is the weighted graph
+Laplacian (off-diagonal entries <= 0).  Feasible points are closed under
+taking minima, so the envelope is u - y for the least y >= 0 with
+Delta y + d >= 0: the least-action principle of chip-firing.
+Chandrasekaran's algorithm finds it with at most n exact linear solves, and
+an O(E) certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0, min y = 0)
+proves it least by the maximum principle on {y > 0}.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .graphs import (
     PLFunction,
     subdivide,
 )
-from .lp import LinearProgram, lp_solve, reoptimize
-from .rat import Rat, rat
+from .rat import Rat, solve_linear
 
 ZERO = Rat(0)
 
@@ -122,37 +125,82 @@ class EnvelopeResult:
     lp_summary: dict
 
 
-def _lp_rows(gs: MetrizedGraph, degrees):
-    """Slope-criterion rows for an affine-on-edges unknown, in the y = -F
-    variables: sum_nu (w/l)(y_nu - y_v) <= deg(v).  Loops contribute 0."""
-    n = gs.n_vertices
-    rows = []
-    for v in range(n):
-        coeffs = [ZERO] * n
-        for e, end in gs.incident(v):
-            a, b, length, w = gs.edges[e]
-            if a == b:
-                continue
-            other = b if end == 0 else a
-            coeffs[other] += Rat(w) / length
-            coeffs[v] -= Rat(w) / length
-        rows.append((tuple(coeffs), "<=", degrees[v]))
-    return rows
+def _conductances(gs: MetrizedGraph):
+    """Per vertex, the summed conductance w/l towards each neighbour; loops
+    drop out.  These are the off-diagonal entries of the Laplacian, negated."""
+    nbrs = [{} for _ in range(gs.n_vertices)]
+    for a, b, length, w in gs.edges:
+        if a == b:
+            continue
+        c = Rat(w) / length
+        nbrs[a][b] = nbrs[a].get(b, ZERO) + c
+        nbrs[b][a] = nbrs[b].get(a, ZERO) + c
+    return nbrs
 
 
-def envelope(
-    g: MetrizedGraph,
-    theta: CurvatureData,
-    u: PLFunction,
-    verify_pointwise_max: bool = True,
-    max_lp_vars: int | None = None,
-) -> EnvelopeResult:
+def _slack(nbrs, y, d):
+    """s = Delta y + d, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
+    return [
+        d[v] + sum((c * (y[v] - y[u]) for u, c in nbrs[v].items()), start=ZERO)
+        for v in range(len(d))
+    ]
+
+
+def _least_feasible(nbrs, d):
+    """Least y >= 0 with Delta y + d >= 0 (Chandrasekaran's algorithm).
+
+    J collects the vertices where y > 0 is forced; on J the slack is held at
+    zero by solving Delta_JJ y_J = -d_J with y = 0 off J, and every vertex
+    whose slack is still negative joins J, so there are at most n rounds.
+    y only grows, and a vertex where the least feasible point vanishes never
+    joins, so J = every vertex means that no feasible point exists.
+    Returns (y, slack)."""
+    n = len(d)
+    y = [ZERO] * n
+    J = set()
+    while True:
+        s = _slack(nbrs, y, d)
+        grow = {v for v in range(n) if s[v] < 0} - J
+        if not grow:
+            return y, s
+        J |= grow
+        if len(J) == n:
+            raise EnvelopeInfeasible("no theta-psh function exists")
+        pos = {v: i for i, v in enumerate(sorted(J))}
+        mat = [[ZERO] * len(J) for _ in J]
+        for v, i in pos.items():
+            for u, c in nbrs[v].items():
+                mat[i][i] += c
+                if u in pos:
+                    mat[i][pos[u]] -= c
+        y = [ZERO] * n
+        for v, x in zip(pos, solve_linear(mat, [-d[v] for v in pos])):
+            y[v] = x
+
+
+def _check_least(y, s) -> None:
+    """y >= 0, s >= 0, y_v s_v = 0 and min y = 0 make y the least feasible
+    point on a connected graph: if z is feasible and y - z peaks at a
+    positive value, then at the peak y > 0, so s = 0 and Delta(y - z) <= 0
+    there; the peak spreads to every neighbour, hence to the whole graph,
+    and then min y > 0."""
+    if (
+        min(y) != 0
+        or any(x < 0 for x in s)
+        or any(a != 0 and b != 0 for a, b in zip(y, s))
+    ):
+        raise PotentialError("internal: envelope fails its least-point certificate")
+
+
+def envelope(g: MetrizedGraph, theta: CurvatureData, u: PLFunction) -> EnvelopeResult:
     """Largest theta-psh function below u.
 
     Raises EnvelopeInfeasible when no theta-psh function exists at all (for
     instance when the total degree is negative).  The result comes with a
-    recomputed psh certificate and is verified to be pointwise maximal among
-    LP-feasible candidates unless verify_pointwise_max is switched off.
+    recomputed psh certificate and a certificate that it is pointwise
+    maximal.  lp_summary describes the problem as the linear program
+    max sum F - u over the n slope rows in n unknowns (n = vertices of the
+    subdivided graph), with its optimal value.
     """
     _check_same_graph(g, theta, u)
     gs, smap = subdivide(g, u.breakpoints())
@@ -164,31 +212,9 @@ def envelope(
         assert pt.is_vertex()  # us is affine on the subdivided edges
         degrees[pt.index] += m
     n = gs.n_vertices
-    if max_lp_vars is not None and n > max_lp_vars:
-        raise PotentialError(
-            f"envelope LP needs {n} variables, above the cap of {max_lp_vars}"
-        )
-    lp = LinearProgram(
-        objective=(-Rat(1),) * n,
-        constraints=_lp_rows(gs, degrees),
-        nonneg=True,
-    )
-    res = lp_solve(lp)
-    if res.status == "infeasible":
-        raise EnvelopeInfeasible("no theta-psh function exists")
-    assert res.status == "optimal"  # objective <= 0 rules out unbounded
-    y = res.point
+    y, s = _least_feasible(_conductances(gs), degrees)
+    _check_least(y, s)
     f0 = tuple(-yi for yi in y)
-    if verify_pointwise_max:
-        current = res
-        for v in range(n):
-            obj = [ZERO] * n
-            obj[v] = -Rat(1)
-            current = reoptimize(current, obj)
-            if current.status != "optimal" or current.value != f0[v]:
-                raise PotentialError(
-                    "LP optimum is not the pointwise maximal feasible point"
-                )
     env_s = PLFunction(gs, tuple(a + b for a, b in zip(f0, us.vertex_values)), None)
     env = smap.plf_back(env_s)
     report = slope_report(g, theta, env)
@@ -261,8 +287,6 @@ def solve_ma(
             row[v] -= Rat(w) / length
         mat.append(row)
         rhs.append(b[v])
-    from .rat import solve_linear
-
     try:
         f_vals = solve_linear(mat, rhs)
     except ValueError as ex:  # pragma: no cover - connected graphs are regular
@@ -292,7 +316,7 @@ def energy(
 def orthogonality_residual(g: MetrizedGraph, theta: CurvatureData, u: PLFunction):
     """integral of (u - P(u)) against MA(P(u)); identically zero, returned
     exactly so callers can assert it."""
-    env = envelope(g, theta, u, verify_pointwise_max=False).envelope
+    env = envelope(g, theta, u).envelope
     ma = ma_measure(g, theta, env)
     diff = u - env
     acc = ZERO

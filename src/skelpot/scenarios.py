@@ -56,6 +56,7 @@ def _schema(required, optional=()):
 
 
 _ANY = {}  # nested payloads are validated by their own codecs
+_POINTS_SCHEMA = {"type": "array", "items": jsonio.VEC2_SCHEMA, "minItems": 1}
 
 
 def _graph_with_theta(payload):
@@ -83,7 +84,7 @@ def _run_curve_envelope(payload, opts: _Options) -> ScenarioOutput:
     g, theta = _graph_with_theta(payload)
     u = jsonio.plf_from_json(g, payload["f"])
     _check_lp_cap(g, u, opts)
-    res = envelope(g, theta, u, max_lp_vars=opts.max_lp_vars)
+    res = envelope(g, theta, u)
     result = {
         "envelope": jsonio.plf_to_json(res.envelope),
         "lp": {
@@ -132,8 +133,8 @@ def _run_curve_energy(payload, opts: _Options) -> ScenarioOutput:
     u2 = jsonio.plf_from_json(g, payload["g"])
     _check_lp_cap(g, u1, opts)
     _check_lp_cap(g, u2, opts)
-    phi1 = envelope(g, theta, u1, max_lp_vars=opts.max_lp_vars).envelope
-    phi2 = envelope(g, theta, u2, max_lp_vars=opts.max_lp_vars).envelope
+    phi1 = envelope(g, theta, u1).envelope
+    phi2 = envelope(g, theta, u2).envelope
     return ScenarioOutput(
         {
             "envelope_f": jsonio.plf_to_json(phi1),
@@ -177,11 +178,7 @@ def _run_toric_skeleton(payload, opts: _Options) -> ScenarioOutput:
 
 def _run_toric_retract(payload, opts: _Options) -> ScenarioOutput:
     pc = _complex_from(payload)
-    jsonio.validate(
-        payload["points"],
-        {"type": "array", "items": jsonio.VEC2_SCHEMA, "minItems": 1},
-        "points",
-    )
+    jsonio.validate(payload["points"], _POINTS_SCHEMA, "points")
     images = []
     for row in payload["points"]:
         u = (jsonio.rat_from_str(row[0]), jsonio.rat_from_str(row[1]))

@@ -29,6 +29,7 @@ from .polyhedra import (
     halfplanes,
     hull_area_2d,
     intersect2,
+    is_pointed,
     minimalize,
     poly_contains,
     poly_dim,
@@ -52,17 +53,22 @@ class ComplexInvalid(ToricError):
 
 
 class PolyComplex:
-    """Cells are minimalized at construction; validity (tiling, fan of
-    recession cones, simpliciality) is established by validate_complex."""
+    """Cells must be pointed (contain no line) and are minimalized at
+    construction; validity (tiling, fan of recession cones, simpliciality)
+    is established by validate_complex."""
 
     def __init__(self, cells, dim=2):
         if dim != 2:
             raise ToricError("only ambient dimension 2 is supported")
-        cells = tuple(minimalize(c) for c in cells)
+        cells = tuple(cells)
         if not cells:
             raise ToricError("a complex needs at least one cell")
         if any(c.ambient_dim != 2 for c in cells):
             raise ToricError("cells must live in the plane")
+        for i, c in enumerate(cells):
+            if not is_pointed(c):
+                raise ComplexInvalid(f"cell {i} contains a line")
+        cells = tuple(minimalize(c) for c in cells)
         self.dim = dim
         self.cells = cells
         self._hps = {}

@@ -67,7 +67,7 @@ def rand_plf(rng: random.Random, g: MetrizedGraph, den: int = 8, breaks: bool = 
 def rand_psh(rng: random.Random, g, theta):
     """A certified theta-psh function: the envelope of a random bound."""
     u = rand_plf(rng, g)
-    return envelope(g, theta, u, verify_pointwise_max=False).envelope
+    return envelope(g, theta, u).envelope
 
 
 def rand_retraction_triple(rng: random.Random, max_sub_v: int = 4, max_trees: int = 3):

@@ -1,25 +1,25 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming: the test suite's general oracle.
 
 A small dense two-phase simplex over Q with Bland's pivot rule, which makes
 the solver deterministic and immune to cycling.  No floating point enters at
-any stage; tolerances do not exist here.
+any stage; tolerances do not exist here.  skelpot itself solves every
+problem with a method fitted to its structure; the tests check those
+methods against this one.
 
 Problems are stated as maximization over free variables by default
-(`nonneg=True` restricts all variables to >= 0, which the envelope solver
-uses directly).  Relations are '<=', '=', '>='.
+(`nonneg=True` restricts all variables to >= 0).  Relations are '<=', '=',
+'>='.
 
-The final basis is kept on the result, so callers can re-optimize a new
-objective over the same constraints from a warm start (`reoptimize`), and
-dual multipliers are recomputed from the basis on demand
-(`LPResult.duals`), giving an independently checkable optimality
-certificate (`check_certificate`).
+The final basis is kept on the result, and dual multipliers are recomputed
+from it on demand (`LPResult.duals`), giving an independently checkable
+optimality certificate (`check_certificate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rat import Rat, rat, dot
+from skelpot.rat import Rat, dot, rat, solve_linear
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -234,10 +234,6 @@ class _Simplex:
                 cvec[neg] -= c
         return cvec
 
-    def reoptimize(self, objective) -> str:
-        self._set_objective(self._map_objective(objective))
-        return self._bland()
-
     # -- extraction ------------------------------------------------------
 
     def extract_point(self) -> tuple:
@@ -258,8 +254,6 @@ class _Simplex:
 
     def extract_duals(self) -> tuple:
         """Solve y . A_B = c_B on the standard-form basis columns."""
-        from .rat import solve_linear
-
         m = len(self.T)
         # Column vectors of the ORIGINAL standard-form matrix for the basis.
         A = self._std_matrix()
@@ -303,28 +297,6 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         point=point,
         value=dot(lp.objective, point),
         _solver=solver,
-    )
-
-
-def reoptimize(result: LPResult, objective) -> LPResult:
-    """Continue the simplex from result's basis with a new objective.
-
-    The constraint set is unchanged; this is cheap when the new optimum is
-    near the old one.  `result` itself is not mutated, but its solver state
-    advances (re-extract duals before reoptimizing if you need them).
-    """
-    solver = result._solver
-    if solver is None or result.status != "optimal":
-        raise LPError("can only reoptimize from an optimal result")
-    objective = tuple(rat(c) for c in objective)
-    if len(objective) != solver.lp.n_vars:
-        raise LPError("objective arity mismatch")
-    status = solver.reoptimize(objective)
-    if status != "optimal":
-        return LPResult(status=status, _solver=solver)
-    point = solver.extract_point()
-    return LPResult(
-        status="optimal", point=point, value=dot(objective, point), _solver=solver
     )
 
 

@@ -64,7 +64,7 @@ def _verdict(n, label, elapsed, detail):
 
 
 def _env(g, theta, u, **kw):
-    return envelope(g, theta, u, verify_pointwise_max=False, **kw).envelope
+    return envelope(g, theta, u, **kw).envelope
 
 
 def _sup_abs(f: PLFunction) -> Rat:

@@ -145,6 +145,31 @@ def test_lp_cap_env_var(tmp_path):
     assert r.returncode == 2
 
 
+_LINE = [["1", "0"], ["-1", "0"]]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # minimalize used to drop both points and fail (exit 1)
+        [{"points": [["0", "0"], ["1", "0"]], "rays": _LINE + [["0", "1"]]}],
+        # upper and lower half-planes: "region is not pointed" (exit 1)
+        [
+            {"points": [["0", "0"]], "rays": _LINE + [["0", "1"]]},
+            {"points": [["0", "0"]], "rays": _LINE + [["0", "-1"]]},
+        ],
+        [{"points": [["0", "0"]], "rays": _LINE + [["0", "1"]]}],
+    ],
+)
+def test_cell_containing_a_line_exit_2(tmp_path, cells):
+    s = {"kind": "toric-skeleton", "complex": {"dim": 2, "cells": cells}}
+    r = cli("run", write_scenario(tmp_path, "line.json", s), "--out", str(tmp_path))
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert err["message"] == "cell 0 contains a line"
+
+
 def test_list_scenarios():
     r = cli("list-scenarios")
     assert r.returncode == 0

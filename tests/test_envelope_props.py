@@ -13,7 +13,7 @@ N = 40
 
 
 def _env(g, theta, u):
-    return envelope(g, theta, u, verify_pointwise_max=False).envelope
+    return envelope(g, theta, u).envelope
 
 
 def _sup_abs(f):

@@ -167,3 +167,26 @@ def test_dumps_canonical():
         jsonio.dumps({"a": 0.5})
     with pytest.raises(SchemaError):
         jsonio.dumps({"a": [1, [2, 3.0]]})
+
+
+@pytest.mark.parametrize(
+    "obj, schema",
+    [
+        ({"edge": 0}, jsonio.POINT_SCHEMA),
+        ({"vertex": 3}, jsonio.POINT_SCHEMA),
+        ({"edge": -1, "offset": "1.5"}, jsonio.POINT_SCHEMA),
+        ({"vertices": [], "edges": [{"a": "x"}]}, jsonio.GRAPH_SCHEMA),
+        ({"n": 0, "gens": [[1, -1]], "x": 1}, jsonio.IDEAL_SCHEMA),
+        ({"dim": 3, "cells": [{"points": [["1"]]}]}, jsonio.COMPLEX_SCHEMA),
+    ],
+)
+def test_validate_reports_jsonschemas_best_match(obj, schema):
+    """The prebuilt validators report the error jsonschema.validate raises."""
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(obj, schema, cls=jsonschema.Draft202012Validator)
+    path = "/".join(str(k) for k in ref.value.absolute_path) or "."
+    for _ in range(2):  # the second call reuses the cached validator
+        with pytest.raises(SchemaError) as got:
+            jsonio.validate(obj, schema, "x")
+        assert str(got.value) == f"x at {path}: {ref.value.message}"

@@ -1,13 +1,18 @@
-"""Exact simplex: hand-solved instances, degenerate cases, and a randomized
-cross-check against brute-force vertex enumeration in two variables."""
+"""The exact simplex oracle (lp_oracle.py): hand-solved instances,
+degenerate cases, and a randomized cross-check against brute-force vertex
+enumeration in two variables."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 
-from skelpot.lp import LinearProgram, LPError, check_certificate, lp_solve, reoptimize
+import skelpot
 from skelpot.rat import Rat, solve_linear
+
+from lp_oracle import LinearProgram, LPError, check_certificate, lp_solve
 
 
 def test_textbook_max():
@@ -86,19 +91,6 @@ def test_degenerate_does_not_cycle():
     assert res.value == Rat(1, 20)
 
 
-def test_reoptimize_matches_fresh_solve():
-    lp = LinearProgram(
-        objective=(1, 2),
-        constraints=[((1, 1), "<=", 4), ((1, -1), "<=", 2)],
-        nonneg=True,
-    )
-    first = lp_solve(lp)
-    warmed = reoptimize(first, (5, -1))
-    fresh = lp_solve(LinearProgram((5, -1), lp.constraints, nonneg=True))
-    assert warmed.status == fresh.status == "optimal"
-    assert warmed.value == fresh.value
-
-
 def test_bad_shapes_rejected():
     with pytest.raises(LPError):
         LinearProgram(objective=(1, 2), constraints=[((1,), "<=", 0)])
@@ -155,3 +147,14 @@ def test_random_2d_against_vertex_enumeration():
             assert res.status == "optimal"
             assert res.value == expect
             assert check_certificate(lp, res)
+
+
+def test_package_has_no_simplex():
+    """The simplex lives in the tests only: skelpot solves each problem
+    with an exact method fitted to its structure."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("skelpot.lp")
+    for info in pkgutil.iter_modules(skelpot.__path__):
+        mod = importlib.import_module(f"skelpot.{info.name}")
+        for name in ("lp_solve", "LinearProgram", "reoptimize", "LPError"):
+            assert not hasattr(mod, name), f"skelpot.{info.name} binds {name}"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelpot.polyhedra import (
     Polyhedron,
@@ -14,10 +15,13 @@ from skelpot.polyhedra import (
     poly_dim,
     poly_equal,
     poly_is_subset,
+    is_pointed,
     recession,
     vrep_from_halfplanes,
 )
-from skelpot.rat import Rat
+from skelpot.rat import Rat, primitive
+
+from lp_oracle import LinearProgram, lp_solve
 
 SQUARE = Polyhedron(((0, 0), (1, 0), (1, 1), (0, 1)))
 QUADRANT = Polyhedron(((0, 0),), ((1, 0), (0, 1)))
@@ -131,3 +135,96 @@ def test_random_membership_agrees_with_halfplanes():
 def test_point_needed():
     with pytest.raises(Exception):
         Polyhedron((), ((1, 0),))
+
+
+def test_vrep_parallel_normals_contain_a_line():
+    # a slab and a half-plane: pointedness fails before emptiness is asked
+    with pytest.raises(ValueError, match="contains a line"):
+        vrep_from_halfplanes((((1, 0), Rat(1)), ((-1, 0), Rat(0))))
+    with pytest.raises(ValueError, match="contains a line"):
+        vrep_from_halfplanes((((1, 0), Rat(-1)), ((-1, 0), Rat(0))))
+
+
+def test_is_pointed():
+    assert is_pointed(QUADRANT)
+    assert is_pointed(SQUARE)
+    assert not is_pointed(Polyhedron(((0, 0),), ((1, 0), (-1, 0))))
+    assert not is_pointed(Polyhedron(((0, 0),), ((1, 1), (0, -1), (-1, 0))))
+    assert is_pointed(Polyhedron(((0, 0),), ((1, 1), (0, -1), (1, 0))))
+
+
+# ---------------------------------------------------------------------------
+# Two routes: determinant predicates against LP membership
+# ---------------------------------------------------------------------------
+
+
+def _lp_feasible(gens, target, n_points):
+    """Is target = sum c_i gens_i with c >= 0, the first n_points
+    coefficients summing to 1 (no such row when n_points is None)?"""
+    cons = [(tuple(g[i] for g in gens), "=", target[i]) for i in range(len(target))]
+    if n_points is not None:
+        cons.append((tuple([1] * n_points + [0] * (len(gens) - n_points)), "=", 1))
+    res = lp_solve(LinearProgram(objective=(0,) * len(gens), constraints=cons, nonneg=True))
+    return res.status == "optimal"
+
+
+def _lp_contains(poly, u):
+    gens = poly.gen_points + poly.gen_rays
+    return _lp_feasible(gens, u, len(poly.gen_points))
+
+
+def _lp_minimalize(poly):
+    """minimalize with every redundancy decided by the LP."""
+    pts = sorted(set(poly.gen_points))
+    rays = sorted({primitive(r) for r in poly.gen_rays})
+    keep_r = [
+        r for i, r in enumerate(rays)
+        if len(rays) == 1 or not _lp_feasible(rays[:i] + rays[i + 1 :], r, None)
+    ]
+    keep_p = [
+        p for i, p in enumerate(pts)
+        if len(pts) == 1 or not _lp_contains(Polyhedron(pts[:i] + pts[i + 1 :], keep_r), p)
+    ]
+    return Polyhedron(keep_p, keep_r)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as ex:
+        return str(ex)
+
+
+_small = st.integers(-2, 2)
+
+
+@st.composite
+def _degenerate_polyhedra(draw):
+    """Single points, collinear point sets, opposite and repeated rays."""
+    base = (draw(_small), draw(_small))
+    shape = draw(st.sampled_from(["point", "collinear", "general"]))
+    if shape == "point":
+        pts = [base]
+    elif shape == "collinear":
+        d = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+        ks = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        pts = [(base[0] + k * d[0], base[1] + k * d[1]) for k in ks]
+    else:
+        pts = draw(st.lists(st.tuples(_small, _small), min_size=1, max_size=5))
+    ray = st.tuples(_small, _small).filter(lambda r: r != (0, 0))
+    rays = draw(st.lists(ray, max_size=3))
+    if rays and draw(st.booleans()):
+        rays.append((-rays[0][0], -rays[0][1]))
+    return Polyhedron(pts, rays)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    _degenerate_polyhedra(),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=6),
+)
+def test_planar_predicates_match_lp(poly, queries):
+    for a, b in queries:
+        u = (Rat(a, 2), Rat(b, 2))
+        assert poly_contains(poly, u) == _lp_contains(poly, u)
+    assert _outcome(minimalize, poly) == _outcome(_lp_minimalize, poly)

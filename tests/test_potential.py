@@ -14,7 +14,6 @@ from skelpot import (
     MassMismatch,
     MetrizedGraph,
     PLFunction,
-    PotentialError,
     dd_c,
     energy,
     envelope,
@@ -24,11 +23,15 @@ from skelpot import (
     pl_equal,
     solve_ma,
 )
+from hypothesis import given, settings, strategies as st
+
+from skelpot.graphs import subdivide
 from skelpot.rat import Rat
 
 import random
 
 from helpers import rand_graph, rand_nef_theta, rand_plf, rand_psh
+from lp_oracle import LinearProgram, lp_solve
 
 EDGE = MetrizedGraph(("a", "b"), ((0, 1, 1, 1),))
 
@@ -74,13 +77,6 @@ def test_ddc_mass_zero():
         g = rand_graph(rng)
         f = rand_plf(rng, g)
         assert dd_c(g, f).total_mass() == 0
-
-
-def test_envelope_cap():
-    theta = CurvatureData(EDGE, (1, 0))
-    u = PLFunction(EDGE, (0, -2))
-    with pytest.raises(PotentialError, match="above the cap"):
-        envelope(EDGE, theta, u, max_lp_vars=1)
 
 
 def test_solve_ma_recovers_kink():
@@ -143,3 +139,67 @@ def test_slope_report_failing_rows():
     ok, report = is_theta_psh(EDGE, theta, f)
     assert not ok
     assert [r.point for r in report.failing()] == [GraphPoint("v", 1)]
+
+
+# ---------------------------------------------------------------------------
+# Two routes: the least-point (LCP) envelope against the general simplex
+# ---------------------------------------------------------------------------
+
+
+def _lp_envelope(g, theta, u):
+    """The envelope by linear programming: on the graph subdivided at u's
+    breakpoints, in y = u - F, minimise sum y over y >= 0 and the slope rows
+    sum_nu (w/l)(y_nu - y_v) <= d_v.  None when the LP is infeasible."""
+    gs, smap = subdivide(g, u.breakpoints())
+    us = smap.plf(u)
+    d = list(smap.curvature(theta).degrees)
+    for pt, m in dd_c(gs, us).atoms:
+        d[pt.index] += m
+    n = gs.n_vertices
+    rows = []
+    for v in range(n):
+        coeffs = [Rat(0)] * n
+        for e, end in gs.incident(v):
+            a, b, length, w = gs.edges[e]
+            if a != b:
+                coeffs[b if end == 0 else a] += Rat(w) / length
+                coeffs[v] -= Rat(w) / length
+        rows.append((tuple(coeffs), "<=", d[v]))
+    res = lp_solve(LinearProgram((-Rat(1),) * n, rows, nonneg=True))
+    if res.status == "infeasible":
+        return None
+    values = tuple(x - y for x, y in zip(us.vertex_values, res.point))
+    return smap.plf_back(PLFunction(gs, values)), res.value
+
+
+@st.composite
+def _envelope_instances(draw):
+    """Connected multigraphs with loops and parallel edges, theta of either
+    sign (negative totals are infeasible), and bounds with breakpoints."""
+    q = lambda lo, hi, den: Rat(draw(st.integers(lo * den, hi * den)), den)  # noqa: E731
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges = [(a, b, q(1, 3, draw(st.integers(1, 4))), draw(st.integers(1, 3))) for a, b in edges]
+    g = MetrizedGraph([f"v{i}" for i in range(n)], edges)
+    theta = CurvatureData(g, [q(-2, 2, draw(st.integers(1, 3))) for _ in range(n)])
+    breaks = []
+    for _, _, length, _ in edges:
+        cuts = draw(st.lists(st.integers(1, 7), max_size=2, unique=True))
+        breaks.append(tuple((length * Rat(c, 8), q(-3, 3, 4)) for c in sorted(cuts)))
+    u = PLFunction(g, [q(-3, 3, 4) for _ in range(n)], tuple(breaks))
+    return g, theta, u
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_envelope_instances())
+def test_envelope_matches_lp_oracle(instance):
+    g, theta, u = instance
+    expect = _lp_envelope(g, theta, u)
+    if expect is None:
+        with pytest.raises(EnvelopeInfeasible):
+            envelope(g, theta, u)
+        return
+    res = envelope(g, theta, u)
+    assert pl_equal(res.envelope, expect[0])
+    assert res.lp_summary["objective"] == expect[1]

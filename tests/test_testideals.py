@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelpot.testideals
-from skelpot.lp import LinearProgram, lp_solve
 from skelpot.testideals import (
     GradedSequence,
     MonomialIdeal,
@@ -30,6 +29,7 @@ from skelpot.testideals import _BasisTable, _count_feasible, is_prime
 from skelpot.rat import Rat, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
+from lp_oracle import LinearProgram, lp_solve
 
 
 def I(n, *gens):
