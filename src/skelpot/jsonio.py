@@ -38,9 +38,21 @@ _RAT_RE = re.compile(_RAT_PATTERN)
 RAT_SCHEMA = {"type": "string", "pattern": _RAT_PATTERN}
 
 
+# Digits allowed in the numerator or the denominator of a wire rational:
+# CPython's default limit on int-from-string conversion, checked here so
+# that an over-long rational gets this module's message.
+MAX_RAT_DIGITS = 4300
+
+
 def rat_from_str(s) -> Rat:
     if not isinstance(s, str) or not _RAT_RE.match(s):
         raise SchemaError(f"not a rational string: {s!r}")
+    digits = max(len(part.lstrip("-")) for part in s.split("/"))
+    if digits > MAX_RAT_DIGITS:
+        raise SchemaError(
+            f"rational has too many digits: {digits} in its numerator or "
+            f"denominator, at most {MAX_RAT_DIGITS} allowed"
+        )
     try:
         return rat(s)
     except (ValueError, ZeroDivisionError) as ex:

@@ -215,10 +215,15 @@ def halfplane_contains(hps, u) -> bool:
 
 
 def vrep_from_halfplanes(hps) -> Polyhedron | None:
-    """Generators of {x : <n_i, x> <= c_i} in the plane.
+    """Generators of {x : <n_i, x> <= c_i} in the plane, canonically sorted.
 
     Returns None when the region is empty, raises when it is not pointed
     (contains a line) since such cells never occur in valid complexes.
+
+    The output is already minimal, so it needs no minimalize: every vertex
+    kept lies in the region on two tight lines with independent normals, so
+    it is extreme, and every ray kept is a primitive direction on the
+    boundary of a pointed recession cone, so it is an extreme ray.
     """
     hps = [((rat(n[0]), rat(n[1])), rat(c)) for n, c in hps]
     verts = set()
@@ -244,7 +249,7 @@ def vrep_from_halfplanes(hps) -> Polyhedron | None:
         if any(cross2(n1, n2) != 0 for (n1, _), (n2, _) in itertools.combinations(hps, 2)):
             return None
         raise ValueError("region is not pointed (no vertex)")
-    return minimalize(Polyhedron(tuple(sorted(verts)), tuple(sorted(rays))))
+    return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
 
 
 def intersect2(a: Polyhedron, b: Polyhedron) -> Polyhedron | None:

@@ -13,16 +13,18 @@ single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 
 from __future__ import annotations
 
+from functools import partial
 from xml.sax.saxutils import escape
 
 from .graphs import MetrizedGraph, PLFunction
 from .polyhedra import (
     Polyhedron,
     convex_hull_2d,
-    intersect2,
+    halfplanes,
     minimalize,
     poly_contains,
     poly_dim,
+    vrep_from_halfplanes,
 )
 from .rat import Rat, rat, rat_str, rfloor, vec_add, vec_scale, vec_sub
 from .toric import PolyComplex
@@ -92,7 +94,8 @@ def _document(body) -> str:
 
 
 class _Plane:
-    """Maps the box [-b, b]^2 to the canvas, y pointing up."""
+    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box
+    and its facets for clipping."""
 
     def __init__(self, b):
         b = rat(b)
@@ -100,22 +103,20 @@ class _Plane:
             raise ValueError("bounding box half-width must be positive")
         self.b = b
         self.scale = Rat(_SIZE - 2 * _MARGIN) / (2 * b)
+        self.box = Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
+        self.box_halfplanes = halfplanes(self.box)
 
     def to_px(self, p):
         x = _MARGIN + (rat(p[0]) + self.b) * self.scale
         y = _SIZE - _MARGIN - (rat(p[1]) + self.b) * self.scale
         return (x, y)
 
-    def box(self) -> Polyhedron:
-        b = self.b
-        return Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
-
 
 def _clip_thin(poly: Polyhedron, plane: _Plane):
     """Clip a point / segment / half-line / line to the box.
 
     Parametric: write the piece as base + t*d and shrink the t-interval by
-    each box halfplane.  intersect2 cannot be used here because halfplane
+    each box halfplane.  Facets cannot be used here because halfplane
     representations only exist for full-dimensional cells."""
     slim = minimalize(poly)
     pts, rays = slim.gen_points, slim.gen_rays
@@ -126,7 +127,7 @@ def _clip_thin(poly: Polyhedron, plane: _Plane):
     if rays:
         d = rays[0]
     if d is None:
-        return [base] if poly_contains(plane.box(), base) else None
+        return [base] if poly_contains(plane.box, base) else None
     axis = 0 if d[0] != 0 else 1
     ts = [(p[axis] - base[axis]) / d[axis] for p in pts]
     lo, hi = min(ts), max(ts)
@@ -152,14 +153,20 @@ def _clip_thin(poly: Polyhedron, plane: _Plane):
     return [at(lo)] if lo == hi else [at(lo), at(hi)]
 
 
-def _clipped_hull(poly: Polyhedron, plane: _Plane):
-    """Hull vertices of poly ∩ box, in drawing order; None when disjoint."""
+def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
+    """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
+
+    A full-dimensional poly is cut by its facets plus the box's, taken from
+    facets() when given (a complex passes its cached cell facets) and
+    computed here otherwise.  vrep_from_halfplanes returns only extreme
+    generators, so the cut needs no minimalize."""
     if poly_dim(poly) < 2:
         return _clip_thin(poly, plane)
-    cut = intersect2(poly, plane.box())
+    hps = facets() if facets is not None else halfplanes(poly)
+    cut = vrep_from_halfplanes(hps + plane.box_halfplanes)
     if cut is None:
         return None
-    pts = minimalize(cut).gen_points
+    pts = cut.gen_points
     if len(pts) > 2:
         return convex_hull_2d(pts)
     return list(pts)
@@ -173,7 +180,7 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         raise ValueError("one label per cell required")
     fills, edges, texts = [], [], []
     for i, cell in enumerate(pc.cells):
-        hull = _clipped_hull(cell, plane)
+        hull = _clipped_hull(cell, plane, partial(pc.cell_halfplanes, i))
         if hull is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]

@@ -55,7 +55,12 @@ class ComplexInvalid(ToricError):
 class PolyComplex:
     """Cells must be pointed (contain no line) and are minimalized at
     construction; validity (tiling, fan of recession cones, simpliciality)
-    is established by validate_complex."""
+    is established by validate_complex.
+
+    A complex computes the facets of each cell (cell_halfplanes) and the
+    intersection of each pair of cells (meet) at most once and keeps them;
+    validation, the continuity and concavity checks of every function on
+    the complex, refinement and SVG clipping all read these caches."""
 
     def __init__(self, cells, dim=2):
         if dim != 2:
@@ -68,10 +73,13 @@ class PolyComplex:
         for i, c in enumerate(cells):
             if not is_pointed(c):
                 raise ComplexInvalid(f"cell {i} contains a line")
-        cells = tuple(minimalize(c) for c in cells)
-        self.dim = dim
+        self._set_cells(tuple(minimalize(c) for c in cells))
+
+    def _set_cells(self, cells) -> None:
+        self.dim = 2
         self.cells = cells
         self._hps = {}
+        self._meets = {}
 
     def __eq__(self, other):
         return isinstance(other, PolyComplex) and self.cells == other.cells
@@ -83,6 +91,16 @@ class PolyComplex:
         if i not in self._hps:
             self._hps[i] = halfplanes(self.cells[i])
         return self._hps[i]
+
+    def meet(self, i: int, j: int):
+        """Intersection of cells i and j (None when empty), from their cached
+        facets; both cells must be full-dimensional."""
+        key = (i, j) if i <= j else (j, i)
+        if key not in self._meets:
+            self._meets[key] = vrep_from_halfplanes(
+                self.cell_halfplanes(key[0]) + self.cell_halfplanes(key[1])
+            )
+        return self._meets[key]
 
     def cells_containing(self, u) -> list:
         u = tuple(rat(x) for x in u)
@@ -198,7 +216,7 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
     cells = pc.cells
     # pairwise: intersections are common faces, interiors disjoint
     for i, j in itertools.combinations(range(len(cells)), 2):
-        inter = intersect2(cells[i], cells[j])
+        inter = pc.meet(i, j)
         if inter is None:
             continue
         if poly_dim(inter) == 2:
@@ -448,7 +466,7 @@ class ToricPLFunction:
     def _check_continuity(self):
         cells = self.complex.cells
         for i, j in itertools.combinations(range(len(cells)), 2):
-            inter = intersect2(cells[i], cells[j])
+            inter = self.complex.meet(i, j)
             if inter is None:
                 continue
             (gi, ci), (gj, cj) = self.pieces[i], self.pieces[j]
@@ -557,9 +575,7 @@ def skeleton_complex(pc: PolyComplex) -> PolyComplex:
     """The skeleton as a PolyComplex value (cells may be lower-dimensional);
     useful for bundling skeleton functions."""
     obj = PolyComplex.__new__(PolyComplex)
-    obj.dim = 2
-    obj.cells = tuple(skeleton(pc))
-    obj._hps = {}
+    obj._set_cells(tuple(skeleton(pc)))
     return obj
 
 
@@ -588,7 +604,7 @@ def is_concave(h: ToricPLFunction):
     Returns (True, None) or (False, witness dict)."""
     cells = h.complex.cells
     for i, j in itertools.combinations(range(len(cells)), 2):
-        inter = intersect2(cells[i], cells[j])
+        inter = h.complex.meet(i, j)
         if inter is None or poly_dim(inter) != 1:
             continue
         for a, b in ((i, j), (j, i)):
@@ -684,9 +700,9 @@ def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
 def refine(a: PolyComplex, b: PolyComplex) -> PolyComplex:
     """Common refinement: all full-dimensional pairwise intersections."""
     cells = []
-    for ca in a.cells:
-        for cb in b.cells:
-            inter = intersect2(ca, cb)
+    for i in range(len(a.cells)):
+        for j in range(len(b.cells)):
+            inter = vrep_from_halfplanes(a.cell_halfplanes(i) + b.cell_halfplanes(j))
             if inter is not None and poly_dim(inter) == 2:
                 cells.append(inter)
     return PolyComplex(tuple(cells))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,44 @@ def test_testideal_rejects_four_variables(tmp_path):
     r = cli("run", write_scenario(tmp_path, "t.json", s), "--out", str(tmp_path))
     assert r.returncode == 2
     assert _stderr_error(r)["kind"] == "validation"
+
+
+_HUGE = "1" + "0" * 5000  # past CPython's 4300-digit int conversion limit
+
+
+def _assert_too_many_digits(r):
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert "too many digits" in err["message"]
+    assert "sys.set_int_max_str_digits" not in r.stderr
+
+
+def test_huge_rational_in_curve_file_exit_2(tmp_path):
+    s = json.loads(json.dumps(ENVELOPE_EDGE))
+    s["graph"]["theta"]["a"] = _HUGE
+    r = cli("run", write_scenario(tmp_path, "h.json", s), "--out", str(tmp_path))
+    _assert_too_many_digits(r)
+
+    s["graph"]["theta"]["a"] = "1/" + _HUGE  # denominators count too
+    r = cli("run", write_scenario(tmp_path, "d.json", s), "--out", str(tmp_path))
+    _assert_too_many_digits(r)
+
+
+def test_huge_rational_in_toric_file_exit_2(tmp_path):
+    s = jsonio.loads(
+        (Path(jsonio.__file__).parent / "data" / "skeleton_pi.json").read_text()
+    )
+    s["complex"]["cells"][0]["points"][0][0] = "-" + _HUGE
+    r = cli("run", write_scenario(tmp_path, "t.json", s), "--out", str(tmp_path))
+    _assert_too_many_digits(r)
+
+
+def test_rational_at_the_digit_limit_is_accepted():
+    limit = jsonio.MAX_RAT_DIGITS
+    assert jsonio.rat_from_str("9" * limit) == 10**limit - 1
+    with pytest.raises(jsonio.SchemaError, match="too many digits"):
+        jsonio.rat_from_str("9" * (limit + 1))
 
 
 def test_result_json_has_no_floats(tmp_path):

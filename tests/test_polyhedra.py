@@ -228,3 +228,39 @@ def test_planar_predicates_match_lp(poly, queries):
         u = (Rat(a, 2), Rat(b, 2))
         assert poly_contains(poly, u) == _lp_contains(poly, u)
     assert _outcome(minimalize, poly) == _outcome(_lp_minimalize, poly)
+
+
+# ---------------------------------------------------------------------------
+# vrep_from_halfplanes returns minimal generators
+# ---------------------------------------------------------------------------
+
+_normal = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda n: n != (0, 0))
+_offset = st.builds(Rat, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def _halfplane_sets(draw):
+    """1-6 halfplanes, some followed by an opposite one whose offset makes
+    the pair cut out a strip, a line, or nothing."""
+    hps = []
+    for n, c in draw(st.lists(st.tuples(_normal, _offset), min_size=1, max_size=6)):
+        hps.append((n, c))
+        if draw(st.integers(0, 3)) == 0:
+            gap = draw(st.sampled_from([Rat(0), Rat(1, 2), Rat(2), Rat(-1)]))
+            hps.append(((-n[0], -n[1]), gap - c))
+    return hps
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_halfplane_sets())
+def test_vrep_from_halfplanes_output_is_minimal(hps):
+    """The output needs no minimalize: it is None, raises for a region
+    containing a line, or equals its own minimalization."""
+    try:
+        out = vrep_from_halfplanes(hps)
+    except ValueError as ex:
+        assert "not pointed" in str(ex)
+        return
+    assert out is None or out == minimalize(out)
+    if out is not None:
+        assert all(halfplane_contains(hps, p) for p in out.gen_points)

@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+from skelpot import svg as svg_mod
 from skelpot.fixtures import CELL_LABELS, counterexample_fixture
 from skelpot.graphs import MetrizedGraph, PLFunction
-from skelpot.polyhedra import Polyhedron
+from skelpot.polyhedra import Polyhedron, convex_hull_2d, intersect2, minimalize, poly_dim
 from skelpot.rat import Rat
 from skelpot.svg import render_svg
 from skelpot.toric import skeleton
@@ -97,3 +98,24 @@ def test_skeleton_of_refined_complex_renders():
     svg = render_svg(list(skeleton(fx.refined())), bbox=2)
     assert svg.count("<line ") >= 6  # two triangles
     assert svg.rstrip().endswith("</svg>")
+
+
+def _clip_by_intersect2(poly, plane, facets=None):
+    """Clipping through bare-polyhedron intersection, ignoring any cached
+    facets: the reference route for the complex renderer."""
+    if poly_dim(poly) < 2:
+        return svg_mod._clip_thin(poly, plane)
+    cut = intersect2(poly, plane.box)
+    if cut is None:
+        return None
+    pts = minimalize(cut).gen_points
+    return convex_hull_2d(pts) if len(pts) > 2 else list(pts)
+
+
+def test_complex_clipping_matches_bare_intersections(monkeypatch):
+    fx = counterexample_fixture()
+    complexes = (fx.pi, fx.pi_prime, fx.refined())
+    cases = [(pc, bbox) for pc in complexes for bbox in (3, Rat(1, 2))]
+    cached = [render_svg(pc, bbox=bbox) for pc, bbox in cases]
+    monkeypatch.setattr(svg_mod, "_clipped_hull", _clip_by_intersect2)
+    assert cached == [render_svg(pc, bbox=bbox) for pc, bbox in cases]

@@ -1,6 +1,9 @@
 """Planar toric machinery around the two-model fixture: one boundary datum,
 two complexes with identical skeleton, opposite concavity behaviour."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from skelpot import (
@@ -28,9 +31,10 @@ from skelpot import (
     toric_ma,
     validate_complex,
 )
+from skelpot import polyhedra as polyhedra_mod
+from skelpot import toric as toric_mod
+from skelpot.polyhedra import halfplanes, intersect2, poly_dim
 from skelpot.rat import Rat
-
-import pytest
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
@@ -185,3 +189,96 @@ def test_toric_plf_continuity_enforced(fx):
     broken[1] = ((0, -1), 5)
     with pytest.raises(ToricError):
         ToricPLFunction(fx.pi, tuple(broken))
+
+
+# ---------------------------------------------------------------------------
+# Cached facets and meets against bare-polyhedron intersections
+# ---------------------------------------------------------------------------
+
+# (unimodular map as rows, integer shift)
+_MOVES = (
+    (((1, 1), (0, 1)), (2, -1)),
+    (((0, -1), (1, 0)), (-3, 0)),
+    (((2, 1), (1, 1)), (1, 4)),
+)
+
+
+def _moved(pc, move, seed):
+    (m, shift) = move
+
+    def image(v):
+        return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+    cells = [
+        Polyhedron(
+            [tuple(x + s for x, s in zip(image(p), shift)) for p in c.gen_points],
+            [image(r) for r in c.gen_rays],
+        )
+        for c in pc.cells
+    ]
+    random.Random(seed).shuffle(cells)
+    return PolyComplex(cells)
+
+
+def _complex_pairs():
+    """(pi, pi') of the fixture, then copies of both moved the same way,
+    each with its cells shuffled."""
+    fx = counterexample_fixture()
+    pairs = [(fx.pi, fx.pi_prime)]
+    for k, move in enumerate(_MOVES):
+        pairs.append((_moved(fx.pi, move, 2 * k), _moved(fx.pi_prime, move, 2 * k + 1)))
+    return pairs
+
+
+def test_meet_matches_intersect2():
+    for pair in _complex_pairs():
+        for pc in pair:
+            validate_complex(pc, recession_fan(pc))
+            n = len(pc.cells)
+            empty = 0
+            for i in range(n):
+                for j in range(n):
+                    inter = intersect2(pc.cells[i], pc.cells[j])
+                    assert pc.meet(i, j) == inter, (i, j)
+                    empty += inter is None
+            assert 0 < empty < n * n  # both outcomes are exercised
+            assert pc.meet(0, 1) is pc.meet(1, 0)  # one cache entry per pair
+
+
+def _refine_by_intersect2(a, b):
+    cells = []
+    for ca in a.cells:
+        for cb in b.cells:
+            inter = intersect2(ca, cb)
+            if inter is not None and poly_dim(inter) == 2:
+                cells.append(inter)
+    return PolyComplex(cells)
+
+
+def test_refine_matches_pairwise_intersect2():
+    for a, b in _complex_pairs():
+        for x, y in ((a, b), (b, a)):
+            fine = refine(x, y)
+            assert fine.cells == _refine_by_intersect2(x, y).cells
+            assert len(fine.cells) == 9
+
+
+def test_fixture_and_concavity_compute_each_cell_facets_once(monkeypatch):
+    """Building the fixture and checking both sums for concavity computes
+    the facets of each cell of each complex at most once, by either route
+    (the complex's cache or polyhedra.intersect2)."""
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return halfplanes(poly)
+
+    monkeypatch.setattr(toric_mod, "halfplanes", counting)
+    monkeypatch.setattr(polyhedra_mod, "halfplanes", counting)
+    fx = counterexample_fixture()
+    assert not is_concave(fx.f.add_support(fx.psi))[0]
+    assert is_concave(fx.f_prime.add_support(fx.psi))[0]
+    cells = {id(c) for pc in (fx.pi, fx.pi_prime) for c in pc.cells}
+    counts = Counter(id(poly) for poly in calls)
+    assert set(counts) <= cells
+    assert max(counts.values()) == 1
