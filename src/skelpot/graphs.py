@@ -9,8 +9,9 @@ canonicalize to the endpoints, so point equality is unambiguous.
 PL functions carry rational vertex values plus per-edge interior
 breakpoints and are linear between consecutive samples; every slope is
 rational by construction.  Subdivision returns the refined graph together
-with a two-way point/function/measure transfer map, so data never has to be
-re-derived after refining.
+with a transfer map that carries points, functions, curvature and measures
+to the refinement and functions back, so data never has to be re-derived
+after refining.
 
 Retraction onto a subgraph collapses hanging trees to their attachment
 points; it is only defined when every complement component is a tree meeting
@@ -345,9 +346,6 @@ class CurvatureData:
     def total(self):
         return sum(self.degrees, start=ZERO)
 
-    def is_nef(self) -> bool:
-        return self.total() >= 0
-
     def degree_at(self, pt: GraphPoint):
         return self.degrees[pt.index] if pt.is_vertex() else ZERO
 
@@ -412,7 +410,7 @@ def total_mass(measure: AtomicMeasure):
 
 @dataclass
 class SubdivisionMap:
-    """Two-way transfer between a graph and its subdivision."""
+    """Transfer from a graph to its subdivision, and of functions back."""
 
     old: MetrizedGraph
     new: MetrizedGraph
@@ -429,21 +427,6 @@ class SubdivisionMap:
             if t0 < t < t1:
                 return self.new.point(ne, t - t0)
         raise GraphError("point not found in subdivision")  # pragma: no cover
-
-    def point_back(self, pt: GraphPoint) -> GraphPoint:
-        if pt.is_vertex():
-            if pt.index < self.old.n_vertices:
-                return GraphPoint("v", pt.index)
-            for (e, t), v in self.cut_vertex.items():
-                if v == pt.index:
-                    return self.old.point(e, t)
-            raise GraphError("unknown subdivision vertex")  # pragma: no cover
-        ne = pt.index
-        for e, pieces in self.edge_pieces.items():
-            for ne2, t0, t1 in pieces:
-                if ne2 == ne:
-                    return self.old.point(e, t0 + pt.offset)
-        raise GraphError("unknown subdivision edge")  # pragma: no cover
 
     def plf(self, f: PLFunction) -> PLFunction:
         vv = list(f.vertex_values) + [ZERO] * (self.new.n_vertices - self.old.n_vertices)
@@ -480,9 +463,6 @@ class SubdivisionMap:
 
     def measure(self, mu: AtomicMeasure) -> AtomicMeasure:
         return AtomicMeasure(self.new, {self.point(pt): m for pt, m in mu.atoms})
-
-    def measure_back(self, mu: AtomicMeasure) -> AtomicMeasure:
-        return AtomicMeasure(self.old, {self.point_back(pt): m for pt, m in mu.atoms})
 
 
 def subdivide(g: MetrizedGraph, points) -> tuple[MetrizedGraph, SubdivisionMap]:

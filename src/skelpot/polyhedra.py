@@ -6,8 +6,10 @@ Membership and redundancy are decided by exact determinant predicates: a
 point u lies in the polyhedron when (u, 1) lies in the cone over the
 homogenised generators (p, 1) and (r, 0), and by Caratheodory's theorem some
 linearly independent subset of at most three of them then carries it, which
-Cramer's rule decides.  For the 2-dimensional case there is a full facet
-(H-) representation, intersection, and hull-area toolkit, all over Q.
+Cramer's rule decides.  Dimension is decided by cross products.  For the
+2-dimensional case there is a full facet (H-) representation, read off the
+convex hull of the generators, with intersection and hull-area tools, all
+over Q.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rat import Rat, rat, dot, vec_sub, primitive, matrix_rank, cross2, det3
+from .rat import Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -53,17 +55,6 @@ class Polyhedron:
         )
 
 
-def _minor(vecs, coords):
-    """Determinant of the square matrix whose columns are vecs restricted
-    to the coordinates coords (at most 3 of them)."""
-    rows = [[v[i] for i in coords] for v in vecs]
-    if len(rows) == 1:
-        return rows[0][0]
-    if len(rows) == 2:
-        return cross2(rows[0], rows[1])
-    return det3(*rows)
-
-
 def _cone_contains(r, gens) -> bool:
     """Is r a nonnegative combination of gens?  Vectors have at most 3
     coordinates.  By Caratheodory's theorem some linearly independent
@@ -76,16 +67,8 @@ def _cone_contains(r, gens) -> bool:
         return True
     for size in range(1, min(k, len(gens)) + 1):
         for sub in itertools.combinations(gens, size):
-            for coords in itertools.combinations(range(k), size):
-                det = _minor(sub, coords)
-                if det != 0:
-                    break
-            else:
-                continue  # linearly dependent subset
-            nums = [
-                _minor(sub[:j] + (r,) + sub[j + 1 :], coords) for j in range(size)
-            ]
-            if all(a * det >= 0 for a in nums) and all(
+            det, nums = cramer(sub, r)
+            if det != 0 and all(a * det >= 0 for a in nums) and all(
                 sum((a * g[i] for a, g in zip(nums, sub)), start=ZERO) == det * r[i]
                 for i in range(k)
             ):
@@ -113,12 +96,19 @@ def recession(poly: Polyhedron) -> Polyhedron:
 
 
 def poly_dim(poly: Polyhedron) -> int:
+    """Dimension of the affine hull, in ambient dimension at most 2: the
+    number of independent directions among those from the first point to
+    the other points and the rays, decided by cross2."""
+    if poly.ambient_dim > 2:
+        raise ValueError("dimension is decided in ambient dimension at most 2")
     p0 = poly.gen_points[0]
-    rows = [vec_sub(p, p0) for p in poly.gen_points[1:]]
-    rows += [r for r in poly.gen_rays]
-    if not rows:
+    dirs = [vec_sub(p, p0) for p in poly.gen_points[1:]] + list(poly.gen_rays)
+    dirs = [v for v in dirs if any(x != 0 for x in v)]
+    if not dirs:
         return 0
-    return matrix_rank(rows)
+    if poly.ambient_dim == 2 and any(cross2(dirs[0], v) != 0 for v in dirs[1:]):
+        return 2
+    return 1
 
 
 def poly_is_subset(a: Polyhedron, b: Polyhedron) -> bool:
@@ -171,43 +161,24 @@ def halfplanes(poly: Polyhedron) -> tuple:
     """Facet inequalities (n, c) meaning <n, x> <= c, for a 2-dimensional
     polyhedron in the plane.  Normals are primitive integer vectors.
 
-    Candidate normals come from pairing generators: each facet of a 2-poly
-    is spanned by a direction that is either (q - p) for generators p, q or
-    a ray direction.  Rotating candidates by 90 degrees and keeping those
-    valid and tight on two independent generators yields exactly the facets.
+    The facets are read off the convex hull of the points and of each point
+    moved along each ray: a hull edge is a facet exactly when no ray
+    increases its outward normal.  (A facet spanned by a point p and a ray r
+    shows up as the hull edge from p to p + r.)
     """
     if poly.ambient_dim != 2:
         raise ValueError("halfplanes is 2-dimensional only")
     if poly_dim(poly) != 2:
         raise ValueError("halfplanes needs a full-dimensional cell")
-    pts, rays = tuple(sorted(set(poly.gen_points))), poly.gen_rays
-    dirs = []
-    for p, q in itertools.combinations(pts, 2):
-        d = vec_sub(q, p)
-        if any(x != 0 for x in d):
-            dirs.append(d)
-    dirs.extend(rays)
-    out = {}
-    for d in dirs:
-        n = (-d[1], d[0])
-        for normal in (n, (-n[0], -n[1])):
-            # valid side: all generators satisfy <normal, x> <= c with
-            # c = max over points, and rays must not increase the form
-            if any(dot(normal, r) > 0 for r in rays):
-                continue
-            c = max(dot(normal, p) for p in pts)
-            tight_pts = [p for p in pts if dot(normal, p) == c]
-            tight_rays = [r for r in rays if dot(normal, r) == 0]
-            # a facet of a 2-poly is 1-dimensional: needs two independent
-            # tight generators
-            if len(tight_pts) + len(tight_rays) < 2:
-                continue
-            if len(tight_pts) == 1 and not tight_rays:
-                continue
-            key = primitive(normal)
-            scale = Rat(key[0], normal[0]) if normal[0] else Rat(key[1], normal[1])
-            out[key] = c * scale
-    return tuple(sorted((n, c) for n, c in out.items()))
+    pts, rays = poly.gen_points, poly.gen_rays
+    hull = convex_hull_2d(pts + tuple(vec_add(p, r) for p in pts for r in rays))
+    out = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        # the hull runs counterclockwise, so the outward normal points right
+        n = primitive((b[1] - a[1], a[0] - b[0]))
+        if all(dot(n, r) <= 0 for r in rays):
+            out.append((n, dot(n, a)))
+    return tuple(sorted(out))
 
 
 def halfplane_contains(hps, u) -> bool:

@@ -138,6 +138,18 @@ def _conductances(gs: MetrizedGraph):
     return nbrs
 
 
+def _laplacian(nbrs, idx):
+    """Dense rows of Delta_II for the vertex list idx, from _conductances."""
+    pos = {v: i for i, v in enumerate(idx)}
+    mat = [[ZERO] * len(idx) for _ in idx]
+    for v, i in pos.items():
+        for u, c in nbrs[v].items():
+            mat[i][i] += c
+            if u in pos:
+                mat[i][pos[u]] -= c
+    return mat
+
+
 def _slack(nbrs, y, d):
     """s = Delta y + d, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
     return [
@@ -166,15 +178,9 @@ def _least_feasible(nbrs, d):
         J |= grow
         if len(J) == n:
             raise EnvelopeInfeasible("no theta-psh function exists")
-        pos = {v: i for i, v in enumerate(sorted(J))}
-        mat = [[ZERO] * len(J) for _ in J]
-        for v, i in pos.items():
-            for u, c in nbrs[v].items():
-                mat[i][i] += c
-                if u in pos:
-                    mat[i][pos[u]] -= c
+        idx = sorted(J)
         y = [ZERO] * n
-        for v, x in zip(pos, solve_linear(mat, [-d[v] for v in pos])):
+        for v, x in zip(idx, solve_linear(_laplacian(nbrs, idx), [-d[v] for v in idx])):
             y[v] = x
 
 
@@ -266,27 +272,13 @@ def solve_ma(
     mu_s = smap.measure(mu)
     n = gs.n_vertices
     b = [mu_s.mass_at(gs.vertex_point(v)) - theta_s.degrees[v] for v in range(n)]
-    # rows: sum_nu (w/l)(F(nu) - F(v)) = b[v]; replace the anchor's row by
-    # the anchoring condition (the dropped row is implied: rows sum to zero)
-    mat = []
-    rhs = []
-    for v in range(n):
-        if v == anchor:
-            row = [ZERO] * n
-            row[v] = Rat(1)
-            mat.append(row)
-            rhs.append(ZERO)
-            continue
-        row = [ZERO] * n
-        for e, end in gs.incident(v):
-            a_, b_, length, w = gs.edges[e]
-            if a_ == b_:
-                continue
-            other = b_ if end == 0 else a_
-            row[other] += Rat(w) / length
-            row[v] -= Rat(w) / length
-        mat.append(row)
-        rhs.append(b[v])
+    # rows: (Delta F)_v = -b[v], except that the anchor's row pins
+    # F(anchor) = 0 (the dropped row is implied: rows sum to zero)
+    mat = _laplacian(_conductances(gs), range(n))
+    mat[anchor] = [ZERO] * n
+    mat[anchor][anchor] = Rat(1)
+    rhs = [-x for x in b]
+    rhs[anchor] = ZERO
     try:
         f_vals = solve_linear(mat, rhs)
     except ValueError as ex:  # pragma: no cover - connected graphs are regular

@@ -1,13 +1,19 @@
 """Exact rational arithmetic helpers.
 
 Everything in this package computes over Q.  `Rat` is gmpy2's mpq when
-available (much faster inside the simplex inner loop), otherwise
-fractions.Fraction.  Both keep values in lowest terms with positive
-denominator, interoperate with int, and hash consistently.
+available, otherwise fractions.Fraction.  Both keep values in lowest terms
+with positive denominator, interoperate with int, and hash consistently.
+
+There are two solvers.  `solve_linear` is Gauss-Jordan elimination for the
+square systems of any size, the graph Laplacians of `potential`.  The
+planar and test-ideal systems have at most 3 unknowns; `det`, `adjugate`
+and `cramer` solve those by cofactor expansion, without dividing, so they
+stay in int on integer data.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -121,28 +127,6 @@ def solve_linear(matrix, rhs):
     return tuple(aug[r][n] for r in range(n))
 
 
-def matrix_rank(rows) -> int:
-    """Exact rank of a list of rational row vectors."""
-    work = [list(map(Rat, row)) for row in rows if any(Rat(x) != 0 for x in row)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols and rank < len(work):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / prow[col]
-                work[r] = [x - f * y for x, y in zip(work[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def det3(a, b, c) -> Rat:
     """Determinant of the 3x3 matrix with rows a, b, c."""
     return (
@@ -154,3 +138,50 @@ def det3(a, b, c) -> Rat:
 
 def cross2(u, v) -> Rat:
     return u[0] * v[1] - u[1] * v[0]
+
+
+def det(rows):
+    """Determinant of a square matrix of at most 3 rows by cofactor
+    expansion; exact on int and Rat entries alike (int in, int out).  The
+    empty matrix has determinant 1."""
+    k = len(rows)
+    if k == 0:
+        return 1
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        return cross2(rows[0], rows[1])
+    if k == 3:
+        return det3(*rows)
+    raise ValueError("det takes at most 3 rows")
+
+
+def adjugate(rows) -> tuple:
+    """adj(M), with M adj(M) = det(M) I, as a tuple of rows; at most 3 rows."""
+    k = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (r + c)
+            * det([row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r])
+            for r in range(k)
+        )
+        for c in range(k)
+    )
+
+
+def cramer(cols, target):
+    """Cramer's rule for sum_j x_j cols[j] = target, with at most 3 columns
+    of at most 3 coordinates each.  On the first set of coordinates whose
+    square minor d is nonzero, x_j = nums[j] / d; returns (d, nums) without
+    dividing.  d == 0 when the columns are linearly dependent.  Coordinates
+    outside the minor are left for the caller to check."""
+    k = len(cols)
+    for coords in itertools.combinations(range(len(target)), k):
+        # the minor transposed (one row per column vector): same determinant,
+        # and replacing row j replaces column j
+        rows = [[v[i] for i in coords] for v in cols]
+        d = det(rows)
+        if d != 0:
+            b = [target[i] for i in coords]
+            return d, [det(rows[:j] + [b] + rows[j + 1 :]) for j in range(k)]
+    return 0, []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .rat import Rat, rat, rceil, rfloor
+from .rat import Rat, adjugate, det as rat_det, rat, rceil, rfloor
 
 VAR_NAMES = ("x", "y", "z", "w")
 
@@ -272,30 +272,6 @@ class _PowerCache:
 _BB_NODE_LIMIT = 20_000
 
 
-def _det(mat) -> int:
-    """Determinant of a small square integer matrix (cofactor expansion)."""
-    if not mat:
-        return 1
-    return sum(
-        (-1) ** j * mat[0][j] * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
-        for j in range(len(mat))
-        if mat[0][j]
-    )
-
-
-def _adjugate(mat):
-    """adj(M) with M @ adj(M) = det(M) * I, as a tuple of rows."""
-    k = len(mat)
-    return tuple(
-        tuple(
-            (-1) ** (r + c)
-            * _det([row[:c] + row[c + 1 :] for i, row in enumerate(mat) if i != r])
-            for r in range(k)
-        )
-        for c in range(k)
-    )
-
-
 class _BasisTable:
     """Integer precomputation for packing queries against fixed generators.
 
@@ -320,10 +296,10 @@ class _BasisTable:
             for S in combinations(range(n), k):
                 for B in combinations(range(g), k):
                     mat = [[gens[b][i] for b in B] for i in S]
-                    det = _det(mat)
+                    det = rat_det(mat)
                     if det == 0:
                         continue
-                    adj = _adjugate(mat)
+                    adj = adjugate(mat)
                     if det < 0:
                         det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
                     rest = tuple(
@@ -689,8 +665,6 @@ def _normalize_nonneg(c):
         c = tuple(-x for x in c)
     if any(x < 0 for x in c):
         return None
-    from math import gcd
-
     g = 0
     for x in c:
         g = gcd(g, x)

@@ -38,7 +38,7 @@ from .polyhedra import (
     recession,
     vrep_from_halfplanes,
 )
-from .rat import Rat, rat, dot, rfloor, primitive, solve_linear, det3, vec_sub
+from .rat import Rat, rat, dot, rfloor, primitive, adjugate, cramer, det, det3, vec_sub
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -121,12 +121,6 @@ class PolyComplex:
 class SimplicialFlag:
     simplicial: tuple
     unimodular: tuple
-
-    def all_simplicial(self) -> bool:
-        return all(self.simplicial)
-
-    def all_unimodular(self) -> bool:
-        return all(self.unimodular)
 
 
 def _lift_primitive(p, height):
@@ -318,53 +312,22 @@ def decompose(cell: Polyhedron, u):
     cols = [(p[0], p[1], ONE) for p in pts] + [(r[0], r[1], ZERO) for r in rays]
     if len(cols) > 3:
         raise ToricError("cell is not simplicial")
-    rows = [[col[k] for col in cols] for k in range(3)]
-    rhs = [u[0], u[1], ONE]
-    if len(cols) < 3:
-        # lower-dimensional simplicial cell: solve the consistent subsystem
-        sol = _solve_rect(rows, rhs)
-        if sol is None:
-            raise ToricError("point is outside the cell")
-    else:
-        try:
-            sol = solve_linear(rows, rhs)
-        except ValueError as ex:
-            raise ToricError(f"cell is not simplicial: {ex}") from ex
+    target = (u[0], u[1], ONE)
+    # after minimalize, fewer than 3 columns are always independent
+    d, nums = cramer(cols, target)
+    if d == 0:
+        raise ToricError("cell is not simplicial: singular system")
+    if any(
+        sum((x * col[i] for x, col in zip(nums, cols)), start=ZERO) != d * target[i]
+        for i in range(3)
+    ):
+        raise ToricError("point is outside the cell")
+    sol = [x / d for x in nums]
     a = tuple(sol[: len(pts)])
     lam = tuple(sol[len(pts):])
     if any(x < 0 for x in a) or any(x < 0 for x in lam):
         raise ToricError("point is outside the cell")
     return a, lam
-
-
-def _solve_rect(rows, rhs):
-    """Solve an overdetermined exact system with full column rank; None when
-    inconsistent."""
-    m, n = len(rows), len(rows[0])
-    aug = [list(map(Rat, rows[i])) + [Rat(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, m) if aug[k][c] != 0), None)
-        if piv is None:
-            return None  # rank deficiency: not simplicial
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = ONE / pr[c]
-        aug[r] = pr = [x * inv for x in pr]
-        for k in range(m):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [x - f * y for x, y in zip(aug[k], pr)]
-        pivots.append(c)
-        r += 1
-    for k in range(r, m):
-        if aug[k][n] != 0:
-            return None  # inconsistent
-    sol = [ZERO] * n
-    for idx, c in enumerate(pivots):
-        sol[c] = aug[idx][n]
-    return tuple(sol)
 
 
 def retraction(pc: PolyComplex, u) -> tuple:
@@ -398,19 +361,18 @@ def retraction_affine(cell: Polyhedron):
     if len(cols) != 3:
         raise ToricError("affine retraction needs a full-dimensional simplicial cell")
     rows = [[col[k] for col in cols] for k in range(3)]
-    # columns of M^{-1}
-    inv_cols = [solve_linear(rows, e) for e in ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))]
+    d = det(rows)
+    if d == 0:
+        raise ValueError("singular system")
+    # p(u) = sum_i a_i p_i with a = M^{-1} (u, 1) and M^{-1} = adj(M) / d
+    adj = adjugate(rows)
     k = len(pts)
-    A = [[ZERO, ZERO], [ZERO, ZERO]]
-    b = [ZERO, ZERO]
-    for j in range(2):  # output coordinate
-        for col_idx in range(3):
-            coef = sum((pts[i][j] * inv_cols[col_idx][i] for i in range(k)), start=ZERO)
-            if col_idx < 2:
-                A[j][col_idx] = coef
-            else:
-                b[j] = coef
-    return A, tuple(b)
+
+    def coef(j, c):
+        return sum((pts[i][j] * adj[i][c] for i in range(k)), start=ZERO) / d
+
+    A = [[coef(j, 0), coef(j, 1)] for j in range(2)]
+    return A, (coef(0, 2), coef(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +685,15 @@ def refine_function(f: ToricPLFunction, fine: PolyComplex) -> ToricPLFunction:
 
 
 def pl_functions_equal(f: ToricPLFunction, g: ToricPLFunction) -> bool:
-    """Exact equality of PL functions on possibly different complexes."""
-    if f.complex == g.complex:
+    """Exact equality of PL functions on possibly different complexes: the
+    pieces agree on every pair of cells that overlap in dimension 2."""
+    a, b = f.complex, g.complex
+    if a == b:
         return f.pieces == g.pieces
-    common = refine(f.complex, g.complex)
-    return refine_function(f, common).pieces == refine_function(g, common).pieces
+    for i, j in itertools.product(range(len(a.cells)), range(len(b.cells))):
+        if f.pieces[i] == g.pieces[j]:
+            continue
+        inter = vrep_from_halfplanes(a.cell_halfplanes(i) + b.cell_halfplanes(j))
+        if inter is not None and poly_dim(inter) == 2:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,9 +20,11 @@ from skelpot.polyhedra import (
     recession,
     vrep_from_halfplanes,
 )
-from skelpot.rat import Rat, primitive
+from skelpot.rat import Rat, adjugate, cramer, primitive, solve_linear
+from skelpot.toric import ToricError, decompose
 
 from lp_oracle import LinearProgram, lp_solve
+from planar_oracle import halfplanes_by_normals, matrix_rank, poly_dim_by_rank
 
 SQUARE = Polyhedron(((0, 0), (1, 0), (1, 1), (0, 1)))
 QUADRANT = Polyhedron(((0, 0),), ((1, 0), (0, 1)))
@@ -191,8 +194,8 @@ def _lp_minimalize(poly):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ValueError as ex:
-        return str(ex)
+    except (ValueError, ToricError) as ex:
+        return type(ex).__name__, str(ex)
 
 
 _small = st.integers(-2, 2)
@@ -264,3 +267,94 @@ def test_vrep_from_halfplanes_output_is_minimal(hps):
     assert out is None or out == minimalize(out)
     if out is not None:
         assert all(halfplane_contains(hps, p) for p in out.gen_points)
+
+
+# ---------------------------------------------------------------------------
+# Two routes: planar and 3x3 kernels against general elimination
+# ---------------------------------------------------------------------------
+
+
+def test_matrix_rank():
+    assert matrix_rank([[1, 2], [2, 4]]) == 1
+    assert matrix_rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert matrix_rank([]) == 0
+
+
+def _decompose_by_elimination(cell, u):
+    """decompose through solve_linear: fewer than 3 columns are completed
+    to a square system by unit columns, whose coefficients must vanish."""
+    cell = minimalize(cell)
+    pts, rays = cell.gen_points, cell.gen_rays
+    cols = [p + (1,) for p in pts] + [r + (0,) for r in rays]
+    if len(cols) > 3:
+        raise ToricError("cell is not simplicial")
+    units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    for extra in itertools.combinations(units, 3 - len(cols)):
+        full = cols + list(extra)
+        try:
+            sol = solve_linear([[c[i] for c in full] for i in range(3)], [u[0], u[1], 1])
+            break
+        except ValueError as ex:
+            if len(cols) == 3:
+                raise ToricError(f"cell is not simplicial: {ex}") from ex
+    if any(x != 0 for x in sol[len(cols) :]) or any(x < 0 for x in sol[: len(cols)]):
+        raise ToricError("point is outside the cell")
+    return tuple(sol[: len(pts)]), tuple(sol[len(pts) : len(cols)])
+
+
+_q = st.sampled_from(sorted({Rat(a, b) for a in range(-3, 4) for b in (1, 2, 3)}))
+_entry = st.sampled_from(list(range(-2, 3)) + [Rat(-1, 2), Rat(1, 3), Rat(3, 2)])
+
+
+@st.composite
+def _planar_cases(draw):
+    """A polyhedron (a lone point, collinear points or general rational
+    points, plus rays, sometimes with an opposite pair), a query point,
+    often one of the polyhedron, and a square system of at most 3 rows."""
+    base = (draw(_q), draw(_q))
+    shape = draw(st.sampled_from(["point", "collinear", "general"]))
+    if shape == "point":
+        pts = [base]
+    elif shape == "collinear":
+        d = draw(st.tuples(_q, _q))
+        ks = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        pts = [(base[0] + k * d[0], base[1] + k * d[1]) for k in ks]
+    else:
+        pts = [base] + draw(st.lists(st.tuples(_q, _q), max_size=3))
+    rays = draw(st.lists(st.tuples(_q, _q).filter(lambda r: r != (0, 0)), max_size=3))
+    if rays and draw(st.booleans()):
+        rays.append((-rays[0][0], -rays[0][1]))
+    u = (draw(_q), draw(_q))
+    if draw(st.booleans()):  # a point of the polyhedron
+        (a, b), (c, d) = pts[0], pts[-1]
+        u = ((a + c) / 2, (b + d) / 2)
+        if rays:
+            u = (u[0] + rays[-1][0], u[1] + rays[-1][1])
+    k = draw(st.integers(1, 3))
+    matrix = [[draw(_entry) for _ in range(k)] for _ in range(k)]
+    rhs = [draw(_entry) for _ in range(k)]
+    return Polyhedron(pts, rays), u, matrix, rhs
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_planar_cases())
+def test_planar_kernels_match_general_routes(case):
+    poly, u, matrix, rhs = case
+    assert poly_dim(poly) == poly_dim_by_rank(poly)
+    assert _outcome(halfplanes, poly) == _outcome(halfplanes_by_normals, poly)
+    assert _outcome(decompose, poly, u) == _outcome(_decompose_by_elimination, poly, u)
+    k = len(matrix)
+    cols = [tuple(row[j] for row in matrix) for j in range(k)]
+    d, nums = cramer(cols, rhs)
+    try:
+        sol = solve_linear(matrix, rhs)
+    except ValueError:
+        assert d == 0
+        return
+    assert d != 0 and tuple(x / d for x in nums) == sol
+    adj = adjugate(matrix)
+    assert all(
+        sum(matrix[i][m] * adj[m][j] for m in range(k)) == (d if i == j else 0)
+        for i in range(k)
+        for j in range(k)
+    )

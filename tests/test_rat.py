@@ -2,10 +2,12 @@ import pytest
 
 from skelpot.rat import (
     Rat,
+    adjugate,
+    cramer,
     cross2,
+    det,
     det3,
     dot,
-    matrix_rank,
     primitive,
     rat,
     rat_str,
@@ -64,7 +66,17 @@ def test_solve_linear():
         solve_linear([[1, 1], [2, 2]], [1, 3])
 
 
-def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1], [1, 1]]) == 2
-    assert matrix_rank([]) == 0
+def test_small_kernel_stays_in_int():
+    m = [[2, 1, 0], [1, -1, 3], [0, 4, 1]]
+    d, adj = det(m), adjugate(m)
+    assert d == -27 and type(d) is int
+    assert all(type(x) is int for row in adj for x in row)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in m] == [
+        [d if i == j else 0 for j in range(3)] for i in range(3)
+    ]
+    assert det([]) == 1 and adjugate([[5]]) == ((1,),)
+    # columns (2, 1) and (1, -1), target (5, 1): x = (2, 1) with d = -3
+    assert cramer([(2, 1), (1, -1)], (5, 1)) == (-3, [-6, -3])
+    assert cramer([(1, 2), (2, 4)], (1, 1)) == (0, [])
+    with pytest.raises(ValueError):
+        det([[1] * 4] * 4)

@@ -332,6 +332,21 @@ def test_count_feasible_branches(monkeypatch, gens, w, m, expected):
         _count_feasible(table, w, m)
 
 
+def test_basis_table_stays_in_int():
+    """The shared 3x3 kernel keeps integer data integer: every stored
+    determinant and adjugate entry is a Python int, and U adj U = det I."""
+    gens = ((4, 0, 2), (0, 4, 1), (2, 1, 3), (1, 1, 1))
+    table = _BasisTable(gens)
+    assert len(table.bases) > 1
+    for S, B, det, adj, _ in table.bases:
+        assert type(det) is int and det > 0
+        assert all(type(x) is int for row in adj for x in row)
+        mat = [[gens[b][i] for b in B] for i in S]
+        assert [
+            [sum(a * c for a, c in zip(row, col)) for col in zip(*adj)] for row in mat
+        ] == [[det if i == j else 0 for j in range(len(S))] for i in range(len(S))]
+
+
 def test_testideals_does_not_use_the_simplex():
     for name in ("lp_solve", "LinearProgram"):
         assert not hasattr(skelpot.testideals, name)

@@ -34,7 +34,7 @@ from skelpot import (
 from skelpot import polyhedra as polyhedra_mod
 from skelpot import toric as toric_mod
 from skelpot.polyhedra import halfplanes, intersect2, poly_dim
-from skelpot.rat import Rat
+from skelpot.rat import Rat, solve_linear
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
@@ -282,3 +282,58 @@ def test_fixture_and_concavity_compute_each_cell_facets_once(monkeypatch):
     counts = Counter(id(poly) for poly in calls)
     assert set(counts) <= cells
     assert max(counts.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# pl_functions_equal against the common-refinement route
+# ---------------------------------------------------------------------------
+
+
+def _equal_by_refinement(f, g):
+    """Transport both functions to the common refinement and compare."""
+    if f.complex == g.complex:
+        return f.pieces == g.pieces
+    common = refine(f.complex, g.complex)
+    return refine_function(f, common).pieces == refine_function(g, common).pieces
+
+
+def _moved_function(f, move, seed):
+    """f on _moved(f.complex, move, seed): the cells are shuffled the same
+    way, and each piece x -> <g, x> + c becomes y -> <g', y> + c' with
+    y = m x + shift, so g' solves m^T g' = g and c' = c - <g', shift>."""
+    (m, shift) = move
+    order = list(range(len(f.complex.cells)))
+    random.Random(seed).shuffle(order)
+    pieces = []
+    for k in order:
+        g, c = f.pieces[k]
+        gp = solve_linear([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], g)
+        pieces.append((gp, c - gp[0] * shift[0] - gp[1] * shift[1]))
+    return ToricPLFunction(_moved(f.complex, move, seed), pieces)
+
+
+def _function_pairs():
+    fx = counterexample_fixture()
+    fine = fx.refined()
+    f_fine = refine_function(fx.f_prime, fine)
+    bumped = list(f_fine.pieces)
+    bumped[4] = ((Rat(7), Rat(-2)), Rat(3))
+    pairs = [
+        (fx.f, fx.f_prime),
+        (fx.f_prime, f_fine),
+        (fx.f, f_fine),
+        (fx.f_prime, ToricPLFunction(fine, bumped, check=False)),
+    ]
+    for k, move in enumerate(_MOVES):
+        pairs.append((_moved_function(fx.f, move, 2 * k), _moved_function(fx.f_prime, move, 2 * k + 1)))
+        pairs.append((_moved_function(fx.f_prime, move, 2 * k), _moved_function(fx.f_prime, move, 2 * k + 1)))
+    return pairs
+
+
+def test_pl_functions_equal_matches_refinement():
+    outcomes = []
+    for f, g in _function_pairs():
+        for a, b in ((f, g), (g, f)):
+            assert pl_functions_equal(a, b) == _equal_by_refinement(a, b)
+            outcomes.append(pl_functions_equal(a, b))
+    assert True in outcomes and False in outcomes
