@@ -67,7 +67,6 @@ from .toric import (
     retraction,
     retraction_affine,
     skeleton,
-    skeleton_complex,
     support_on_complex,
     toric_ma,
     validate_complex,

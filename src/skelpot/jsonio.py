@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import re
 
-import jsonschema
-
 from .graphs import (
     AtomicMeasure,
     CurvatureData,
@@ -201,7 +199,10 @@ _VALIDATORS = {}
 def validate(obj, schema, where: str = "payload") -> None:
     """Raise SchemaError naming jsonschema's best-matching error.  Each
     schema is checked and compiled once, so schemas should be long-lived
-    objects such as the module-level constants."""
+    objects such as the module-level constants.  jsonschema is imported on
+    the first call: it is most of the package's import time."""
+    import jsonschema
+
     entry = _VALIDATORS.get(id(schema))
     if entry is None:
         jsonschema.Draft202012Validator.check_schema(schema)

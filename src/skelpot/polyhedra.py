@@ -125,22 +125,24 @@ def poly_equal(a: Polyhedron, b: Polyhedron) -> bool:
 
 def minimalize(poly: Polyhedron) -> Polyhedron:
     """Drop redundant generators (points inside the hull of the others,
-    rays inside the cone of the others).  Canonically sorted output."""
+    rays inside the cone of the others).  Canonically sorted output.
+
+    Each generator is tested against the ones kept so far and the ones not
+    yet visited, never against one already dropped, so the polyhedron never
+    changes.  (Against all the others, two points of a polyhedron that
+    contains a line could each lie in the other plus the line, and both
+    would go.)"""
     pts = sorted(set(poly.gen_points))
     rays = sorted({primitive(r) for r in poly.gen_rays})
     keep_r = []
     for i, r in enumerate(rays):
-        others = [x for j, x in enumerate(rays) if j != i]
+        others = keep_r + rays[i + 1 :]
         if not others or not _cone_contains(r, others):
             keep_r.append(r)
     keep_p = []
     for i, p in enumerate(pts):
-        others = [x for j, x in enumerate(pts) if j != i]
-        if not others:
-            keep_p.append(p)
-            continue
-        sub = Polyhedron(tuple(others), tuple(keep_r))
-        if not poly_contains(sub, p):
+        others = keep_p + pts[i + 1 :]
+        if not others or not poly_contains(Polyhedron(tuple(others), tuple(keep_r)), p):
             keep_p.append(p)
     return Polyhedron(tuple(keep_p), tuple(keep_r))
 

@@ -21,9 +21,17 @@ theta-psh exactly when  Delta y + d >= 0,  where Delta is the weighted graph
 Laplacian (off-diagonal entries <= 0).  Feasible points are closed under
 taking minima, so the envelope is u - y for the least y >= 0 with
 Delta y + d >= 0: the least-action principle of chip-firing.
-Chandrasekaran's algorithm finds it with at most n exact linear solves, and
-an O(E) certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0, min y = 0)
-proves it least by the maximum principle on {y > 0}.
+Chandrasekaran's algorithm finds it in at most n rounds, and an O(E)
+certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0, min y = 0) proves
+it least by the maximum principle on {y > 0}.
+
+Every linear system here is a principal block of the Laplacian: Delta_JJ
+for a growing vertex set J in the envelope, and the Laplacian grounded at
+the anchor in solve_ma.  Both are symmetric positive definite M-matrices,
+and both are solved by the one sparse LDL^T factor of `rat.LDLFactor`,
+without pivoting.  The envelope appends each round's new vertices to the
+factor and only back-substitutes; solve_ma factors in minimum-degree
+order.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .graphs import (
     PLFunction,
     subdivide,
 )
-from .rat import Rat, solve_linear
+from .rat import LDLFactor, Rat
 
 ZERO = Rat(0)
 
@@ -138,16 +146,32 @@ def _conductances(gs: MetrizedGraph):
     return nbrs
 
 
-def _laplacian(nbrs, idx):
-    """Dense rows of Delta_II for the vertex list idx, from _conductances."""
-    pos = {v: i for i, v in enumerate(idx)}
-    mat = [[ZERO] * len(idx) for _ in idx]
-    for v, i in pos.items():
-        for u, c in nbrs[v].items():
-            mat[i][i] += c
-            if u in pos:
-                mat[i][pos[u]] -= c
-    return mat
+def _add_vertex(factor, nbrs, v, rhs) -> None:
+    """Append vertex v to a factor of a principal block Delta_JJ of the
+    Laplacian, J being the vertices in the factor: its row holds the
+    conductances towards J, negated, and its diagonal the conductances
+    towards every neighbour."""
+    row = {u: -c for u, c in nbrs[v].items() if u in factor}
+    factor.add(v, row, sum(nbrs[v].values(), start=ZERO), rhs)
+
+
+def _min_degree_order(nbrs, skip):
+    """The vertices other than skip in minimum-degree order: each next
+    vertex has the fewest neighbours in the graph that eliminating the
+    earlier ones leaves, where eliminating a vertex joins its neighbours
+    into a clique.  Computed on the pattern alone, before any arithmetic, so
+    an LDL^T factor taken in this order has little fill; the degree-2
+    subdivision vertices go first and cause none."""
+    adj = {v: set(nb) - {skip} for v, nb in enumerate(nbrs) if v != skip}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        clique = adj.pop(v)
+        for u in clique:
+            adj[u] |= clique
+            adj[u] -= {u, v}
+        order.append(v)
+    return order
 
 
 def _slack(nbrs, y, d):
@@ -166,21 +190,23 @@ def _least_feasible(nbrs, d):
     whose slack is still negative joins J, so there are at most n rounds.
     y only grows, and a vertex where the least feasible point vanishes never
     joins, so J = every vertex means that no feasible point exists.
-    Returns (y, slack)."""
+    J only grows, so one LDL^T factor of Delta_JJ serves every round: the
+    new vertices are appended in the order they join, and each round only
+    back-substitutes.  Returns (y, slack)."""
     n = len(d)
     y = [ZERO] * n
-    J = set()
+    factor = LDLFactor()
     while True:
         s = _slack(nbrs, y, d)
-        grow = {v for v in range(n) if s[v] < 0} - J
+        grow = [v for v in range(n) if s[v] < 0 and v not in factor]
         if not grow:
             return y, s
-        J |= grow
-        if len(J) == n:
+        if len(factor) + len(grow) == n:
             raise EnvelopeInfeasible("no theta-psh function exists")
-        idx = sorted(J)
+        for v in grow:
+            _add_vertex(factor, nbrs, v, -d[v])
         y = [ZERO] * n
-        for v, x in zip(idx, solve_linear(_laplacian(nbrs, idx), [-d[v] for v in idx])):
+        for v, x in factor.solve().items():
             y[v] = x
 
 
@@ -272,17 +298,18 @@ def solve_ma(
     mu_s = smap.measure(mu)
     n = gs.n_vertices
     b = [mu_s.mass_at(gs.vertex_point(v)) - theta_s.degrees[v] for v in range(n)]
-    # rows: (Delta F)_v = -b[v], except that the anchor's row pins
-    # F(anchor) = 0 (the dropped row is implied: rows sum to zero)
-    mat = _laplacian(_conductances(gs), range(n))
-    mat[anchor] = [ZERO] * n
-    mat[anchor][anchor] = Rat(1)
-    rhs = [-x for x in b]
-    rhs[anchor] = ZERO
+    # (Delta F)_v = -b[v] off the anchor, with F(anchor) = 0: the grounded
+    # Laplacian, positive definite on a connected graph (the anchor's row is
+    # implied: rows sum to zero)
+    nbrs = _conductances(gs)
+    factor = LDLFactor()
     try:
-        f_vals = solve_linear(mat, rhs)
+        for v in _min_degree_order(nbrs, anchor):
+            _add_vertex(factor, nbrs, v, -b[v])
     except ValueError as ex:  # pragma: no cover - connected graphs are regular
         raise PotentialError(f"Laplacian solve failed: {ex}") from ex
+    sol = factor.solve()
+    f_vals = tuple(sol.get(v, ZERO) for v in range(n))
     f_s = PLFunction(gs, f_vals, None)
     f = smap.plf_back(f_s)
     if ma_measure(g, theta, f).atoms != mu.atoms:

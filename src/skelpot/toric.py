@@ -73,11 +73,8 @@ class PolyComplex:
         for i, c in enumerate(cells):
             if not is_pointed(c):
                 raise ComplexInvalid(f"cell {i} contains a line")
-        self._set_cells(tuple(minimalize(c) for c in cells))
-
-    def _set_cells(self, cells) -> None:
         self.dim = 2
-        self.cells = cells
+        self.cells = tuple(minimalize(c) for c in cells)
         self._hps = {}
         self._meets = {}
 
@@ -531,14 +528,6 @@ def compose_with_retraction(pc: PolyComplex, g_pieces) -> ToricPLFunction:
         const = mg[0] * b[0] + mg[1] * b[1] + cg
         out.append((grad, const))
     return ToricPLFunction(pc, tuple(out))
-
-
-def skeleton_complex(pc: PolyComplex) -> PolyComplex:
-    """The skeleton as a PolyComplex value (cells may be lower-dimensional);
-    useful for bundling skeleton functions."""
-    obj = PolyComplex.__new__(PolyComplex)
-    obj._set_cells(tuple(skeleton(pc)))
-    return obj
 
 
 def restrict_to_skeleton(f: ToricPLFunction) -> tuple:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from skelpot.rat import Rat, dot, rat, solve_linear
+from skelpot.rat import Rat, dot, rat
+
+from linear_oracle import solve_linear
 
 ZERO = Rat(0)
 ONE = Rat(1)

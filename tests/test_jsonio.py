@@ -1,6 +1,10 @@
 """Wire-format round trips and rejection paths."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -190,3 +194,24 @@ def test_validate_reports_jsonschemas_best_match(obj, schema):
         with pytest.raises(SchemaError) as got:
             jsonio.validate(obj, schema, "x")
         assert str(got.value) == f"x at {path}: {ref.value.message}"
+
+
+def test_jsonschema_is_imported_on_first_validation():
+    """Importing the package and its CLI leaves jsonschema unloaded; the
+    first validation loads it."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, skelpot, skelpot.cli\n"
+        "print('jsonschema' in sys.modules)\n"
+        "skelpot.jsonio.validate(1, skelpot.jsonio.RAT_SCHEMA, 'x')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "False\n"
+    assert "SchemaError: x at .: 1 is not of type 'string'" in proc.stderr

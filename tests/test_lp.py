@@ -10,8 +10,9 @@ import random
 import pytest
 
 import skelpot
-from skelpot.rat import Rat, solve_linear
+from skelpot.rat import Rat
 
+from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, LPError, check_certificate, lp_solve
 
 
@@ -158,3 +159,14 @@ def test_package_has_no_simplex():
         mod = importlib.import_module(f"skelpot.{info.name}")
         for name in ("lp_solve", "LinearProgram", "reoptimize", "LPError"):
             assert not hasattr(mod, name), f"skelpot.{info.name} binds {name}"
+
+
+def test_package_has_no_dense_solver():
+    """Dense elimination lives in the tests only: skelpot solves its
+    Laplacian systems with a sparse LDL^T factor and its systems of at most
+    3 unknowns by cofactor expansion."""
+    for info in pkgutil.iter_modules(skelpot.__path__):
+        mod = importlib.import_module(f"skelpot.{info.name}")
+        for name in ("solve_linear", "_laplacian"):
+            assert not hasattr(mod, name), f"skelpot.{info.name} binds {name}"
+    assert not hasattr(skelpot, "solve_linear")

@@ -20,9 +20,10 @@ from skelpot.polyhedra import (
     recession,
     vrep_from_halfplanes,
 )
-from skelpot.rat import Rat, adjugate, cramer, primitive, solve_linear
+from skelpot.rat import Rat, adjugate, cramer, primitive
 from skelpot.toric import ToricError, decompose
 
+from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
 from planar_oracle import halfplanes_by_normals, matrix_rank, poly_dim_by_rank
 
@@ -62,6 +63,18 @@ def test_minimalize_drops_redundant():
     assert slim.gen_points == ((Rat(0), Rat(0)),)  # the rest absorbed by the rays
     assert len(slim.gen_rays) == 2
     assert poly_equal(fat, slim)
+
+
+def test_minimalize_keeps_a_point_of_a_line():
+    """Points (0,0), (1,0) and rays +-(1,0): each point lies in the other
+    plus the line, but not both may go."""
+    line = Polyhedron(((0, 0), (1, 0)), ((1, 0), (-1, 0)))
+    slim = minimalize(line)
+    assert slim.gen_points == ((Rat(1), Rat(0)),)
+    assert slim.gen_rays == ((-1, 0), (1, 0))
+    assert poly_equal(line, slim)
+    strip = Polyhedron(((0, 0), (1, 0), (0, 1)), ((1, 0), (-1, 0)))
+    assert poly_equal(strip, minimalize(strip))
 
 
 def test_translate_and_recession():
@@ -177,17 +190,20 @@ def _lp_contains(poly, u):
 
 
 def _lp_minimalize(poly):
-    """minimalize with every redundancy decided by the LP."""
+    """minimalize with every redundancy decided by the LP: each generator
+    against the kept ones and the ones not yet visited."""
     pts = sorted(set(poly.gen_points))
     rays = sorted({primitive(r) for r in poly.gen_rays})
-    keep_r = [
-        r for i, r in enumerate(rays)
-        if len(rays) == 1 or not _lp_feasible(rays[:i] + rays[i + 1 :], r, None)
-    ]
-    keep_p = [
-        p for i, p in enumerate(pts)
-        if len(pts) == 1 or not _lp_contains(Polyhedron(pts[:i] + pts[i + 1 :], keep_r), p)
-    ]
+    keep_r = []
+    for i, r in enumerate(rays):
+        others = keep_r + rays[i + 1 :]
+        if not others or not _lp_feasible(others, r, None):
+            keep_r.append(r)
+    keep_p = []
+    for i, p in enumerate(pts):
+        others = keep_p + pts[i + 1 :]
+        if not others or not _lp_contains(Polyhedron(others, keep_r), p):
+            keep_p.append(p)
     return Polyhedron(keep_p, keep_r)
 
 

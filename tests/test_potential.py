@@ -26,11 +26,13 @@ from skelpot import (
 from hypothesis import given, settings, strategies as st
 
 from skelpot.graphs import subdivide
-from skelpot.rat import Rat
+from skelpot.potential import _add_vertex, _conductances, _min_degree_order
+from skelpot.rat import LDLFactor, Rat
 
 import random
 
 from helpers import rand_graph, rand_nef_theta, rand_plf, rand_psh
+from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
 
 EDGE = MetrizedGraph(("a", "b"), ((0, 1, 1, 1),))
@@ -203,3 +205,76 @@ def test_envelope_matches_lp_oracle(instance):
     res = envelope(g, theta, u)
     assert pl_equal(res.envelope, expect[0])
     assert res.lp_summary["objective"] == expect[1]
+
+
+# ---------------------------------------------------------------------------
+# Two routes: the incremental LDL^T Laplacian kernel against dense elimination
+# ---------------------------------------------------------------------------
+
+
+def _dense_laplacian(g):
+    """The weighted Laplacian as dense rows, straight from the edge list:
+    loops drop out and parallel edges add up."""
+    n = g.n_vertices
+    mat = [[Rat(0)] * n for _ in range(n)]
+    for a, b, length, w in g.edges:
+        if a != b:
+            c = Rat(w) / length
+            mat[a][a] += c
+            mat[b][b] += c
+            mat[a][b] -= c
+            mat[b][a] -= c
+    return mat
+
+
+@st.composite
+def _laplacian_instances(draw):
+    """A connected multigraph with loops, parallel edges and rational
+    conductances w/l; a right-hand side; the vertices in a random order, cut
+    into the batches in which J grows; and an anchor."""
+    q = lambda lo, hi, den: Rat(draw(st.integers(lo * den, hi * den)), den)  # noqa: E731
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    edges = [(a, b, q(1, 5, draw(st.integers(1, 6))), draw(st.integers(1, 3))) for a, b in edges]
+    g = MetrizedGraph([f"v{i}" for i in range(n)], edges)
+    rhs = [q(-4, 4, draw(st.integers(1, 5))) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 2)))) if n > 2 else []
+    return g, rhs, order, cuts, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_laplacian_instances())
+def test_laplacian_factor_matches_dense_elimination(instance):
+    """Delta_JJ y = b_J as J grows batch by batch (the envelope's systems),
+    and the Laplacian grounded at the anchor (solve_ma's system), in
+    minimum-degree and in random order, against dense elimination."""
+    g, rhs, order, cuts, anchor = instance
+    n = g.n_vertices
+    lap = _dense_laplacian(g)
+    nbrs = _conductances(g)
+    factor = LDLFactor()
+    for lo, hi in zip([0] + cuts, cuts + [n - 1]):
+        for v in order[lo:hi]:
+            _add_vertex(factor, nbrs, v, rhs[v])
+        J = order[:hi]
+        expect = solve_linear([[lap[a][b] for b in J] for a in J], [rhs[v] for v in J])
+        assert factor.solve() == dict(zip(J, expect))
+    # every vertex: the Laplacian is singular, and the last pivot is zero
+    before = factor.solve()
+    with pytest.raises(ValueError, match="zero pivot"):
+        _add_vertex(factor, nbrs, order[-1], rhs[order[-1]])
+    assert len(factor) == n - 1 and factor.solve() == before
+
+    mat = [row[:] for row in lap]
+    mat[anchor] = [Rat(int(j == anchor)) for j in range(n)]
+    expect = solve_linear(mat, [Rat(0) if v == anchor else rhs[v] for v in range(n)])
+    min_degree = _min_degree_order(nbrs, anchor)
+    assert sorted(min_degree) == [v for v in range(n) if v != anchor]
+    for grounded in (min_degree, [v for v in order if v != anchor]):
+        factor = LDLFactor()
+        for v in grounded:
+            _add_vertex(factor, nbrs, v, rhs[v])
+        sol = factor.solve()
+        assert tuple(sol.get(v, Rat(0)) for v in range(n)) == expect

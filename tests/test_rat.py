@@ -13,9 +13,10 @@ from skelpot.rat import (
     rat_str,
     rceil,
     rfloor,
-    solve_linear,
     vec,
 )
+
+from linear_oracle import solve_linear
 
 
 def test_rat_parsing():

@@ -34,7 +34,9 @@ from skelpot import (
 from skelpot import polyhedra as polyhedra_mod
 from skelpot import toric as toric_mod
 from skelpot.polyhedra import halfplanes, intersect2, poly_dim
-from skelpot.rat import Rat, solve_linear
+from skelpot.rat import Rat
+
+from linear_oracle import solve_linear
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
@@ -108,6 +110,12 @@ def test_decompose_unique_on_simplicial_cell(fx):
     assert sum(a) == 1 and all(x >= 0 for x in a)
     assert all(t >= 0 for t in lam)
     assert a == (Rat(1, 3), Rat(2, 3))
+
+
+def test_decompose_cell_containing_a_line_is_a_toric_error():
+    line = Polyhedron(((0, 0), (1, 0)), ((1, 0), (-1, 0)))
+    with pytest.raises(ToricError, match="not simplicial"):
+        decompose(line, (Rat(1, 2), 0))
 
 
 def test_support_function_of_triangle(fx):
