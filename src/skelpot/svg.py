@@ -14,7 +14,6 @@ single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 from __future__ import annotations
 
 from functools import partial
-from xml.sax.saxutils import escape
 
 from .graphs import MetrizedGraph, PLFunction
 from .polyhedra import (
@@ -78,9 +77,11 @@ def _circle(p, r: str, fill: str) -> str:
 
 
 def _text(p, s: str, size: str = "14", anchor: str = "start") -> str:
+    # what xml.sax.saxutils.escape does, without importing urllib with it
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{_snap(p[0])}" y="{_snap(p[1])}" font-family="monospace" '
-        f'font-size="{size}" text-anchor="{anchor}" fill="#111111">{escape(s)}</text>'
+        f'font-size="{size}" text-anchor="{anchor}" fill="#111111">{s}</text>'
     )
 
 

@@ -2,7 +2,9 @@
 
 A PolyComplex is a finite set of full-dimensional cells (V-representation
 polyhedra) that tile R^2 face-to-face; its recession cones form a complete
-fan.  The bounded cells make up the skeleton, and every point of the plane
+fan.  Validity is decided from local data: each facet is shared by two
+cells, the cells around each vertex wind once, and there is one sheet.
+The bounded cells make up the skeleton, and every point of the plane
 retracts onto it by dropping the recession part of its barycentric-plus-ray
 decomposition inside any containing cell.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .polyhedra import (
     Polyhedron,
@@ -28,7 +31,6 @@ from .polyhedra import (
     halfplane_contains,
     halfplanes,
     hull_area_2d,
-    intersect2,
     is_pointed,
     minimalize,
     poly_contains,
@@ -38,7 +40,7 @@ from .polyhedra import (
     recession,
     vrep_from_halfplanes,
 )
-from .rat import Rat, rat, dot, rfloor, primitive, adjugate, cramer, det, det3, vec_sub
+from .rat import Rat, rat, rat_str, dot, rfloor, primitive, adjugate, cramer, cross2, det, det3, vec_sub
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -57,10 +59,11 @@ class PolyComplex:
     construction; validity (tiling, fan of recession cones, simpliciality)
     is established by validate_complex.
 
-    A complex computes the facets of each cell (cell_halfplanes) and the
-    intersection of each pair of cells (meet) at most once and keeps them;
-    validation, the continuity and concavity checks of every function on
-    the complex, refinement and SVG clipping all read these caches."""
+    A complex computes the facets of each cell (cell_halfplanes), the cells
+    owning each facet (facet_owners, facet_pairs) and its recession fan at
+    most once and keeps them; validation, the continuity and concavity
+    checks of every function on the complex, refinement and SVG clipping
+    all read these caches."""
 
     def __init__(self, cells, dim=2):
         if dim != 2:
@@ -76,7 +79,9 @@ class PolyComplex:
         self.dim = 2
         self.cells = tuple(minimalize(c) for c in cells)
         self._hps = {}
-        self._meets = {}
+        self._owners = None
+        self._pairs = None
+        self._fan = None
 
     def __eq__(self, other):
         return isinstance(other, PolyComplex) and self.cells == other.cells
@@ -89,15 +94,23 @@ class PolyComplex:
             self._hps[i] = halfplanes(self.cells[i])
         return self._hps[i]
 
-    def meet(self, i: int, j: int):
-        """Intersection of cells i and j (None when empty), from their cached
-        facets; both cells must be full-dimensional."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._meets:
-            self._meets[key] = vrep_from_halfplanes(
-                self.cell_halfplanes(key[0]) + self.cell_halfplanes(key[1])
-            )
-        return self._meets[key]
+    def facet_owners(self) -> dict:
+        """Each facet key of _facets -> [(cell, halfplane)] of the cells
+        having it, in cell order."""
+        if self._owners is None:
+            self._owners = {}
+            for i in range(len(self.cells)):
+                for key, hp in _facets(self, i):
+                    self._owners.setdefault(key, []).append((i, hp))
+        return self._owners
+
+    def facet_pairs(self) -> tuple:
+        """(i, j, facet key) for each facet of exactly two cells i < j, in
+        (i, j) order: on a valid complex, the pairs meeting in dimension 1."""
+        if self._pairs is None:
+            own = self.facet_owners().items()
+            self._pairs = tuple(sorted((o[0][0], o[1][0], k) for k, o in own if len(o) == 2))
+        return self._pairs
 
     def cells_containing(self, u) -> list:
         u = tuple(rat(x) for x in u)
@@ -144,119 +157,91 @@ def _facets(pc: PolyComplex, i: int):
     return out
 
 
-def _is_face(pc: PolyComplex, i: int, face: Polyhedron) -> bool:
-    """Is `face` a face of cell i?  Computed by intersecting the cell with
-    all of its halfplanes that are tight on `face`."""
-    cell = pc.cells[i]
-    hps = list(pc.cell_halfplanes(i))
-    tight = []
-    for n, c in hps:
-        if all(dot(n, p) == c for p in face.gen_points) and all(
-            dot(n, r) == 0 for r in face.gen_rays
-        ):
-            tight.append((n, c))
-    if not tight:
-        return poly_equal(face, cell)
-    for n, c in tight:
-        hps.append(((-n[0], -n[1]), -c))
-    cut = vrep_from_halfplanes(hps)
-    return cut is not None and poly_equal(cut, face)
+def _angle_order(a, b) -> int:
+    """Compare directions by exact angle in [0, 2 pi): the half-plane first,
+    then the sign of cross2."""
+    ha, hb = (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1 for d in (a, b))
+    c = cross2(a, b)
+    return ha - hb or (c < 0) - (c > 0)
 
 
-def _vertex_link_ok(pc: PolyComplex, v) -> bool:
-    """The cells around vertex v tile a neighbourhood iff every boundary
-    direction at v occurs exactly twice (cell interiors being disjoint)."""
-    dirs = []
-    for i, cell in enumerate(pc.cells):
-        if v not in cell.gen_points:
-            continue
-        for (pts, rays), (n, c) in _facets(pc, i):
-            if v not in pts:
-                continue
-            d = None
-            for p in pts:
-                if p != v:
-                    d = primitive(vec_sub(p, v))
-                    break
-            if d is None:
-                if not rays:
-                    continue  # degenerate facet data; caught elsewhere
-                d = rays[0]
-            dirs.append(d)
-    counts = {}
-    for d in dirs:
-        counts[d] = counts.get(d, 0) + 1
-    return bool(counts) and all(k == 2 for k in counts.values())
+def _winds_once(corner_edges) -> bool:
+    """Do the corners (each a cell's two edge directions at one of its
+    vertices) close up around the point with winding number one?  Each
+    corner turns counterclockwise from its first edge to its second by less
+    than pi.  Sorted by their first edges, each must end where the next
+    begins; then no two share a first edge (a corner's edges differ), and
+    the turns add up to exactly 2 pi."""
+    corners = sorted(
+        (ds if cross2(*ds) > 0 else ds[::-1] for ds in corner_edges),
+        key=cmp_to_key(lambda s, t: _angle_order(s[0], t[0])),
+    )
+    return all(b == corners[(k + 1) % len(corners)][0] for k, (_, b) in enumerate(corners))
 
 
 def recession_fan(pc: PolyComplex) -> tuple:
-    """Distinct recession cones of the cells (origin-pointed polyhedra)."""
-    cones = []
-    for c in pc.cells:
-        rc = minimalize(recession(c))
-        if all(not poly_equal(rc, k) for k in cones):
-            cones.append(rc)
-    return tuple(cones)
+    """Distinct recession cones of the cells (origin-pointed polyhedra), in
+    order of first occurrence.  Cells are pointed, so each minimalized cone
+    is canonical and equal cones are equal tuples."""
+    if pc._fan is None:
+        pc._fan = tuple(dict.fromkeys(minimalize(recession(c)) for c in pc.cells))
+    return pc._fan
 
 
 def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
-    """Full validity check: pairwise face-compatibility, completeness (facet
-    pairing plus vertex links), recession fan equal to the given fan, and
-    per-cell simplicial/unimodular flags.  Raises ComplexInvalid with the
-    offending cells named; returns the flags when valid."""
+    """Full validity check from local data, recession fan equal to the
+    given fan, and per-cell simplicial/unimodular flags.  Raises
+    ComplexInvalid with the offending cells named; returns the flags when
+    valid.
+
+    Each facet must belong to exactly two cells, on opposite sides, and the
+    cells around each vertex must close up with winding number one.  Glued
+    along their facets the cells then form a surface that covers the plane
+    (a proper local homeomorphism onto a simply connected space), so its
+    sheets are copies of the plane; one point inside cell 0 lying in no
+    other cell leaves exactly one sheet."""
     cells = pc.cells
-    # pairwise: intersections are common faces, interiors disjoint
-    for i, j in itertools.combinations(range(len(cells)), 2):
-        inter = pc.meet(i, j)
-        if inter is None:
-            continue
-        if poly_dim(inter) == 2:
-            raise ComplexInvalid(f"cells {i} and {j} overlap in dimension 2")
-        if not _is_face(pc, i, inter) or not _is_face(pc, j, inter):
+    owners = pc.facet_owners()
+    for own in owners.values():
+        for (i, hp), (j, hq) in itertools.combinations(own, 2):
+            if hp == hq:
+                raise ComplexInvalid(f"cells {i} and {j} overlap in dimension 2")
+    for key, own in owners.items():
+        if len(own) != 2:
             raise ComplexInvalid(
-                f"cells {i} and {j} do not intersect in a common face"
+                f"facet {key} belongs to cells {[i for i, _ in own]}, expected exactly 2"
             )
-    # completeness: every facet shared by exactly two cells
-    seen = {}
-    for i in range(len(cells)):
-        for key, _ in _facets(pc, i):
-            seen.setdefault(key, []).append(i)
-    for key, owners in seen.items():
-        if len(owners) != 2:
+    corners = {}  # vertex -> cell -> its two edge directions there
+    for (pts, rays), own in owners.items():
+        for v in pts:
+            other = [p for p in pts if p != v]
+            d = primitive(vec_sub(other[0], v)) if other else rays[0]
+            for i, _ in own:
+                corners.setdefault(v, {}).setdefault(i, []).append(d)
+    for v in sorted(corners):
+        if not _winds_once(corners[v].values()):
             raise ComplexInvalid(
-                f"facet {key} belongs to cells {owners}, expected exactly 2"
+                f"cells around vertex ({rat_str(v[0])}, {rat_str(v[1])}) "
+                "do not tile the plane"
             )
-    # completeness around vertices
-    for v in pc.vertices():
-        if not _vertex_link_ok(pc, v):
-            raise ComplexInvalid(f"cells around vertex {v} do not tile the plane")
-    # recession fan: must form a fan equal to the given one
-    rec_cones = recession_fan(pc)
-    maximal = [k for k in rec_cones if poly_dim(k) == 2]
-    for a, b in itertools.combinations(range(len(maximal)), 2):
-        inter = intersect2(maximal[a], maximal[b])
-        if inter is not None and poly_dim(inter) == 2:
-            raise ComplexInvalid(
-                f"recession cones of the complex overlap ({a}, {b})"
-            )
-    for k in rec_cones:
-        if poly_dim(k) < 2 and not any(
-            poly_is_subset(k, m) for m in maximal
-        ):
-            raise ComplexInvalid("recession cones do not form a fan")
+    pts, rays = cells[0].gen_points, cells[0].gen_rays
+    inner = tuple(sum(p[k] for p in pts) / len(pts) + sum(r[k] for r in rays) for k in (0, 1))
+    for j in range(1, len(cells)):
+        if halfplane_contains(pc.cell_halfplanes(j), inner):
+            raise ComplexInvalid(f"cells 0 and {j} overlap in dimension 2")
+    # The recession cones of a complete complex form a complete fan: every
+    # direction recedes in some cell, and two cells whose cones share an
+    # interior direction d would share interior points far out along d.  So
+    # only the match with the given fan is left to check.
+    maximal = [k for k in recession_fan(pc) if poly_dim(k) == 2]
     fan_cells = list(fan.cells) if isinstance(fan, PolyComplex) else list(fan)
-    fan_max = [minimalize(k) for k in fan_cells if poly_dim(k) == 2]
-    for k in maximal:
-        if not any(poly_equal(k, m) for m in fan_max):
-            raise ComplexInvalid("recession fan does not match the expected fan")
-    for m in fan_max:
-        if not any(poly_equal(k, m) for k in maximal):
-            raise ComplexInvalid("expected fan has a cone the complex misses")
-    flags = [_cell_flags(c) for c in cells]
-    return SimplicialFlag(
-        simplicial=tuple(s for s, _ in flags),
-        unimodular=tuple(u for _, u in flags),
-    )
+    fan_max = {minimalize(k) for k in fan_cells if poly_dim(k) == 2}
+    if any(k not in fan_max for k in maximal):
+        raise ComplexInvalid("recession fan does not match the expected fan")
+    if not fan_max <= set(maximal):
+        raise ComplexInvalid("expected fan has a cone the complex misses")
+    simplicial, unimodular = zip(*(_cell_flags(c) for c in cells))
+    return SimplicialFlag(simplicial=simplicial, unimodular=unimodular)
 
 
 def fan_of_p2() -> tuple:
@@ -402,7 +387,9 @@ class SupportFn:
 
 class ToricPLFunction:
     """One affine piece (gradient, constant) per maximal cell, continuous
-    across every shared face (verified at construction)."""
+    across every shared facet (verified at construction); on a valid
+    complex that is continuity everywhere, as each vertex link is joined
+    by facets."""
 
     def __init__(self, complex: PolyComplex, pieces, check: bool = True):
         pieces = tuple(
@@ -423,16 +410,12 @@ class ToricPLFunction:
         )
 
     def _check_continuity(self):
-        cells = self.complex.cells
-        for i, j in itertools.combinations(range(len(cells)), 2):
-            inter = self.complex.meet(i, j)
-            if inter is None:
-                continue
+        for i, j, (pts, rays) in self.complex.facet_pairs():
             (gi, ci), (gj, cj) = self.pieces[i], self.pieces[j]
             dg = (gi[0] - gj[0], gi[1] - gj[1])
             dc = ci - cj
-            if any(dot(dg, p) + dc != 0 for p in inter.gen_points) or any(
-                dot(dg, r) != 0 for r in inter.gen_rays
+            if any(dot(dg, p) + dc != 0 for p in pts) or any(
+                dot(dg, r) != 0 for r in rays
             ):
                 raise ToricError(
                     f"pieces of cells {i} and {j} disagree on their shared face"
@@ -554,10 +537,7 @@ def is_concave(h: ToricPLFunction):
     1-dimensional face of cells i, j the piece of i must dominate h on j.
     Returns (True, None) or (False, witness dict)."""
     cells = h.complex.cells
-    for i, j in itertools.combinations(range(len(cells)), 2):
-        inter = h.complex.meet(i, j)
-        if inter is None or poly_dim(inter) != 1:
-            continue
+    for i, j, _ in h.complex.facet_pairs():
         for a, b in ((i, j), (j, i)):
             (ga, ca), (gb, cb) = h.pieces[a], h.pieces[b]
             dg = (ga[0] - gb[0], ga[1] - gb[1])

@@ -3,15 +3,39 @@
 skelpot decides the dimension of a planar polyhedron with cross products
 and reads its facets off a convex hull.  The routines here take the older,
 general route: rank by Gaussian elimination, and facets by trying every
-normal that a pair of generators suggests.  The tests check the fitted
-routines against them.
+normal that a pair of generators suggests.
+
+skelpot validates a complex from local data (paired facets, vertex links,
+one sheet) and walks only the paired facets for continuity and concavity.
+The routines here take the pairwise route: intersect every pair of cells
+(meet), require each intersection to be a common face of both and no two
+cells to overlap in dimension 2, and check functions on every nonempty
+intersection.  The tests check the fitted routines against them.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
-from skelpot.rat import Rat, dot, primitive, vec_sub
+from skelpot.polyhedra import (
+    intersect2,
+    minimalize,
+    poly_dim,
+    poly_equal,
+    poly_is_subset,
+    recession,
+    vrep_from_halfplanes,
+)
+from skelpot.rat import Rat, dot, primitive, rfloor, vec_sub
+from skelpot.toric import (
+    ComplexInvalid,
+    PolyComplex,
+    SimplicialFlag,
+    ToricError,
+    _cell_flags,
+    _facets,
+)
 
 
 def matrix_rank(rows) -> int:
@@ -83,3 +107,176 @@ def halfplanes_by_normals(poly) -> tuple:
             scale = Rat(key[0], normal[0]) if normal[0] else Rat(key[1], normal[1])
             out[key] = c * scale
     return tuple(sorted((n, c) for n, c in out.items()))
+
+
+# ---------------------------------------------------------------------------
+# Polyhedral complexes by intersecting every pair of cells
+# ---------------------------------------------------------------------------
+
+_MEETS = weakref.WeakKeyDictionary()
+
+
+def meet(pc: PolyComplex, i: int, j: int):
+    """Intersection of cells i and j of pc (None when empty), from their
+    cached facets; computed once per unordered pair."""
+    key = (i, j) if i <= j else (j, i)
+    cache = _MEETS.setdefault(pc, {})
+    if key not in cache:
+        cache[key] = vrep_from_halfplanes(
+            pc.cell_halfplanes(key[0]) + pc.cell_halfplanes(key[1])
+        )
+    return cache[key]
+
+
+def is_face(pc: PolyComplex, i: int, face) -> bool:
+    """Is `face` a face of cell i?  Computed by intersecting the cell with
+    all of its halfplanes that are tight on `face`."""
+    cell = pc.cells[i]
+    hps = list(pc.cell_halfplanes(i))
+    tight = []
+    for n, c in hps:
+        if all(dot(n, p) == c for p in face.gen_points) and all(
+            dot(n, r) == 0 for r in face.gen_rays
+        ):
+            tight.append((n, c))
+    if not tight:
+        return poly_equal(face, cell)
+    for n, c in tight:
+        hps.append(((-n[0], -n[1]), -c))
+    cut = vrep_from_halfplanes(hps)
+    return cut is not None and poly_equal(cut, face)
+
+
+def vertex_link_ok(pc: PolyComplex, v) -> bool:
+    """Every boundary direction at vertex v occurs exactly twice among the
+    facets of the cells through v.  A double cover around v passes too;
+    the pairwise overlap check catches it."""
+    dirs = []
+    for i, cell in enumerate(pc.cells):
+        if v not in cell.gen_points:
+            continue
+        for (pts, rays), _ in _facets(pc, i):
+            if v not in pts:
+                continue
+            d = None
+            for p in pts:
+                if p != v:
+                    d = primitive(vec_sub(p, v))
+                    break
+            if d is None:
+                if not rays:
+                    continue
+                d = rays[0]
+            dirs.append(d)
+    counts = {}
+    for d in dirs:
+        counts[d] = counts.get(d, 0) + 1
+    return bool(counts) and all(k == 2 for k in counts.values())
+
+
+def recession_fan_pairwise(pc: PolyComplex) -> tuple:
+    """Distinct recession cones of the cells, deduplicated by poly_equal."""
+    cones = []
+    for c in pc.cells:
+        rc = minimalize(recession(c))
+        if all(not poly_equal(rc, k) for k in cones):
+            cones.append(rc)
+    return tuple(cones)
+
+
+def validate_complex_pairwise(pc: PolyComplex, fan) -> SimplicialFlag:
+    """validate_complex by the pairwise route: intersections are common
+    faces, interiors are disjoint, facets are paired, every boundary
+    direction at a vertex occurs twice, and the recession cones form a fan
+    equal to the given one."""
+    cells = pc.cells
+    for i, j in itertools.combinations(range(len(cells)), 2):
+        inter = meet(pc, i, j)
+        if inter is None:
+            continue
+        if poly_dim(inter) == 2:
+            raise ComplexInvalid(f"cells {i} and {j} overlap in dimension 2")
+        if not is_face(pc, i, inter) or not is_face(pc, j, inter):
+            raise ComplexInvalid(
+                f"cells {i} and {j} do not intersect in a common face"
+            )
+    seen = {}
+    for i in range(len(cells)):
+        for key, _ in _facets(pc, i):
+            seen.setdefault(key, []).append(i)
+    for key, owners in seen.items():
+        if len(owners) != 2:
+            raise ComplexInvalid(
+                f"facet {key} belongs to cells {owners}, expected exactly 2"
+            )
+    for v in pc.vertices():
+        if not vertex_link_ok(pc, v):
+            raise ComplexInvalid(f"cells around vertex {v} do not tile the plane")
+    rec_cones = recession_fan_pairwise(pc)
+    maximal = [k for k in rec_cones if poly_dim(k) == 2]
+    for a, b in itertools.combinations(range(len(maximal)), 2):
+        inter = intersect2(maximal[a], maximal[b])
+        if inter is not None and poly_dim(inter) == 2:
+            raise ComplexInvalid(
+                f"recession cones of the complex overlap ({a}, {b})"
+            )
+    for k in rec_cones:
+        if poly_dim(k) < 2 and not any(poly_is_subset(k, m) for m in maximal):
+            raise ComplexInvalid("recession cones do not form a fan")
+    fan_cells = list(fan.cells) if isinstance(fan, PolyComplex) else list(fan)
+    fan_max = [minimalize(k) for k in fan_cells if poly_dim(k) == 2]
+    for k in maximal:
+        if not any(poly_equal(k, m) for m in fan_max):
+            raise ComplexInvalid("recession fan does not match the expected fan")
+    for m in fan_max:
+        if not any(poly_equal(k, m) for k in maximal):
+            raise ComplexInvalid("expected fan has a cone the complex misses")
+    flags = [_cell_flags(c) for c in cells]
+    return SimplicialFlag(
+        simplicial=tuple(s for s, _ in flags),
+        unimodular=tuple(u for _, u in flags),
+    )
+
+
+def check_continuity_by_meets(f) -> None:
+    """Raise ToricError unless the pieces of f agree on every nonempty
+    intersection of two cells."""
+    pc = f.complex
+    for i, j in itertools.combinations(range(len(pc.cells)), 2):
+        inter = meet(pc, i, j)
+        if inter is None:
+            continue
+        (gi, ci), (gj, cj) = f.pieces[i], f.pieces[j]
+        dg = (gi[0] - gj[0], gi[1] - gj[1])
+        dc = ci - cj
+        if any(dot(dg, p) + dc != 0 for p in inter.gen_points) or any(
+            dot(dg, r) != 0 for r in inter.gen_rays
+        ):
+            raise ToricError(
+                f"pieces of cells {i} and {j} disagree on their shared face"
+            )
+
+
+def is_concave_by_meets(h):
+    """is_concave over every pair of cells whose meet is 1-dimensional."""
+    cells = h.complex.cells
+    for i, j in itertools.combinations(range(len(cells)), 2):
+        inter = meet(h.complex, i, j)
+        if inter is None or poly_dim(inter) != 1:
+            continue
+        for a, b in ((i, j), (j, i)):
+            (ga, ca), (gb, cb) = h.pieces[a], h.pieces[b]
+            dg = (ga[0] - gb[0], ga[1] - gb[1])
+            dc = ca - cb
+            for p in cells[b].gen_points:
+                if dot(dg, p) + dc < 0:
+                    return False, {"facet": (a, b), "point": p}
+            p0 = cells[b].gen_points[0]
+            base = dot(dg, p0) + dc
+            for r in cells[b].gen_rays:
+                slope = dot(dg, r)
+                if slope < 0:
+                    k = rfloor(base / (-slope)) + 1
+                    witness = (p0[0] + k * r[0], p0[1] + k * r[1])
+                    return False, {"facet": (a, b), "point": witness}
+    return True, None

@@ -1,6 +1,10 @@
 """Rendering: byte-reproducible SVG 1.1 on a 1/8-px raster."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -119,3 +123,25 @@ def test_complex_clipping_matches_bare_intersections(monkeypatch):
     cached = [render_svg(pc, bbox=bbox) for pc, bbox in cases]
     monkeypatch.setattr(svg_mod, "_clipped_hull", _clip_by_intersect2)
     assert cached == [render_svg(pc, bbox=bbox) for pc, bbox in cases]
+
+
+def test_svg_escapes_text_without_saxutils():
+    """Importing the package and its CLI leaves xml.sax.saxutils unloaded,
+    and _text escapes as xml.sax.saxutils.escape does."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, skelpot, skelpot.cli\n"
+        "print('xml.sax.saxutils' in sys.modules)\n"
+        "from xml.sax.saxutils import escape\n"
+        "s = 'a&b<c>d\"e\\'f &amp; <<>>'\n"
+        "print(skelpot.svg._text((0, 0), s).endswith('>' + escape(s) + '</text>'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "False\nTrue\n", proc.stderr

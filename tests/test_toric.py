@@ -1,10 +1,15 @@
 """Planar toric machinery around the two-model fixture: one boundary datum,
 two complexes with identical skeleton, opposite concavity behaviour."""
 
+import itertools
 import random
+import re
 from collections import Counter
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelpot import (
     ComplexInvalid,
@@ -37,6 +42,14 @@ from skelpot.polyhedra import halfplanes, intersect2, poly_dim
 from skelpot.rat import Rat
 
 from linear_oracle import solve_linear
+from planar_oracle import (
+    check_continuity_by_meets,
+    is_concave_by_meets,
+    meet,
+    recession_fan_pairwise,
+    validate_complex_pairwise,
+    vertex_link_ok,
+)
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
@@ -200,7 +213,7 @@ def test_toric_plf_continuity_enforced(fx):
 
 
 # ---------------------------------------------------------------------------
-# Cached facets and meets against bare-polyhedron intersections
+# Cached facets and the oracle's meets against bare-polyhedron intersections
 # ---------------------------------------------------------------------------
 
 # (unimodular map as rows, integer shift)
@@ -247,10 +260,10 @@ def test_meet_matches_intersect2():
             for i in range(n):
                 for j in range(n):
                     inter = intersect2(pc.cells[i], pc.cells[j])
-                    assert pc.meet(i, j) == inter, (i, j)
+                    assert meet(pc, i, j) == inter, (i, j)
                     empty += inter is None
             assert 0 < empty < n * n  # both outcomes are exercised
-            assert pc.meet(0, 1) is pc.meet(1, 0)  # one cache entry per pair
+            assert meet(pc, 0, 1) is meet(pc, 1, 0)  # one cache entry per pair
 
 
 def _refine_by_intersect2(a, b):
@@ -345,3 +358,216 @@ def test_pl_functions_equal_matches_refinement():
             assert pl_functions_equal(a, b) == _equal_by_refinement(a, b)
             outcomes.append(pl_functions_equal(a, b))
     assert True in outcomes and False in outcomes
+
+
+# ---------------------------------------------------------------------------
+# Local validation against the pairwise route of planar_oracle
+# ---------------------------------------------------------------------------
+
+# five cones at the origin, each spanning two consecutive rays: together they
+# turn twice around it, and each ray bounds two of them on opposite sides
+_DOUBLE_COVER = tuple(
+    Polyhedron(((0, 0),), (a, b))
+    for a, b in itertools.pairwise(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3), (1, 0)))
+)
+
+_IDENTITY = (((1, 0), (0, 1)), (0, 0))
+
+
+def _dilated_triangle(k):
+    """The unimodular triangulation of k * conv(0, e1, e2) by lattice
+    triangles, with a fan at infinity: a half-strip on each boundary segment
+    and a cone at each corner.  k*k + 3k + 3 cells."""
+    cells = []
+    for a in range(k):
+        for b in range(k - a):
+            cells.append(Polyhedron(((a, b), (a + 1, b), (a, b + 1))))
+            if a + b < k - 1:
+                cells.append(Polyhedron(((a + 1, b), (a + 1, b + 1), (a, b + 1))))
+    down, left, out = (0, -1), (-1, 0), (1, 1)
+    for a in range(k):
+        cells.append(Polyhedron(((a, 0), (a + 1, 0)), (down,)))
+        cells.append(Polyhedron(((0, a), (0, a + 1)), (left,)))
+        cells.append(Polyhedron(((a, k - a), (a + 1, k - a - 1)), (out,)))
+    cells.append(Polyhedron(((0, 0),), (down, left)))
+    cells.append(Polyhedron(((k, 0),), (down, out)))
+    cells.append(Polyhedron(((0, k),), (left, out)))
+    return cells
+
+
+def _interpolant(pc, value, slope):
+    """The PL function on a simplicial complex with the given value at each
+    vertex and slope along each ray direction."""
+    pieces = []
+    for cell in pc.cells:
+        rows = [[p[0], p[1], 1] for p in cell.gen_points]
+        rows += [[r[0], r[1], 0] for r in cell.gen_rays]
+        rhs = [value(p) for p in cell.gen_points] + [slope(r) for r in cell.gen_rays]
+        gx, gy, c = solve_linear(rows, rhs)
+        pieces.append(((gx, gy), c))
+    return ToricPLFunction(pc, pieces)
+
+
+_KINDS = ("valid", "drop", "duplicate", "split", "overlap", "two sheets", "double cover")
+_SHIFT = (Rat(1, 2), Rat(1, 3))  # puts no vertex of a lattice complex on another's boundary
+
+
+@st.composite
+def _complex_cases(draw, kind):
+    """(complex, function or None): a triangulated dilated triangle with its
+    fan at infinity, or a corruption of one of the given kind, moved by a
+    unimodular map with its cells shuffled.  Valid complexes carry a
+    continuous PL function, concave or not."""
+    k = draw(st.integers(1, 3))
+    cells = _dilated_triangle(k)
+    pick = draw(st.integers(0, len(cells) - 1))
+    if kind == "drop":
+        del cells[pick]
+    elif kind == "duplicate":
+        cells.append(cells[pick])
+    elif kind == "split":
+        # a T-junction: cut a lattice triangle at the midpoint of an edge
+        p, q, r = cells[pick % (k * k)].gen_points
+        m = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        cells[pick % (k * k)] = Polyhedron((p, m, r))
+        cells.append(Polyhedron((m, q, r)))
+    elif kind == "overlap":
+        cells.append(cells[pick].translate(_SHIFT))
+    elif kind == "two sheets":
+        cells += [c.translate(_SHIFT) for c in cells]
+    elif kind == "double cover":
+        cells = list(_DOUBLE_COVER)
+    move = draw(st.sampled_from(_MOVES + (_IDENTITY,)))
+    seed = draw(st.integers(0, 2**16))
+    pc = PolyComplex(cells)
+    if kind != "valid":
+        return _moved(pc, move, seed), None
+    if draw(st.booleans()):
+        # the interpolant of -(x^2 + xy + y^2), falling steeply along the rays
+        f = _interpolant(pc, lambda p: -(p[0] ** 2 + p[0] * p[1] + p[1] ** 2), lambda r: -100)
+    else:
+        rng = random.Random(seed)
+        values = {v: rng.randint(-3, 3) for v in pc.vertices()}
+        slopes = {r: rng.randint(-3, 3) for c in pc.cells for r in c.gen_rays}
+        f = _interpolant(pc, values.__getitem__, slopes.__getitem__)
+    return _moved(pc, move, seed), _moved_function(f, move, seed)
+
+
+def _validated(validate, fan, pc):
+    try:
+        return validate(pc, fan(pc))
+    except ComplexInvalid:
+        return None
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_local_validation_matches_pairwise_route(kind, data):
+    pc, f = data.draw(_complex_cases(kind))
+    local = _validated(validate_complex, recession_fan, pc)
+    pairwise = _validated(validate_complex_pairwise, recession_fan_pairwise, pc)
+    assert local == pairwise
+    assert (local is not None) == (kind == "valid")
+    if f is None:
+        return
+    assert f.complex == pc
+    assert is_concave(f) == is_concave_by_meets(f)
+    check_continuity_by_meets(f)
+    # a jump across every facet of cell 0, and a corner cone's piece turned
+    # about its vertex, which agrees with its neighbours there but not along
+    # the rays
+    corner = next(i for i, c in enumerate(pc.cells) if len(c.gen_points) == 1)
+    (gx, gy), c = f.pieces[corner]
+    (vx, vy), = pc.cells[corner].gen_points
+    for i, piece in ((0, (f.pieces[0][0], f.pieces[0][1] + 1)), (corner, ((gx + 1, gy), c - vx))):
+        broken = list(f.pieces)
+        broken[i] = piece
+        with pytest.raises(ToricError, match="disagree on their shared face"):
+            ToricPLFunction(pc, broken)
+        with pytest.raises(ToricError, match="disagree on their shared face"):
+            check_continuity_by_meets(ToricPLFunction(pc, broken, check=False))
+
+
+def test_concave_interpolant_on_dilated_triangles():
+    # the generator above does produce concave and non-concave functions
+    pc = PolyComplex(_dilated_triangle(3))
+    h = _interpolant(pc, lambda p: -(p[0] ** 2 + p[0] * p[1] + p[1] ** 2), lambda r: -100)
+    assert is_concave(h) == is_concave_by_meets(h) == (True, None)
+    g = _interpolant(pc, lambda p: p[0] ** 2, lambda r: 0)
+    ok, witness = is_concave(g)
+    assert not ok and (ok, witness) == is_concave_by_meets(g)
+
+
+def test_double_cover_around_a_vertex_is_rejected():
+    pc = PolyComplex(_DOUBLE_COVER)
+    # facets pair up and every boundary direction occurs twice at the origin
+    assert all(len(own) == 2 for own in pc.facet_owners().values())
+    assert vertex_link_ok(pc, (0, 0))
+    with pytest.raises(ComplexInvalid, match="cells 0 and 2 overlap in dimension 2"):
+        validate_complex_pairwise(pc, recession_fan_pairwise(pc))
+    with pytest.raises(
+        ComplexInvalid,
+        match=re.escape("cells around vertex (0, 0) do not tile the plane"),
+    ):
+        validate_complex(pc, recession_fan(pc))
+
+
+def test_recession_fan_matches_pairwise_dedup():
+    fx = counterexample_fixture()
+    complexes = [pc for pair in _complex_pairs() for pc in pair] + [fx.refined()]
+    for pc in complexes:
+        fan = recession_fan(pc)
+        assert fan == recession_fan_pairwise(pc)
+        assert recession_fan(pc) is fan  # computed once per complex
+        assert sum(poly_dim(k) == 2 for k in fan) == 3
+
+
+def test_large_complex_is_validated_from_local_data(monkeypatch):
+    """A 211-cell complex is validated, and a function on it checked for
+    continuity and concavity, with no pairwise intersection and the facets
+    of each cell computed once."""
+    vreps, hps = [], []
+    original_vrep = polyhedra_mod.vrep_from_halfplanes
+
+    def counting_vrep(rows):
+        vreps.append(rows)
+        return original_vrep(rows)
+
+    def counting_halfplanes(poly):
+        hps.append(poly)
+        return halfplanes(poly)
+
+    for mod in (toric_mod, polyhedra_mod):
+        monkeypatch.setattr(mod, "vrep_from_halfplanes", counting_vrep)
+        monkeypatch.setattr(mod, "halfplanes", counting_halfplanes)
+    pc = PolyComplex(_dilated_triangle(13))
+    assert len(pc.cells) == 211
+    flags = validate_complex(pc, recession_fan(pc))
+    assert all(flags.simplicial)
+    # all but the half-strips along the diagonal edge
+    assert sum(flags.unimodular) == len(pc.cells) - 13
+    h = _interpolant(pc, lambda p: -(p[0] ** 2 + p[0] * p[1] + p[1] ** 2), lambda r: -100)
+    assert is_concave(h) == (True, None)
+    assert vreps == []
+    counts = Counter(id(poly) for poly in hps)
+    assert set(counts) <= {id(c) for c in pc.cells}
+    assert max(counts.values()) == 1
+
+
+def test_directions_sort_by_exact_angle():
+    ccw = [(1, 0), (3, 1), (1, 1), (0, 1), (-1, 2), (-1, 0), (-2, -1), (0, -1), (1, -1)]
+    for seed in range(6):
+        dirs = ccw[:]
+        random.Random(seed).shuffle(dirs)
+        assert sorted(dirs, key=cmp_to_key(toric_mod._angle_order)) == ccw
+
+
+def test_dropped_or_duplicated_cell_is_named(fx):
+    for k in range(len(fx.pi.cells)):
+        cells = list(fx.pi.cells)
+        with pytest.raises(ComplexInvalid, match=f"^cells {k} and 7 overlap in dimension 2$"):
+            validate_complex(PolyComplex(cells + [cells[k]]), fan_of_p2())
+        del cells[k]
+        with pytest.raises(ComplexInvalid, match=r"belongs to cells \[\d\], expected exactly 2$"):
+            validate_complex(PolyComplex(cells), fan_of_p2())
