@@ -7,7 +7,6 @@ from .polyhedra import (
     Polyhedron,
     convex_hull_2d,
     hull_area_2d,
-    intersect2,
     minimalize,
     poly_contains,
     poly_dim,

@@ -8,8 +8,8 @@ homogenised generators (p, 1) and (r, 0), and by Caratheodory's theorem some
 linearly independent subset of at most three of them then carries it, which
 Cramer's rule decides.  Dimension is decided by cross products.  For the
 2-dimensional case there is a full facet (H-) representation, read off the
-convex hull of the generators, with intersection and hull-area tools, all
-over Q.
+convex hull of the generators, and its way back to generators, with hull
+and hull-area tools, all over Q.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def is_pointed(poly: Polyhedron) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 2-dimensional H-representation and intersections
+# 2-dimensional H-representation and hulls
 # ---------------------------------------------------------------------------
 
 
@@ -223,12 +223,6 @@ def vrep_from_halfplanes(hps) -> Polyhedron | None:
             return None
         raise ValueError("region is not pointed (no vertex)")
     return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
-
-
-def intersect2(a: Polyhedron, b: Polyhedron) -> Polyhedron | None:
-    """Intersection of two full-dimensional cells in the plane (V-rep in,
-    V-rep out); None when empty."""
-    return vrep_from_halfplanes(halfplanes(a) + halfplanes(b))
 
 
 def convex_hull_2d(points) -> list:

@@ -33,9 +33,7 @@ from .polyhedra import (
     hull_area_2d,
     is_pointed,
     minimalize,
-    poly_contains,
     poly_dim,
-    poly_equal,
     poly_is_subset,
     recession,
     vrep_from_halfplanes,
@@ -60,10 +58,10 @@ class PolyComplex:
     is established by validate_complex.
 
     A complex computes the facets of each cell (cell_halfplanes), the cells
-    owning each facet (facet_owners, facet_pairs) and its recession fan at
-    most once and keeps them; validation, the continuity and concavity
-    checks of every function on the complex, refinement and SVG clipping
-    all read these caches."""
+    owning each facet (facet_owners, facet_pairs), its recession fan and its
+    skeleton at most once and keeps them; validation, the skeleton, the
+    continuity and concavity checks of every function on the complex,
+    refinement and SVG clipping all read these caches."""
 
     def __init__(self, cells, dim=2):
         if dim != 2:
@@ -82,6 +80,7 @@ class PolyComplex:
         self._owners = None
         self._pairs = None
         self._fan = None
+        self._skeleton = None
 
     def __eq__(self, other):
         return isinstance(other, PolyComplex) and self.cells == other.cells
@@ -260,28 +259,26 @@ def fan_of_p2() -> tuple:
 
 
 def skeleton(pc: PolyComplex) -> tuple:
-    """Maximal bounded faces of the complex, largest dimension first.
-    (The union of these cells is the combinatorial skeleton.)"""
-    found = []
-    for i, cell in enumerate(pc.cells):
-        if not cell.gen_rays:
-            found.append(cell)
-            continue
-        # bounded faces of an unbounded cell: facets without rays, vertices
-        for (pts, rays), _ in _facets(pc, i):
-            if rays or not pts:
-                continue
-            found.append(Polyhedron(pts))
-        for p in cell.gen_points:
-            found.append(Polyhedron((p,)))
-    out = []
-    for cand in found:
-        if any(poly_is_subset(cand, other) and not poly_equal(cand, other) for other in found):
-            continue
-        if any(poly_equal(cand, k) for k in out):
-            continue
-        out.append(cand)
-    return tuple(sorted(out, key=lambda c: (-poly_dim(c), c.gen_points)))
+    """Maximal bounded faces of a complex that validate_complex accepts,
+    largest dimension first and each dimension ordered by its points: the
+    bounded cells, the bounded facets that no bounded cell owns, and the
+    vertices on no bounded facet.  (The union of these cells is the
+    combinatorial skeleton.)  Read off facet_owners once and kept on the
+    complex.
+
+    Validity is what makes this exact: a bounded face inside another one
+    is a face of it, a bounded facet is paired only with the cells owning
+    it, and a vertex on a segment is one of its end points."""
+    if pc._skeleton is None:
+        cells = pc.cells
+        segments = sorted((pts, own) for (pts, rays), own in pc.facet_owners().items() if not rays)
+        covered = {p for pts, _ in segments for p in pts}
+        pc._skeleton = (
+            tuple(sorted((c for c in cells if not c.gen_rays), key=lambda c: c.gen_points))
+            + tuple(Polyhedron(pts) for pts, own in segments if all(cells[i].gen_rays for i, _ in own))
+            + tuple(Polyhedron((v,)) for v in pc.vertices() if v not in covered)
+        )
+    return pc._skeleton
 
 
 def decompose(cell: Polyhedron, u):
@@ -337,7 +334,10 @@ def retraction(pc: PolyComplex, u) -> tuple:
 def retraction_affine(cell: Polyhedron):
     """The retraction restricted to a simplicial cell is affine:
     returns (A, b) with p(u) = A u + b, as rows of A plus the shift."""
-    cell = minimalize(cell)
+    return _minimal_retraction_affine(minimalize(cell))
+
+
+def _minimal_retraction_affine(cell: Polyhedron):
     pts, rays = cell.gen_points, cell.gen_rays
     cols = [(p[0], p[1], ONE) for p in pts] + [(r[0], r[1], ZERO) for r in rays]
     if len(cols) != 3:
@@ -482,6 +482,10 @@ def compose_with_retraction(pc: PolyComplex, g_pieces) -> ToricPLFunction:
     over the skeleton cells or as a list of ((grad, const), cell) pairs in
     skeleton order.  The result is affine on each maximal cell (errors when
     a cell's retraction image crosses skeleton cells) and continuous.
+
+    A cell retracts into the first skeleton face whose points include the
+    cell's points; on a valid complex that is the first face containing
+    the hull of the cell's points.
     """
     skel = skeleton(pc)
     if isinstance(g_pieces, ToricPLFunction):
@@ -492,18 +496,15 @@ def compose_with_retraction(pc: PolyComplex, g_pieces) -> ToricPLFunction:
         gp = tuple(((rat(g[0]), rat(g[1])), rat(c)) for g, c in g_pieces)
         if len(gp) != len(skel):
             raise ToricError("one affine piece per skeleton cell required")
+    faces = [set(s.gen_points) for s in skel]
     out = []
     for i, cell in enumerate(pc.cells):
-        image = Polyhedron(cell.gen_points)
-        owner = next(
-            (k for k, s in enumerate(skel) if poly_is_subset(image, s)), None
-        )
+        image = set(cell.gen_points)
+        owner = next((k for k, s in enumerate(faces) if image <= s), None)
         if owner is None:
-            raise ToricError(
-                f"retraction image of cell {i} spans several skeleton cells"
-            )
+            raise ToricError(f"retraction image of cell {i} spans several skeleton cells")
         (mg, cg) = gp[owner]
-        A, b = retraction_affine(cell)
+        A, b = _minimal_retraction_affine(cell)  # complex cells are minimal
         grad = (
             mg[0] * A[0][0] + mg[1] * A[1][0],
             mg[0] * A[0][1] + mg[1] * A[1][1],
@@ -514,16 +515,14 @@ def compose_with_retraction(pc: PolyComplex, g_pieces) -> ToricPLFunction:
 
 
 def restrict_to_skeleton(f: ToricPLFunction) -> tuple:
-    """Affine data of f on each skeleton cell, in skeleton order."""
-    skel = skeleton(f.complex)
+    """Affine data of f on each skeleton cell, in skeleton order: the piece
+    of the first cell whose points include the face's points, which on a
+    valid complex is the first cell containing the face."""
+    cells = [set(c.gen_points) for c in f.complex.cells]
     out = []
-    for s in skel:
-        owner = next(
-            i
-            for i, c in enumerate(f.complex.cells)
-            if poly_is_subset(s, c)
-        )
-        out.append(f.pieces[owner])
+    for s in skeleton(f.complex):
+        pts = set(s.gen_points)
+        out.append(f.pieces[next(i for i, c in enumerate(cells) if pts <= c)])
     return tuple(out)
 
 
@@ -534,26 +533,30 @@ def restrict_to_skeleton(f: ToricPLFunction) -> tuple:
 
 def is_concave(h: ToricPLFunction):
     """Facet-local concavity on a complete complex: across every shared
-    1-dimensional face of cells i, j the piece of i must dominate h on j.
-    Returns (True, None) or (False, witness dict)."""
+    1-dimensional face of cells i < j the piece of i must dominate h on j.
+    Returns (True, None) or (False, witness dict).
+
+    Each pair is tested once.  The difference of the two pieces is affine
+    and, h being continuous, vanishes on the line through their facet, so
+    it has opposite signs on the two sides: the piece of j dominates h on i
+    exactly when the piece of i dominates h on j."""
     cells = h.complex.cells
     for i, j, _ in h.complex.facet_pairs():
-        for a, b in ((i, j), (j, i)):
-            (ga, ca), (gb, cb) = h.pieces[a], h.pieces[b]
-            dg = (ga[0] - gb[0], ga[1] - gb[1])
-            dc = ca - cb
-            # need dg.x + dc >= 0 on all of cell b
-            for p in cells[b].gen_points:
-                if dot(dg, p) + dc < 0:
-                    return False, {"facet": (a, b), "point": p}
-            p0 = cells[b].gen_points[0]
-            base = dot(dg, p0) + dc
-            for r in cells[b].gen_rays:
-                slope = dot(dg, r)
-                if slope < 0:
-                    k = rfloor(base / (-slope)) + 1
-                    witness = (p0[0] + k * r[0], p0[1] + k * r[1])
-                    return False, {"facet": (a, b), "point": witness}
+        (gi, ci), (gj, cj) = h.pieces[i], h.pieces[j]
+        dg = (gi[0] - gj[0], gi[1] - gj[1])
+        dc = ci - cj
+        # need dg.x + dc >= 0 on all of cell j
+        for p in cells[j].gen_points:
+            if dot(dg, p) + dc < 0:
+                return False, {"facet": (i, j), "point": p}
+        p0 = cells[j].gen_points[0]
+        base = dot(dg, p0) + dc
+        for r in cells[j].gen_rays:
+            slope = dot(dg, r)
+            if slope < 0:
+                k = rfloor(base / (-slope)) + 1
+                witness = (p0[0] + k * r[0], p0[1] + k * r[1])
+                return False, {"facet": (i, j), "point": witness}
     return True, None
 
 

@@ -6,11 +6,13 @@ general route: rank by Gaussian elimination, and facets by trying every
 normal that a pair of generators suggests.
 
 skelpot validates a complex from local data (paired facets, vertex links,
-one sheet) and walks only the paired facets for continuity and concavity.
-The routines here take the pairwise route: intersect every pair of cells
-(meet), require each intersection to be a common face of both and no two
-cells to overlap in dimension 2, and check functions on every nonempty
-intersection.  The tests check the fitted routines against them.
+one sheet), walks only the paired facets for continuity and concavity, and
+reads the skeleton off the same facet table.  The routines here take the
+pairwise route: intersect every pair of cells (meet), require each
+intersection to be a common face of both and no two cells to overlap in
+dimension 2, check functions on every nonempty intersection, keep the
+bounded faces that no other one contains, and find owners by polyhedral
+inclusion.  The tests check the fitted routines against them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import itertools
 import weakref
 
 from skelpot.polyhedra import (
-    intersect2,
+    Polyhedron,
+    halfplanes,
     minimalize,
     poly_dim,
     poly_equal,
@@ -28,13 +31,16 @@ from skelpot.polyhedra import (
     vrep_from_halfplanes,
 )
 from skelpot.rat import Rat, dot, primitive, rfloor, vec_sub
+from skelpot.rat import rat
 from skelpot.toric import (
     ComplexInvalid,
     PolyComplex,
     SimplicialFlag,
     ToricError,
+    ToricPLFunction,
     _cell_flags,
     _facets,
+    retraction_affine,
 )
 
 
@@ -114,6 +120,12 @@ def halfplanes_by_normals(poly) -> tuple:
 # ---------------------------------------------------------------------------
 
 _MEETS = weakref.WeakKeyDictionary()
+
+
+def intersect2(a, b):
+    """Intersection of two full-dimensional cells in the plane (V-rep in,
+    V-rep out); None when empty."""
+    return vrep_from_halfplanes(halfplanes(a) + halfplanes(b))
 
 
 def meet(pc: PolyComplex, i: int, j: int):
@@ -280,3 +292,61 @@ def is_concave_by_meets(h):
                     witness = (p0[0] + k * r[0], p0[1] + k * r[1])
                     return False, {"facet": (a, b), "point": witness}
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Skeleton and its owners by polyhedral inclusion
+# ---------------------------------------------------------------------------
+
+
+def skeleton_pairwise(pc: PolyComplex) -> tuple:
+    """Maximal bounded faces, largest dimension first: the bounded cells
+    and the bounded facets and vertices of the unbounded cells, less those
+    inside another candidate and repeats."""
+    found = []
+    for i, cell in enumerate(pc.cells):
+        if not cell.gen_rays:
+            found.append(cell)
+            continue
+        for (pts, rays), _ in _facets(pc, i):
+            if not rays:
+                found.append(Polyhedron(pts))
+        for p in cell.gen_points:
+            found.append(Polyhedron((p,)))
+    out = []
+    for cand in found:
+        if any(poly_is_subset(cand, other) and not poly_equal(cand, other) for other in found):
+            continue
+        if any(poly_equal(cand, k) for k in out):
+            continue
+        out.append(cand)
+    return tuple(sorted(out, key=lambda c: (-poly_dim(c), c.gen_points)))
+
+
+def restrict_to_skeleton_by_subsets(f) -> tuple:
+    """The piece of the first cell containing each skeleton face."""
+    cells = f.complex.cells
+    return tuple(
+        f.pieces[next(i for i, c in enumerate(cells) if poly_is_subset(s, c))]
+        for s in skeleton_pairwise(f.complex)
+    )
+
+
+def compose_with_retraction_by_subsets(pc: PolyComplex, g_pieces):
+    """compose_with_retraction for ((grad, const), ...) data in skeleton
+    order, retracting each cell into the first skeleton face containing
+    the hull of its points."""
+    skel = skeleton_pairwise(pc)
+    gp = tuple(((rat(g[0]), rat(g[1])), rat(c)) for g, c in g_pieces)
+    if len(gp) != len(skel):
+        raise ToricError("one affine piece per skeleton cell required")
+    out = []
+    for i, cell in enumerate(pc.cells):
+        image = Polyhedron(cell.gen_points)
+        owner = next((k for k, s in enumerate(skel) if poly_is_subset(image, s)), None)
+        if owner is None:
+            raise ToricError(f"retraction image of cell {i} spans several skeleton cells")
+        (mg, cg), (A, b) = gp[owner], retraction_affine(cell)
+        grad = (mg[0] * A[0][0] + mg[1] * A[1][0], mg[0] * A[0][1] + mg[1] * A[1][1])
+        out.append((grad, mg[0] * b[0] + mg[1] * b[1] + cg))
+    return ToricPLFunction(pc, tuple(out))

@@ -10,7 +10,6 @@ from skelpot.polyhedra import (
     halfplane_contains,
     halfplanes,
     hull_area_2d,
-    intersect2,
     minimalize,
     poly_contains,
     poly_dim,
@@ -25,7 +24,7 @@ from skelpot.toric import ToricError, decompose
 
 from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
-from planar_oracle import halfplanes_by_normals, matrix_rank, poly_dim_by_rank
+from planar_oracle import halfplanes_by_normals, intersect2, matrix_rank, poly_dim_by_rank
 
 SQUARE = Polyhedron(((0, 0), (1, 0), (1, 1), (0, 1)))
 QUADRANT = Polyhedron(((0, 0),), ((1, 0), (0, 1)))

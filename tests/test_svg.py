@@ -11,10 +11,12 @@ import pytest
 from skelpot import svg as svg_mod
 from skelpot.fixtures import CELL_LABELS, counterexample_fixture
 from skelpot.graphs import MetrizedGraph, PLFunction
-from skelpot.polyhedra import Polyhedron, convex_hull_2d, intersect2, minimalize, poly_dim
+from skelpot.polyhedra import Polyhedron, convex_hull_2d, minimalize, poly_dim
 from skelpot.rat import Rat
 from skelpot.svg import render_svg
 from skelpot.toric import skeleton
+
+from planar_oracle import intersect2
 
 
 def _coords(svg):

@@ -194,6 +194,25 @@ def test_newton_oracle_agreement():
         assert tau(a, lam, p) == newton_tau(a, lam)
 
 
+@st.composite
+def _skoda_instances(draw):
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=3))
+    lam = n + Rat(draw(st.integers(0, 8)), draw(st.sampled_from((3, 2, 4, 1))))
+    return MonomialIdeal(n, gens), lam, draw(st.sampled_from((2, 3, 5)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_skoda_instances())
+def test_skoda_theorem(instance):
+    """tau(a^lam) = a * tau(a^(lam - 1)) for lam >= n (Hara-Takagi, Thm 4.1:
+    a monomial ideal in n variables has analytic spread at most n).
+    Neither route uses this identity."""
+    a, lam, p = instance
+    assert tau(a, lam, p) == a * tau(a, lam - 1, p)
+    assert newton_tau(a, lam) == a * newton_tau(a, lam - 1)
+
+
 def test_newton_oracle_known_values():
     m2 = I(2, (1, 0), (0, 1))
     assert newton_tau(m2**2, 1) == m2

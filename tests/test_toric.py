@@ -38,15 +38,19 @@ from skelpot import (
 )
 from skelpot import polyhedra as polyhedra_mod
 from skelpot import toric as toric_mod
-from skelpot.polyhedra import halfplanes, intersect2, poly_dim
+from skelpot.polyhedra import halfplanes, poly_dim
 from skelpot.rat import Rat
 
 from linear_oracle import solve_linear
 from planar_oracle import (
     check_continuity_by_meets,
+    compose_with_retraction_by_subsets,
+    intersect2,
     is_concave_by_meets,
     meet,
     recession_fan_pairwise,
+    restrict_to_skeleton_by_subsets,
+    skeleton_pairwise,
     validate_complex_pairwise,
     vertex_link_ok,
 )
@@ -571,3 +575,158 @@ def test_dropped_or_duplicated_cell_is_named(fx):
         del cells[k]
         with pytest.raises(ComplexInvalid, match=r"belongs to cells \[\d\], expected exactly 2$"):
             validate_complex(PolyComplex(cells), fan_of_p2())
+
+
+# ---------------------------------------------------------------------------
+# The skeleton from the facet table against the pairwise route
+# ---------------------------------------------------------------------------
+
+_FANS = (
+    ((1, 0), (0, 1), (-1, -1)),
+    ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+    ((1, 0), (0, 1), (-1, 2), (0, -1)),
+)
+
+
+def _strip(ys, merge=None):
+    """The plane cut along the polyline through the points (x, ys[x]): a
+    half-strip above and one below each segment, and a quadrant on each
+    side of both ends.  With merge = x, the two upper half-strips at
+    (x, ys[x]) form one cell with three points, which needs the polyline
+    to turn upward there."""
+    pts = list(enumerate(ys))
+    up, down, left, right = (0, 1), (0, -1), (-1, 0), (1, 0)
+    cells = []
+    for p, q in itertools.pairwise(pts):
+        cells += [Polyhedron((p, q), (up,)), Polyhedron((p, q), (down,))]
+    if merge is not None:
+        cells[2 * merge - 2] = Polyhedron(pts[merge - 1 : merge + 2], (up,))
+        del cells[2 * merge]
+    cells += [
+        Polyhedron((pts[0],), (up, left)),
+        Polyhedron((pts[0],), (left, down)),
+        Polyhedron((pts[-1],), (right, up)),
+        Polyhedron((pts[-1],), (down, right)),
+    ]
+    return cells
+
+
+@st.composite
+def _skeleton_cases(draw, kind):
+    """(complex, continuous function or None), moved by a unimodular map
+    with the cells shuffled.  The skeleton has dimension 2 for triangulated
+    dilated triangles and for the common refinement of the fixture (two
+    triangles, with a cone at each end of their shared edge), 1 for strips
+    and 0 for fans.  A strip may have a three-point cell, which carries no
+    interpolant (None)."""
+    if kind == "triangles":
+        k = draw(st.integers(0, 3))
+        cells = _dilated_triangle(k) if k else list(counterexample_fixture().refined().cells)
+    elif kind == "strip":
+        ys = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=5))
+        bends = [x for x in range(1, len(ys) - 1) if 2 * ys[x] < ys[x - 1] + ys[x + 1]]
+        cells = _strip(ys, draw(st.sampled_from([None] + bends)))
+    else:
+        rays = draw(st.sampled_from(_FANS))
+        cells = [Polyhedron(((0, 0),), (a, b)) for a, b in zip(rays, rays[1:] + rays[:1])]
+    move = draw(st.sampled_from(_MOVES + (_IDENTITY,)))
+    seed = draw(st.integers(0, 2**16))
+    pc = PolyComplex(cells)
+    if any(len(c.gen_points) + len(c.gen_rays) != 3 for c in pc.cells):
+        return _moved(pc, move, seed), None
+    rng = random.Random(seed)
+    values = {v: rng.randint(-3, 3) for v in pc.vertices()}
+    slopes = {r: rng.randint(-3, 3) for c in pc.cells for r in c.gen_rays}
+    f = _moved_function(_interpolant(pc, values.__getitem__, slopes.__getitem__), move, seed)
+    return f.complex, f
+
+
+def _composed(pc, g):
+    """The pieces of compose_with_retraction(pc, g), or the message of its
+    ToricError; the oracle route must give the same."""
+    outcomes = []
+    for compose in (compose_with_retraction, compose_with_retraction_by_subsets):
+        try:
+            outcomes.append(compose(pc, g).pieces)
+        except ToricError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("kind, dim", [("triangles", 2), ("strip", 1), ("fan", 0)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_skeleton_matches_pairwise_route(kind, dim, data):
+    pc, f = data.draw(_skeleton_cases(kind))
+    validate_complex(pc, recession_fan(pc))
+    skel = skeleton(pc)
+    assert skel == skeleton_pairwise(pc)
+    assert skeleton(pc) is skel  # computed once per complex
+    assert max(poly_dim(s) for s in skel) == dim
+    # owners by vertex sets against owners by inclusion, on pieces that name
+    # their cell
+    labelled = ToricPLFunction(pc, [((i, 0), 0) for i in range(len(pc.cells))], check=False)
+    assert restrict_to_skeleton(labelled) == restrict_to_skeleton_by_subsets(labelled)
+    # data that jumps between skeleton faces, so that the owners show in the
+    # result or in its continuity error
+    rng = random.Random(len(pc.cells))
+    g = [((rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-2, 2)) for _ in skel]
+    _composed(pc, g)
+    if f is None:
+        return
+    g = list(restrict_to_skeleton(f))
+    assert g == list(restrict_to_skeleton_by_subsets(f))
+    resize = data.draw(st.sampled_from((0, 0, 0, -1, 1)))
+    g = g[:-1] if resize < 0 else g + g[:resize]
+    out = _composed(pc, g)
+    if resize == 0:
+        # the retraction fixes the bounded cells, where g is f itself
+        assert [out[i] for i, c in enumerate(pc.cells) if not c.gen_rays] == [
+            f.pieces[i] for i, c in enumerate(pc.cells) if not c.gen_rays
+        ]
+
+
+def test_compose_with_retraction_errors_are_pinned(fx):
+    # the upper cell over (0, 1), (1, 0), (2, 1) is valid, but its points lie
+    # in neither skeleton segment
+    pc = PolyComplex(_strip((1, 0, 1), merge=1))
+    validate_complex(pc, recession_fan(pc))
+    assert len(skeleton(pc)) == 2
+    g = [((1, 0), 0), ((0, 1), 0)]
+    for compose in (compose_with_retraction, compose_with_retraction_by_subsets):
+        with pytest.raises(ToricError, match="^retraction image of cell 0 spans several skeleton cells$"):
+            compose(pc, g)
+        with pytest.raises(ToricError, match="^one affine piece per skeleton cell required$"):
+            compose(fx.pi, g)
+
+
+def test_large_skeleton_is_read_off_the_facet_table(monkeypatch):
+    """On a 211-cell complex, skeleton, restriction to it and composition
+    with the retraction test no polyhedral membership or inclusion."""
+    pc = PolyComplex(_dilated_triangle(13))
+    validate_complex(pc, recession_fan(pc))
+    h = _interpolant(pc, lambda p: p[0] * p[1], lambda r: -1)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for mod, name in (
+        (polyhedra_mod, "poly_contains"),
+        (polyhedra_mod, "poly_is_subset"),
+        (toric_mod, "poly_is_subset"),
+    ):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    skel = skeleton(pc)
+    g = restrict_to_skeleton(h)
+    composed = compose_with_retraction(pc, g)
+    assert calls == Counter()
+    assert len(skel) == 169 and all(poly_dim(s) == 2 for s in skel)
+    bounded = [i for i, c in enumerate(pc.cells) if not c.gen_rays]
+    assert [composed.pieces[i] for i in bounded] == [h.pieces[i] for i in bounded]
