@@ -3,10 +3,11 @@
 Monomial ideals make every Frobenius-side operation exactly computable:
 bracket powers scale exponents, bracket roots floor-divide them, and the
 test ideal tau(a^lambda) is the stable value of the increasing chain
-(a^ceil(lambda p^e))^[1/p^e].  Large powers are never materialized: the
-root is probed by membership queries, each a packing integer program with
-at most 3 rows that an exact integer-only solver decides from the basic
-solutions of its LP relaxation (no simplex, no rationals).  A
+(a^ceil(lambda p^e))^[1/p^e].  No power is materialized: a principal
+power has a closed form, and every other root is probed by membership
+queries, each a packing integer program with at most 3 rows that an exact
+integer-only solver decides from the basic solutions of its LP relaxation
+(no simplex, no rationals).  A
 Newton-polyhedron route computes the same ideal from the interior condition
 u + (1,..,1) in int(lambda * Newt(a)); it shares no code with the
 stabilization loop and is used to cross-validate it.
@@ -239,36 +240,6 @@ def frobenius_root(a: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     return MonomialIdeal(a.n, (tuple(x // q for x in g) for g in a.gens))
 
 
-class _PowerCache:
-    """Minimal generators of a^j, advanced multiplicatively.  Only the
-    largest computed power is kept; the e-loop of the test ideal reuses it,
-    so a whole stabilization run costs one pass up to the final exponent."""
-
-    __slots__ = ("base", "j", "gens")
-
-    def __init__(self, a: MonomialIdeal):
-        self.base = a
-        self.j = 1
-        self.gens = a.gens
-
-    def power_gens(self, m: int):
-        if m < self.j:
-            # rare non-monotone request: recompute from scratch
-            cur, j = self.base.gens, 1
-        else:
-            cur, j = self.gens, self.j
-        bg = self.base.gens
-        n = self.base.n
-        while j < m:
-            cur = _antichain(
-                tuple(a[i] + b[i] for i in range(n)) for a in cur for b in bg
-            )
-            j += 1
-        if j > self.j:
-            self.j, self.gens = j, cur
-        return cur
-
-
 _BB_NODE_LIMIT = 20_000
 
 
@@ -424,7 +395,8 @@ def _frontier2(member2, by: int, bz: int):
 def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
     q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
-    up-closed criterion probed by count-feasibility queries.  The minimal
+    up-closed criterion probed by count-feasibility queries (n = 2 or 3;
+    a one-variable ideal is principal and never gets here).  The minimal
     solutions live in a box of size ~ (m/q) * max exponent, so the cost is
     independent of m itself."""
     q = p**e
@@ -444,9 +416,7 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
         return got
 
     assert member(box)  # every coordinate constraint is slack at the corner
-    if n == 1:
-        mins = [(_least_member(lambda t: member((t,)), box[0]),)]
-    elif n == 2:
+    if n == 2:
         mins = _frontier2(lambda y, z: member((y, z)), box[0], box[1])
     else:
         limit = _frontier2(lambda y, z: member((box[0], y, z)), box[1], box[2])
@@ -460,29 +430,19 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     return MonomialIdeal(n, mins)
 
 
-_QUERY_LIMIT = 64
-
-
-def _power_root(
-    a: MonomialIdeal, m: int, p: int, e: int, cache: _PowerCache | None = None
-) -> MonomialIdeal:
-    """(a^m)^[1/p^e]: componentwise floors of the minimal generators of
-    a^m, re-minimalized.  Beyond _QUERY_LIMIT the power is no longer
-    materialized; membership queries take over (n <= 3)."""
+def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
+    """(a^m)^[1/p^e]: the componentwise floors of the minimal generators of
+    a^m, re-minimalized.  No power is materialized: a principal ideal has a
+    closed form, and every other root is probed by membership queries
+    (e >= 1, 2 <= n <= 3, at least two generators)."""
     if a.is_zero():
         return zero_ideal(a.n) if m > 0 else unit_ideal(a.n)
     if m == 0 or a.is_unit():
         return unit_ideal(a.n)
-    q = p**e
     if len(a.gens) == 1:
-        g = a.gens[0]
-        return MonomialIdeal(a.n, (tuple((x * m) // q for x in g),))
-    if e > 0 and a.n <= 3 and m > _QUERY_LIMIT:
-        return _root_by_queries(a, m, p, e)
-    if cache is None:
-        cache = _PowerCache(a)
-    gens = cache.power_gens(m)
-    return MonomialIdeal(a.n, (tuple(x // q for x in g) for g in gens))
+        q = p**e
+        return MonomialIdeal(a.n, (tuple((x * m) // q for x in a.gens[0]),))
+    return _root_by_queries(a, m, p, e)
 
 
 def _stop_exponent(b: MonomialIdeal, lam, slack: int, p: int) -> int:
@@ -590,19 +550,24 @@ class GradedSequence:
                 return ideal
         raise TestIdealError(f"the table does not provide a_{m}")
 
-    def member_test_ideal(self, m: int, lam, p: int, cache=None) -> MonomialIdeal:
-        """tau(a_m^{lam}) without materializing huge powers in the powers
-        case: the chain count m*ceil(lam*q) exceeds (m*lam)*q by less than
-        m, so the stable index comes from _stop_exponent with slack m on
-        the base ideal."""
+    def member_test_ideal(self, m: int, lam, p: int) -> MonomialIdeal:
+        """tau(a_m^{lam}) without materializing a_m in the powers case: the
+        chain count m*ceil(lam*q) exceeds (m*lam)*q by less than m, so the
+        stable index comes from _stop_exponent with slack m on the base
+        ideal."""
         lam = rat(lam)
+        if m < 1:
+            raise TestIdealError("sequence indices start at 1")
+        if lam < 0:
+            raise TestIdealError("exponent must be >= 0")
         if self.kind != "powers":
             return test_ideal(self.ideal(m), lam, p)
+        _check_prime(p)
         b = self.base
         if lam == 0 or b.is_unit():
             return unit_ideal(b.n)
         e = _stop_exponent(b, m * lam, m, p)
-        return _power_root(b, m * rceil(lam * p**e), p, e, cache)
+        return _power_root(b, m * rceil(lam * p**e), p, e)
 
 
 _CHAIN_LIMIT = 8
@@ -623,14 +588,13 @@ def asymptotic_test_ideal(seq: GradedSequence, lam, p: int) -> MonomialIdeal:
         return unit_ideal(n)
     prev = None
     seen_nonzero = False
-    cache = _PowerCache(seq.base) if seq.kind == "powers" else None
     for j in range(_CHAIN_LIMIT + 1):
         m = m0 * 2**j
         if seq.kind == "powers":
             seen_nonzero = True  # powers of a nonzero ideal stay nonzero
         elif not seq.ideal(m).is_zero():
             seen_nonzero = True
-        cur = seq.member_test_ideal(m, lam / m, p, cache)
+        cur = seq.member_test_ideal(m, lam / m, p)
         # tau of a member is zero exactly when the member is zero, so only a
         # nonzero repeat certifies stabilization
         if prev is not None and cur == prev and not cur.is_zero():

@@ -285,8 +285,10 @@ def decompose(cell: Polyhedron, u):
     """Coefficients (a, lam) with u = sum a_i p_i + sum lam_j v_j, a >= 0
     summing to 1, lam >= 0.  Unique for simplicial cells; errors when the
     cell is not simplicial or u lies outside it."""
-    u = tuple(rat(x) for x in u)
-    cell = minimalize(cell)
+    return _minimal_decompose(minimalize(cell), tuple(rat(x) for x in u))
+
+
+def _minimal_decompose(cell: Polyhedron, u):
     pts, rays = cell.gen_points, cell.gen_rays
     cols = [(p[0], p[1], ONE) for p in pts] + [(r[0], r[1], ZERO) for r in rays]
     if len(cols) > 3:
@@ -319,7 +321,7 @@ def retraction(pc: PolyComplex, u) -> tuple:
     results = []
     for i in owners:
         cell = pc.cells[i]
-        a, _ = decompose(cell, u)
+        a, _ = _minimal_decompose(cell, u)
         pt = (
             sum((ai * p[0] for ai, p in zip(a, cell.gen_points)), start=ZERO),
             sum((ai * p[1] for ai, p in zip(a, cell.gen_points)), start=ZERO),

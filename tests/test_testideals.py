@@ -213,6 +213,24 @@ def test_skoda_theorem(instance):
     assert newton_tau(a, lam) == a * newton_tau(a, lam - 1)
 
 
+@st.composite
+def _chain_instances(draw):
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=4))
+    lam = Rat(draw(st.integers(0, 18)), draw(st.integers(1, 6)))
+    return MonomialIdeal(n, gens), lam, draw(st.sampled_from((2, 3, 5, 7)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_chain_instances())
+def test_chain_route_matches_newton_route(instance):
+    """The Frobenius-root chain and the Newton interior criterion give the
+    same tau(a^lam), whatever the count ceil(lam * p^e) at the stable
+    index."""
+    a, lam, p = instance
+    assert tau(a, lam, p) == newton_tau(a, lam)
+
+
 def test_newton_oracle_known_values():
     m2 = I(2, (1, 0), (0, 1))
     assert newton_tau(m2**2, 1) == m2
@@ -227,8 +245,8 @@ def test_newton_oracle_known_values():
 def test_deep_chain_power_compatibility():
     """The instance whose stabilization chain pauses before e reaches its
     stable range: both the direct route and the route through the cube of
-    the ideal must agree with the oracle (this exercises the
-    query-based root for counts beyond the materialization cutoff)."""
+    the ideal must agree with the oracle (this exercises the query-based
+    root on large counts)."""
     a = MonomialIdeal(3, [(4, 0, 2), (0, 4, 1), (2, 1, 3)])
     lam = Rat(11, 2)
     direct = tau(a, lam, 2)
@@ -237,7 +255,10 @@ def test_deep_chain_power_compatibility():
 
 
 def test_query_route_matches_materialized_floors():
-    from skelpot.testideals import _PowerCache, _root_by_queries
+    """The query route against the definition: the floors of the minimal
+    generators of a^m, for counts on both sides of 64 and q = p^e from p
+    up to the first power of p that reaches m."""
+    from skelpot.testideals import _root_by_queries
 
     rng = random.Random(98)
     done = 0
@@ -247,15 +268,29 @@ def test_query_route_matches_materialized_floors():
         if len(a.gens) < 2:
             continue
         p = rng.choice((2, 3, 5))
-        m = rng.randint(65, 90)
+        m = rng.randint(2, 90)
         e = 1
         while p**e < m:
             e += 1
-        expected = MonomialIdeal(
-            n, (tuple(x // p**e for x in u) for u in _PowerCache(a).power_gens(m))
-        )
-        assert _root_by_queries(a, m, p, e) == expected
+        e = rng.randint(1, e)
+        assert _root_by_queries(a, m, p, e) == frobenius_root(a**m, p, e)
         done += 1
+
+
+def test_power_root_matches_definition():
+    """_power_root against the floors of the minimal generators of a^m on
+    every path: the zero, unit and principal closed forms and the queries."""
+    from skelpot.testideals import _power_root
+
+    rng = random.Random(101)
+    cases = [(zero_ideal(2), 0), (zero_ideal(2), 3), (unit_ideal(3), 5), (I(2, (1, 2)), 0)]
+    for _ in range(60):
+        n = rng.choice((1, 2, 3))
+        cases.append((rand_proper_ideal(rng, n, max_gens=rng.choice((1, 3))), rng.randint(1, 40)))
+    for a, m in cases:
+        p = rng.choice((2, 3, 5))
+        e = rng.randint(1, 3)
+        assert _power_root(a, m, p, e) == frobenius_root(a**m, p, e)
 
 
 # -- exact packing queries ------------------------------------------------
@@ -405,6 +440,10 @@ def test_sequence_table_validation():
 
 
 def test_asymptotic_matches_plain_for_principal():
+    """The asymptotic test ideal of the powers of b is tau(b^lam): for
+    principal b, which has a closed form, and for b with several
+    generators, whose roots come from membership queries; those are also
+    checked against the Newton route."""
     rng = random.Random(99)
     for _ in range(8):
         n = rng.choice((2, 3))
@@ -416,6 +455,42 @@ def test_asymptotic_matches_plain_for_principal():
         assert asymptotic_tau(GradedSequence.powers(b), lam, p) == tau(
             b, lam, p
         )
+    done = 0
+    while done < 8:
+        n = rng.choice((2, 3))
+        b = rand_proper_ideal(rng, n, max_exp=4)
+        if len(b.gens) < 2:
+            continue
+        lam = rand_lambda(rng, num_max=6)
+        p = rng.choice((2, 3, 5))
+        seq = GradedSequence.powers(b)
+        assert asymptotic_tau(seq, lam, p) == tau(b, lam, p) == newton_tau(b, lam)
+        done += 1
+
+
+@pytest.mark.parametrize("kind", ["powers", "table"])
+@pytest.mark.parametrize(
+    "m, lam, p, message",
+    [
+        (1, Rat(-1, 2), 3, "exponent must be >= 0"),
+        (0, Rat(1, 2), 3, "sequence indices start at 1"),
+        (-2, Rat(1), 3, "sequence indices start at 1"),
+        (0, Rat(-1, 2), 3, "sequence indices start at 1"),
+        (1, Rat(1, 2), 4, "p must be prime"),
+    ],
+    ids=["negative-exponent", "index-zero", "negative-index", "both", "composite-p"],
+)
+def test_member_test_ideal_rejects_bad_input(kind, m, lam, p, message):
+    """Both kinds check the index, then the exponent, then p, before any
+    work."""
+    b = I(2, (2, 0), (1, 1), (0, 2))
+    if kind == "powers":
+        seq = GradedSequence.powers(b)
+    else:
+        seq = GradedSequence.table({1: b, 2: b**2})
+    with pytest.raises(IdealError, match=message):
+        seq.member_test_ideal(m, lam, p)
+    assert seq.member_test_ideal(1, Rat(1, 2), 3) == tau(b, Rat(1, 2), 3)
 
 
 def test_asymptotic_contains_members():

@@ -121,6 +121,37 @@ def test_retraction_affine_matches_pointwise(fx):
                 assert retraction(pc, u) == img
 
 
+def test_retraction_does_not_minimalize_again(fx, monkeypatch):
+    """Complex cells are minimalized once, when the complex is built, so
+    retraction decomposes in them directly; its points match the public
+    decompose, which minimalizes first."""
+    rng = random.Random(31)
+    points = [
+        tuple(Rat(rng.randint(-30, 30), rng.choice((1, 1, 2, 3))) for _ in range(2))
+        for _ in range(80)
+    ]
+    expected = []
+    for u in points:
+        cell = fx.pi.cells[fx.pi.cells_containing(u)[0]]
+        a, _ = decompose(cell, u)
+        expected.append(
+            tuple(sum(ai * p[k] for ai, p in zip(a, cell.gen_points)) for k in range(2))
+        )
+    calls = Counter()
+
+    def counting(fn):
+        def wrapped(*args):
+            calls["minimalize"] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for mod in (polyhedra_mod, toric_mod):
+        monkeypatch.setattr(mod, "minimalize", counting(mod.minimalize))
+    assert [retraction(fx.pi, u) for u in points] == expected
+    assert calls == Counter()
+
+
 def test_decompose_unique_on_simplicial_cell(fx):
     sigma1 = fx.pi.cells[fx.labels["sigma1"]]
     a, lam = decompose(sigma1, (Rat(5), Rat(1, 3)))
