@@ -7,10 +7,11 @@ test ideal tau(a^lambda) is the stable value of the increasing chain
 power has a closed form, and every other root is probed by membership
 queries, each a packing integer program with at most 3 rows that an exact
 integer-only solver decides from the basic solutions of its LP relaxation
-(no simplex, no rationals).  A
+(no simplex, no rationals).  The root is read off slice by slice, each
+slice's search bounded by its neighbours, which are already known.  A
 Newton-polyhedron route computes the same ideal from the interior condition
-u + (1,..,1) in int(lambda * Newt(a)); it shares no code with the
-stabilization loop and is used to cross-validate it.
+u + (1,..,1) in int(lambda * Newt(a)), sliced on integer data; it shares
+no code with the stabilization loop and is used to cross-validate it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .rat import Rat, adjugate, det as rat_det, rat, rceil, rfloor
+from .rat import adjugate, det as rat_det, rat, rceil
 
 VAR_NAMES = ("x", "y", "z", "w")
 
@@ -361,35 +362,29 @@ def _count_feasible(table: _BasisTable, w, m: int) -> bool:
     return search(tuple(w), m, {})
 
 
-def _least_member(member1, hi: int):
-    """Least t in [0, hi] with member1(t), for monotone member1; None if
-    even hi fails."""
-    if not member1(hi):
-        return None
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if member1(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _frontier2(member2, by: int, bz: int):
-    """Minimal elements of an up-closed subset of [0,by] x [0,bz]."""
-    out = []
-    prev = bz
+def _least_row(member, by: int, bz: int, lower=None, upper=None) -> list:
+    """row[y] = least z <= bz with member(y, z) in an up-closed set, for
+    y = 0..by (None where there is none).  Each z is binary-searched in
+    [lower[y], min(row[y-1], upper[y])]: known members above, a known lower
+    bound below (None there: no member, no query).  A one-point range makes
+    no query, and bz is probed only when no upper bound exists."""
+    row, prev = [], None
     for y in range(by + 1):
-        z = _least_member(lambda t: member2(y, t), prev)
-        if z is None:
+        lo = 0 if lower is None else lower[y]
+        known = [z for z in (prev, upper and upper[y]) if z is not None]
+        if lo is None or (not known and not member(y, bz)):
+            row.append(None)
             continue
-        if not out or z < prev:
-            out.append((y, z))
-        prev = z
-        if z == 0:
-            break
-    return out
+        hi = min(known, default=bz)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if member(y, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        row.append(lo)
+        prev = lo
+    return row
 
 
 def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
@@ -398,7 +393,10 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     up-closed criterion probed by count-feasibility queries (n = 2 or 3;
     a one-variable ideal is principal and never gets here).  The minimal
     solutions live in a box of size ~ (m/q) * max exponent, so the cost is
-    independent of m itself."""
+    independent of m itself.  For n = 3 the limit slice t = box[0] comes
+    first; each slice t = 0, 1, .. is then a least-z row bounded by that
+    limit row below and by the slice before it above, until the two rows
+    are equal."""
     q = p**e
     gens = a.gens
     n = a.n
@@ -417,17 +415,16 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
 
     assert member(box)  # every coordinate constraint is slack at the corner
     if n == 2:
-        mins = _frontier2(lambda y, z: member((y, z)), box[0], box[1])
-    else:
-        limit = _frontier2(lambda y, z: member((box[0], y, z)), box[1], box[2])
-        cand = []
-        for t in range(box[0] + 1):
-            front = _frontier2(lambda y, z: member((t, y, z)), box[1], box[2])
-            cand.extend((t, y, z) for y, z in front)
-            if front == limit:
-                break
-        mins = _antichain(cand)
-    return MonomialIdeal(n, mins)
+        row = _least_row(lambda y, z: member((y, z)), *box)
+        return MonomialIdeal(2, ((y, z) for y, z in enumerate(row) if z is not None))
+    limit = _least_row(lambda y, z: member((box[0], y, z)), box[1], box[2])
+    cand, row = [], None
+    for t in range(box[0] + 1):
+        row = _least_row(lambda y, z: member((t, y, z)), box[1], box[2], limit, row)
+        cand.extend((t, y, z) for y, z in enumerate(row) if z is not None)
+        if row == limit:
+            break
+    return MonomialIdeal(n, cand)
 
 
 def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
@@ -669,9 +666,10 @@ def newton_normals(a: MonomialIdeal) -> tuple:
 
 
 def _slice_mingens(constraints, dim):
-    """Minimal integer points u >= 0 with <c, u> > R for every (c, R); the
-    constraint data is exact-rational.  Returns a tuple of tuples, or ()
-    when no point satisfies the system (the zero ideal)."""
+    """Minimal integer points u >= 0 with <c, u> > r for every (c, r); the
+    constraint data is integer (c >= 0), so only int // and - are used.
+    Returns a tuple of tuples, or () when no point satisfies the system
+    (the zero ideal)."""
     if dim == 1:
         z = 0
         for c, r in constraints:
@@ -679,7 +677,7 @@ def _slice_mingens(constraints, dim):
                 if not (0 > r):
                     return ()
             else:
-                z = max(z, rfloor(r / c[0]) + 1)
+                z = max(z, r // c[0] + 1)
         return ((z,),)
     # limit slice: constraints that survive u_1 -> infinity
     limit = [(c[1:], r) for c, r in constraints if c[0] == 0]
@@ -688,7 +686,7 @@ def _slice_mingens(constraints, dim):
     t_star = 0
     for c, r in constraints:
         if c[0] > 0:
-            t_star = max(t_star, rfloor(r / c[0]) + 1)
+            t_star = max(t_star, r // c[0] + 1)
     gens = []
     for t in range(t_star + 2):
         sliced = [(c[1:], r - c[0] * t) for c, r in constraints]
@@ -702,7 +700,8 @@ def _slice_mingens(constraints, dim):
 def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
     """tau(a^lambda) via the interior criterion: exponents u with
     u + (1,..,1) in the interior of lambda * Newt(a).  Independent of the
-    Frobenius route and of p."""
+    Frobenius route and of p.  Each facet inequality is scaled by the
+    denominator of lambda once, so the slicing runs on integer data."""
     lam = rat(lam)
     if lam < 0:
         raise TestIdealError("exponent must be >= 0")
@@ -710,10 +709,10 @@ def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
         return unit_ideal(a.n)
     if a.is_zero():
         return zero_ideal(a.n)
-    n = a.n
+    num, den = int(lam.numerator), int(lam.denominator)
     constraints = []
     for c in newton_normals(a):
         h = min(sum(ci * gi for ci, gi in zip(c, g)) for g in a.gens)
-        # <c, u + 1> > lam * h  <=>  <c, u> > lam*h - sum(c)
-        constraints.append((c, lam * Rat(h) - Rat(sum(c))))
-    return MonomialIdeal(n, _slice_mingens(constraints, n))
+        # <c, u + 1> > lam * h  <=>  <den*c, u> > num*h - den*sum(c)
+        constraints.append((tuple(den * ci for ci in c), num * h - den * sum(c)))
+    return MonomialIdeal(a.n, _slice_mingens(constraints, a.n))

@@ -8,6 +8,8 @@ branch-and-bound over the general simplex.
 """
 
 import random
+from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from skelpot.testideals import (
 from skelpot.testideals import TestIdealError as IdealError
 from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
-from skelpot.testideals import _BasisTable, _count_feasible, is_prime
+from skelpot.testideals import _BasisTable, _count_feasible, _least_row, _root_by_queries, is_prime
 from skelpot.rat import Rat, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
@@ -231,6 +233,34 @@ def test_chain_route_matches_newton_route(instance):
     assert tau(a, lam, p) == newton_tau(a, lam)
 
 
+@st.composite
+def _law_instances(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    a = MonomialIdeal(n, draw(st.lists(vec, min_size=1, max_size=3)))
+    b = a + MonomialIdeal(n, draw(st.lists(vec, min_size=1, max_size=2)))
+    lam, mu = (Rat(draw(st.integers(0, 12)), draw(st.integers(1, 4))) for _ in range(2))
+    return a, b, lam, mu, draw(st.sampled_from((2, 3, 5, 7)))
+
+
+_ROUTES = {"chain": tau, "newton": lambda a, lam, p: newton_tau(a, lam)}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instance=_law_instances())
+def test_test_ideal_laws(route, instance):
+    """On both routes, with a inside b: tau is monotone in lambda and in
+    the ideal, and subadditive, tau(a^(lam+mu)) <= tau(a^lam) tau(a^mu)
+    (Hara-Yoshida, Trans. AMS 2003, Thm 6.10)."""
+    a, b, lam, mu, p = instance
+    t = _ROUTES[route]
+    lo, hi = sorted((lam, mu))
+    assert t(a, lo, p).contains(t(a, hi, p))
+    assert t(b, lam, p).contains(t(a, lam, p))
+    assert (t(a, lam, p) * t(a, mu, p)).contains(t(a, lam + mu, p))
+
+
 def test_newton_oracle_known_values():
     m2 = I(2, (1, 0), (0, 1))
     assert newton_tau(m2**2, 1) == m2
@@ -275,6 +305,125 @@ def test_query_route_matches_materialized_floors():
         e = rng.randint(1, e)
         assert _root_by_queries(a, m, p, e) == frobenius_root(a**m, p, e)
         done += 1
+
+
+@st.composite
+def _root_instances(draw):
+    """Mostly n = 3, 2-4 generators with exponents <= 4, m <= 60, and e from
+    1 up to the first power of p that reaches m."""
+    n = draw(st.sampled_from((3, 3, 3, 2)))
+    k = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(0, 4)] * n)
+    ideals = st.lists(vec, min_size=k, max_size=k, unique=True).map(lambda gs: MonomialIdeal(n, gs))
+    a = draw(ideals.filter(lambda a: len(a.gens) == k))
+    m = draw(st.sampled_from(range(1, 61)))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    top = 1
+    while p**top < m:
+        top += 1
+    return a, m, p, draw(st.integers(1, top))
+
+
+def _power_by_counts(a, m):
+    """a^m from its definition, every sum of m generators, enumerated by the
+    count of each generator.  Far cheaper at m near 60 than the repeated
+    squaring of MonomialIdeal.__pow__, whose products it skips."""
+
+    def sums(k, left):
+        if k == len(a.gens) - 1:
+            yield tuple(left * x for x in a.gens[k])
+            return
+        for c in range(left + 1):
+            for rest in sums(k + 1, left - c):
+                yield tuple(c * x + y for x, y in zip(a.gens[k], rest))
+
+    return MonomialIdeal(a.n, sums(0, m))
+
+
+def test_bounded_slices_match_floors():
+    """The bounded slices against the floors of the minimal generators of
+    a^m, on instances that reach limit rows with no member (those rows are
+    skipped) and rows whose upper and lower bounds meet (no query)."""
+    real = skelpot.testideals._least_row
+    seen = set()
+
+    def spy(member, by, bz, lower=None, upper=None):
+        row = real(member, by, bz, lower, upper)
+        if lower is not None and None in lower:
+            seen.add("empty limit row")
+        if upper is not None:
+            for y, lo in enumerate(lower):
+                known = [z for z in (row[y - 1] if y else None, upper[y]) if z is not None]
+                if lo is not None and known and min(known) == lo:
+                    seen.add("bounds meet")
+        return row
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_root_instances())
+    def check(instance):
+        a, m, p, e = instance
+        with patch.object(skelpot.testideals, "_least_row", spy):
+            got = _root_by_queries(a, m, p, e)
+        power = _power_by_counts(a, m)
+        if m <= 12:
+            assert power == a**m
+        assert got == frobenius_root(power, p, e)
+
+    check()
+    assert seen == {"empty limit row", "bounds meet"}
+
+
+def test_least_row_against_brute_force_scan():
+    """_least_row on random up-closed staircases in [0,by] x [0,bz], without
+    bounds and between the rows of a larger set (below) and of a smaller one
+    (above).  It never probes a row that the lower bound rules out, and with
+    both bounds at the answer it makes no query at all."""
+    rng = random.Random(102)
+    for _ in range(400):
+        by, bz = rng.randint(0, 8), rng.randint(0, 8)
+
+        def corners(k):
+            return [(rng.randint(0, by + 1), rng.randint(0, bz + 1)) for _ in range(k)]
+
+        gens = corners(rng.randint(0, 4))
+        small = rng.sample(gens, rng.randint(0, len(gens)))
+        big = gens + corners(rng.randint(0, 3))
+
+        def scan(cs):
+            return [
+                min((z for z in range(bz + 1) if any(c <= y and d <= z for c, d in cs)), default=None)
+                for y in range(by + 1)
+            ]
+
+        truth, below, above = scan(gens), scan(big), scan(small)
+        for lower, upper in ((None, None), (below, None), (None, above), (below, above), (truth, truth)):
+            asked = []
+
+            def member(y, z):
+                assert lower is None or lower[y] is not None
+                asked.append((y, z))
+                return any(c <= y and d <= z for c, d in gens)
+
+            assert _least_row(member, by, bz, lower, upper) == truth
+            assert len(asked) == len(set(asked))
+            if lower is truth:
+                assert not asked
+
+
+def test_pinned_deep_chain_query_count(monkeypatch):
+    """The bounded slices answer the pinned deep chain with at most 450
+    membership queries (1,478 when each slice was searched on its own)."""
+    calls = []
+    real = skelpot.testideals._count_feasible
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+    a = MonomialIdeal(3, [(4, 0, 2), (0, 4, 1), (2, 1, 3)])
+    assert tau(a, Rat(11, 2), 2) == newton_tau(a, Rat(11, 2))
+    assert len(calls) <= 450
 
 
 def test_power_root_matches_definition():
@@ -399,6 +548,32 @@ def test_basis_table_stays_in_int():
         assert [
             [sum(a * c for a, c in zip(row, col)) for col in zip(*adj)] for row in mat
         ] == [[det if i == j else 0 for j in range(len(S))] for i in range(len(S))]
+
+
+def test_newton_slices_stay_in_int(monkeypatch):
+    """Scaled by the denominator of lambda once, every constraint that
+    reaches _slice_mingens, at any depth, is a tuple of ints with an int
+    right-hand side; the integer route still agrees with the chain."""
+    real = skelpot.testideals._slice_mingens
+    seen = []
+
+    def checked(constraints, dim):
+        for c, r in constraints:
+            assert type(c) is tuple and all(type(x) is int for x in c) and type(r) is int
+        seen.append(dim)
+        return real(constraints, dim)
+
+    monkeypatch.setattr(skelpot.testideals, "_slice_mingens", checked)
+    rng = random.Random(103)
+    for den in range(1, 8):
+        for _ in range(6):
+            n = rng.choice((1, 2, 3))
+            a = rand_proper_ideal(rng, n, max_exp=4)
+            lam = Rat(rng.choice([k for k in range(1, 4 * den) if gcd(k, den) == 1]), den)
+            assert lam.denominator == den
+            p = rng.choice((2, 3, 5, 7))
+            assert newton_tau(a, lam) == tau(a, lam, p)
+    assert set(seen) == {1, 2, 3}
 
 
 def test_testideals_does_not_use_the_simplex():
