@@ -342,7 +342,7 @@ def execute(scenario, *, bbox=DEFAULT_BBOX, max_lp_vars=DEFAULT_MAX_LP_VARS):
     if not isinstance(scenario, dict) or "kind" not in scenario:
         raise SchemaError('a scenario is an object with a "kind" field')
     kind = scenario["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown scenario kind {kind!r}")
     schema, runner = _KINDS[kind]
     jsonio.validate(scenario, schema, f"{kind} scenario")

@@ -442,12 +442,13 @@ def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     return _root_by_queries(a, m, p, e)
 
 
-def _stop_exponent(b: MonomialIdeal, lam, slack: int, p: int) -> int:
+def _stop_exponent(b: MonomialIdeal, lam, p: int) -> int:
     """Smallest e such that the Frobenius-root chain at q = p^e provably
     equals its union.
 
-    The chain member at q is J = (b^cnt)^[1/q] with cnt <= lam*q + slack.
-    Two elementary facts pin the union down at a single finite index:
+    The chain member at q is J = (b^cnt)^[1/q] with cnt = ceil(lam*q) <
+    lam*q + 1.  Two elementary facts pin the union down at a single finite
+    index:
 
     * every u in J has <nu, u+1> > lam*h(nu) for each supporting direction
       nu >= 0 of Newt(b) with h(nu) = min over generators of <nu, gen>
@@ -455,8 +456,9 @@ def _stop_exponent(b: MonomialIdeal, lam, slack: int, p: int) -> int:
     * conversely, if u clears every such inequality by at least 1/den(lam)
       -- and any strict rational gap is at least that big -- then rounding
       a real decomposition of q*(u+1) shows q*u + (q-1)*1 really is a sum
-      of cnt generators plus slop, once q >= q* below.  The floor-rounding
-      wastes at most (g-1) generators, hence the (g-1)*U correction.
+      of cnt generators plus slop, once q >= q* below.  The one extra
+      generator of the ceiling costs h(nu); the floor-rounding wastes at
+      most (g-1) generators, hence the (g-1)*U correction.
 
     Consecutive-agreement stopping is NOT sound here: chains exist that
     pause for several steps and then grow (e.g. (y^3, x^3*y) at lambda=3/4,
@@ -471,7 +473,7 @@ def _stop_exponent(b: MonomialIdeal, lam, slack: int, p: int) -> int:
     worst = 1
     for nu in newton_normals(b):
         h = min(sum(c * x for c, x in zip(nu, u)) for u in gens)
-        worst = max(worst, slack * h + sum(c * s for c, s in zip(nu, shift)))
+        worst = max(worst, h + sum(c * s for c, s in zip(nu, shift)))
     qstar = den * worst
     e = 1
     while p**e < qstar:
@@ -491,7 +493,7 @@ def test_ideal(a: MonomialIdeal, lam, p: int) -> MonomialIdeal:
         return unit_ideal(a.n)
     if a.is_zero():
         return zero_ideal(a.n)
-    e = _stop_exponent(a, lam, 1, p)
+    e = _stop_exponent(a, lam, p)
     return _power_root(a, rceil(lam * p**e), p, e)
 
 
@@ -548,60 +550,32 @@ class GradedSequence:
         raise TestIdealError(f"the table does not provide a_{m}")
 
     def member_test_ideal(self, m: int, lam, p: int) -> MonomialIdeal:
-        """tau(a_m^{lam}) without materializing a_m in the powers case: the
-        chain count m*ceil(lam*q) exceeds (m*lam)*q by less than m, so the
-        stable index comes from _stop_exponent with slack m on the base
-        ideal."""
+        """tau(a_m^{lam}).  A power a_m = b^m is never materialized: by power
+        compatibility (Hara-Yoshida, Trans. AMS 2003) tau((b^m)^lam) =
+        tau(b^{m*lam})."""
         lam = rat(lam)
         if m < 1:
             raise TestIdealError("sequence indices start at 1")
         if lam < 0:
             raise TestIdealError("exponent must be >= 0")
-        if self.kind != "powers":
-            return test_ideal(self.ideal(m), lam, p)
-        _check_prime(p)
-        b = self.base
-        if lam == 0 or b.is_unit():
-            return unit_ideal(b.n)
-        e = _stop_exponent(b, m * lam, m, p)
-        return _power_root(b, m * rceil(lam * p**e), p, e)
-
-
-_CHAIN_LIMIT = 8
+        if self.kind == "powers":
+            return test_ideal(self.base, m * lam, p)
+        return test_ideal(self.ideal(m), lam, p)
 
 
 def asymptotic_test_ideal(seq: GradedSequence, lam, p: int) -> MonomialIdeal:
-    """tau(a_.^lambda): evaluate tau(a_m^{lambda/m}) along m = m0 * 2^j with
-    m0 the denominator of lambda, stopping at the first consecutive
-    agreement on a nonzero value.  Errors when every tested ideal is zero
-    or the table runs out before stabilization."""
+    """tau(a_.^lambda).  On the powers of b every member tau((b^m)^{lambda/m})
+    equals tau(b^lambda) by power compatibility, so that is the result.  A
+    table fixes only finitely many members: the result is their sum over
+    every tabulated m, the ideal that the table's members generate.  It lies
+    inside the asymptotic test ideal of every graded sequence that extends
+    the table."""
     _check_prime(p)
     lam = rat(lam)
-    if lam < 0:
-        raise TestIdealError("exponent must be >= 0")
-    m0 = int(lam.denominator) if lam > 0 else 1
-    n = seq.base.n if seq.kind == "powers" else seq.entries[0][1].n
-    if lam == 0:
-        return unit_ideal(n)
-    prev = None
-    seen_nonzero = False
-    for j in range(_CHAIN_LIMIT + 1):
-        m = m0 * 2**j
-        if seq.kind == "powers":
-            seen_nonzero = True  # powers of a nonzero ideal stay nonzero
-        elif not seq.ideal(m).is_zero():
-            seen_nonzero = True
-        cur = seq.member_test_ideal(m, lam / m, p)
-        # tau of a member is zero exactly when the member is zero, so only a
-        # nonzero repeat certifies stabilization
-        if prev is not None and cur == prev and not cur.is_zero():
-            return cur
-        prev = cur
-    if not seen_nonzero:
-        raise TestIdealError("every tested ideal in the sequence is zero")
-    raise TestIdealError(
-        f"asymptotic chain did not stabilize within {_CHAIN_LIMIT} doublings"
-    )
+    if seq.kind == "powers":
+        return test_ideal(seq.base, lam, p)
+    members = [seq.member_test_ideal(m, lam / m, p) for m, _ in seq.entries]
+    return sum(members[1:], members[0])
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class ComplexInvalid(ToricError):
 
 
 class PolyComplex:
-    """Cells must be pointed (contain no line) and are minimalized at
-    construction; validity (tiling, fan of recession cones, simpliciality)
+    """Cells must be pointed (contain no line) and 2-dimensional, and are
+    minimalized at construction; validity (tiling, fan of recession cones, simpliciality)
     is established by validate_complex.
 
     A complex computes the facets of each cell (cell_halfplanes), the cells
@@ -74,6 +74,8 @@ class PolyComplex:
         for i, c in enumerate(cells):
             if not is_pointed(c):
                 raise ComplexInvalid(f"cell {i} contains a line")
+            if poly_dim(c) != 2:
+                raise ComplexInvalid(f"cell {i} is not 2-dimensional")
         self.dim = 2
         self.cells = tuple(minimalize(c) for c in cells)
         self._hps = {}

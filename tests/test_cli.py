@@ -171,6 +171,33 @@ def test_cell_containing_a_line_exit_2(tmp_path, cells):
     assert err["message"] == "cell 0 contains a line"
 
 
+def _skeleton_pi():
+    return jsonio.loads(
+        (Path(jsonio.__file__).parent / "data" / "skeleton_pi.json").read_text()
+    )
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_non_string_kind_exit_2(tmp_path, kind):
+    s = _skeleton_pi()
+    s["kind"] = kind  # unhashable, so rejected before the kind-table lookup
+    r = cli("run", write_scenario(tmp_path, "k.json", s), "--out", str(tmp_path))
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert err["message"] == f"unknown scenario kind {kind!r}"
+
+
+def test_cell_spanning_a_line_exit_2(tmp_path):
+    s = _skeleton_pi()
+    s["complex"]["cells"][0] = {"points": [["0", "1"]], "rays": [["0", "1"]]}
+    r = cli("run", write_scenario(tmp_path, "c.json", s), "--out", str(tmp_path))
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert err["message"] == "cell 0 is not 2-dimensional"
+
+
 def test_list_scenarios():
     r = cli("list-scenarios")
     assert r.returncode == 0
@@ -251,9 +278,7 @@ def test_huge_rational_in_curve_file_exit_2(tmp_path):
 
 
 def test_huge_rational_in_toric_file_exit_2(tmp_path):
-    s = jsonio.loads(
-        (Path(jsonio.__file__).parent / "data" / "skeleton_pi.json").read_text()
-    )
+    s = _skeleton_pi()
     s["complex"]["cells"][0]["points"][0][0] = "-" + _HUGE
     r = cli("run", write_scenario(tmp_path, "t.json", s), "--out", str(tmp_path))
     _assert_too_many_digits(r)

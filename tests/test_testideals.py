@@ -665,7 +665,10 @@ def test_member_test_ideal_rejects_bad_input(kind, m, lam, p, message):
         seq = GradedSequence.table({1: b, 2: b**2})
     with pytest.raises(IdealError, match=message):
         seq.member_test_ideal(m, lam, p)
-    assert seq.member_test_ideal(1, Rat(1, 2), 3) == tau(b, Rat(1, 2), 3)
+    # a power is never materialized, yet the member is tau of that power
+    for k in (1, 2, 3) if kind == "powers" else (1, 2):
+        for lam in (Rat(1, 2), Rat(5, 3)):
+            assert seq.member_test_ideal(k, lam, 3) == tau(b**k, lam, 3)
 
 
 def test_asymptotic_contains_members():
@@ -690,9 +693,58 @@ def test_subadditivity():
 
 
 def test_asymptotic_errors():
-    b = I(2, (1, 1))
     with pytest.raises(IdealError):
         GradedSequence.powers(zero_ideal(2))
-    table = GradedSequence.table({1: b})
-    with pytest.raises(IdealError):
-        asymptotic_tau(table, Rat(1, 2), 2)  # table runs out at m=4
+    b = I(2, (2, 1), (0, 3))
+    for seq in (GradedSequence.powers(b), GradedSequence.table({1: b})):
+        with pytest.raises(IdealError, match="exponent must be >= 0"):
+            asymptotic_tau(seq, Rat(-1, 2), 2)
+        with pytest.raises(IdealError, match="p must be prime"):
+            asymptotic_tau(seq, Rat(-1, 2), 4)
+    # a short table is no error: the result is its one member
+    assert asymptotic_tau(GradedSequence.table({1: b}), Rat(3, 2), 2) == tau(b, Rat(3, 2), 2)
+
+
+def test_asymptotic_table_regressions():
+    """Tables whose members agree at m = 1, 2 and grow at m = 4: a stop at
+    the first repeat missed the m = 4 member, the sum contains it."""
+    x2, x4 = I(1, (2,)), I(1, (4,))
+    seq = GradedSequence.table({1: x2, 2: x4, 4: x4})
+    assert asymptotic_tau(seq, 1, 2) == I(1, (1,))
+    xy2, xy4 = I(2, (2, 2)), I(2, (4, 4))
+    seq = GradedSequence.table({1: xy2, 2: xy4, 4: xy4})
+    assert asymptotic_tau(seq, 1, 2) == I(2, (1, 1))
+
+
+@st.composite
+def _sequence_instances(draw):
+    """The powers of a random ideal, or a random table made graded by adding
+    a_i * a_j to a_(i+j), in increasing index order."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    ideals = st.lists(vec, min_size=1, max_size=3).map(lambda gens: MonomialIdeal(n, gens))
+    lam = Rat(draw(st.integers(0, 8)), draw(st.integers(1, 4)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    if draw(st.booleans()):
+        return GradedSequence.powers(draw(ideals)), lam, p
+    table = {}
+    for m in sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))):
+        a = draw(ideals)
+        for i in table:
+            if m - i in table:
+                a = a + table[i] * table[m - i]
+        table[m] = a
+    return GradedSequence.table(table), lam, p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_sequence_instances())
+def test_asymptotic_contains_every_member(instance):
+    """tau(a_.^lam) contains tau(a_m^(lam/m)) for every member the sequence
+    provides: each tabulated m, and m = 1..4 on powers, read off the
+    materialized power."""
+    seq, lam, p = instance
+    got = asymptotic_tau(seq, lam, p)
+    ms = range(1, 5) if seq.kind == "powers" else [m for m, _ in seq.entries]
+    for m in ms:
+        assert got.contains(tau(seq.ideal(m), lam / m, p))
