@@ -9,6 +9,12 @@ Renderable objects: a metrized graph (optionally with a PL overlay), a
 polyhedral complex (cells clipped to the bounding box and labeled), a
 single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 1-dimensional pieces and polygon boundaries become line segments).
+
+Clipping is Sutherland-Hodgman (Commun. ACM 1974) with the box as the
+subject polygon: its corner ring is cut by each facet of a 2-dimensional
+cell in turn, so an unbounded cell needs no special handling of its rays,
+and each cut costs O(ring).  Lower-dimensional pieces are clipped
+parametrically.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .polyhedra import (
     minimalize,
     poly_contains,
     poly_dim,
-    vrep_from_halfplanes,
 )
 from .rat import Rat, rat, rat_str, rfloor, vec_add, vec_scale, vec_sub
 from .toric import PolyComplex
@@ -51,8 +56,11 @@ _BACKGROUND = f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="#ffffff
 
 
 def _snap(q) -> str:
-    """Exact rational -> decimal string on the 1/8-px raster."""
-    eighths = rfloor(rat(q) * _RASTER + Rat(1, 2))
+    """Exact rational -> decimal string on the 1/8-px raster.
+
+    floor(8q + 1/2) for q = a/b is (16a + b) // (2b), all in int."""
+    a, b = int(q.numerator), int(q.denominator)
+    eighths = (2 * _RASTER * a + b) // (2 * b)
     thousandths = eighths * 125
     sign = "-" if thousandths < 0 else ""
     whole, frac = divmod(abs(thousandths), 1000)
@@ -95,8 +103,8 @@ def _document(body) -> str:
 
 
 class _Plane:
-    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box
-    and its facets for clipping."""
+    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box,
+    its corners counterclockwise, for clipping."""
 
     def __init__(self, b):
         b = rat(b)
@@ -105,7 +113,6 @@ class _Plane:
         self.b = b
         self.scale = Rat(_SIZE - 2 * _MARGIN) / (2 * b)
         self.box = Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
-        self.box_halfplanes = halfplanes(self.box)
 
     def to_px(self, p):
         x = _MARGIN + (rat(p[0]) + self.b) * self.scale
@@ -157,20 +164,28 @@ def _clip_thin(poly: Polyhedron, plane: _Plane):
 def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
     """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
 
-    A full-dimensional poly is cut by its facets plus the box's, taken from
-    facets() when given (a complex passes its cached cell facets) and
-    computed here otherwise.  vrep_from_halfplanes returns only extreme
-    generators, so the cut needs no minimalize."""
+    The box's corner ring is cut by each facet <n, x> <= c of poly: keep
+    the corners with <n, x> <= c and the exact crossing on each edge that
+    changes side.  The facets come from facets() when given
+    (a complex passes its cached cell facets) and are computed here
+    otherwise.  convex_hull_2d drops the repeated and collinear points the
+    cuts leave and puts the vertices in canonical order."""
     if poly_dim(poly) < 2:
         return _clip_thin(poly, plane)
-    hps = facets() if facets is not None else halfplanes(poly)
-    cut = vrep_from_halfplanes(hps + plane.box_halfplanes)
-    if cut is None:
-        return None
-    pts = cut.gen_points
-    if len(pts) > 2:
-        return convex_hull_2d(pts)
-    return list(pts)
+    ring = list(plane.box.gen_points)
+    for n, c in facets() if facets is not None else halfplanes(poly):
+        side = [n[0] * p[0] + n[1] * p[1] - c for p in ring]
+        cut = []
+        for k, (q, t) in enumerate(zip(ring, side)):
+            p, s = ring[k - 1], side[k - 1]
+            if (s <= 0) != (t <= 0):
+                cut.append(((s * q[0] - t * p[0]) / (s - t), (s * q[1] - t * p[1]) / (s - t)))
+            if t <= 0:
+                cut.append(q)
+        if not cut:
+            return None
+        ring = cut
+    return convex_hull_2d(ring)
 
 
 def _render_complex(pc: PolyComplex, bbox, labels) -> str:

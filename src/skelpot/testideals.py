@@ -20,6 +20,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import add
 
 from .rat import adjugate, det as rat_det, rat, rceil
 
@@ -127,6 +128,15 @@ class MonomialIdeal:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", _antichain(rows))
 
+    @classmethod
+    def _from_valid(cls, n: int, rows) -> "MonomialIdeal":
+        """The ideal of exponent vectors built from valid ideals' generators
+        (sums, maxima, unions): nothing to check, straight to _antichain."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", _antichain(rows))
+        return ideal
+
     def __setattr__(self, *a):
         raise AttributeError("MonomialIdeal is immutable")
 
@@ -175,19 +185,13 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal(self.n, ())
-        sums = [
-            tuple(a[i] + b[i] for i in range(self.n))
-            for a in self.gens
-            for b in other.gens
-        ]
-        return MonomialIdeal(self.n, sums)
+        sums = [tuple(map(add, a, b)) for a in self.gens for b in other.gens]
+        return MonomialIdeal._from_valid(self.n, sums)
 
     def __pow__(self, m: int) -> "MonomialIdeal":
         if not isinstance(m, int) or m < 0:
             raise TestIdealError("power must be a nonnegative integer")
-        result = MonomialIdeal(self.n, ((0,) * self.n,))
+        result = MonomialIdeal._from_valid(self.n, ((0,) * self.n,))
         base = self
         while m:
             if m & 1:
@@ -199,19 +203,13 @@ class MonomialIdeal:
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
-        return MonomialIdeal(self.n, self.gens + other.gens)
+        return MonomialIdeal._from_valid(self.n, self.gens + other.gens)
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal(self.n, ())
-        lcms = [
-            tuple(max(a[i], b[i]) for i in range(self.n))
-            for a in self.gens
-            for b in other.gens
-        ]
-        return MonomialIdeal(self.n, lcms)
+        lcms = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
+        return MonomialIdeal._from_valid(self.n, lcms)
 
 
 def unit_ideal(n: int) -> MonomialIdeal:
@@ -519,7 +517,11 @@ class GradedSequence:
 
     @classmethod
     def table(cls, mapping) -> "GradedSequence":
-        rows = tuple(sorted((int(m), ideal) for m, ideal in dict(mapping).items()))
+        mapping = dict(mapping)
+        bad = [m for m in mapping if type(m) is not int]
+        if bad:
+            raise TestIdealError(f"table index {bad[0]!r} is not an int")
+        rows = tuple(sorted(mapping.items()))
         if not rows:
             raise TestIdealError("empty table")
         if any(m < 1 for m, _ in rows):

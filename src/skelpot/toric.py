@@ -609,15 +609,14 @@ def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
             raise ToricError(
                 "recession is not the support function of a lattice polytope"
             )
+    at: dict = {}  # vertex -> indices of the cells having it, in cell order
+    for i, cell in enumerate(h.complex.cells):
+        for v in set(cell.gen_points):
+            at.setdefault(v, []).append(i)
     atoms = []
     total = ZERO
-    for v in h.complex.vertices():
-        incident = [
-            h.pieces[i][0]
-            for i in range(len(h.complex.cells))
-            if v in h.complex.cells[i].gen_points
-        ]
-        area = hull_area_2d(incident)
+    for v in sorted(at):
+        area = hull_area_2d([h.pieces[i][0] for i in at[v]])
         if area > 0:
             atoms.append((v, 2 * area))
             total += 2 * area

@@ -7,12 +7,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelpot import svg as svg_mod
 from skelpot.fixtures import CELL_LABELS, counterexample_fixture
 from skelpot.graphs import MetrizedGraph, PLFunction
-from skelpot.polyhedra import Polyhedron, convex_hull_2d, minimalize, poly_dim
-from skelpot.rat import Rat
+from skelpot.polyhedra import (
+    Polyhedron,
+    convex_hull_2d,
+    halfplanes,
+    is_pointed,
+    minimalize,
+    poly_dim,
+)
+from skelpot.rat import Rat, rfloor
 from skelpot.svg import render_svg
 from skelpot.toric import skeleton
 
@@ -125,6 +133,88 @@ def test_complex_clipping_matches_bare_intersections(monkeypatch):
     cached = [render_svg(pc, bbox=bbox) for pc, bbox in cases]
     monkeypatch.setattr(svg_mod, "_clipped_hull", _clip_by_intersect2)
     assert cached == [render_svg(pc, bbox=bbox) for pc, bbox in cases]
+
+
+_BOXES = (Rat(1, 2), Rat(3), Rat(7, 3))
+_RAYS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 2), (2, -1), (-3, -1))
+
+
+@st.composite
+def _clip_cases(draw):
+    """(cell, b): a 2-dimensional pointed cell, bounded or not, with its
+    points on the grid of step b/12 (so on the box [-b, b]^2 now and then)
+    or, shrunk, strictly inside the box; it may be moved so one of its
+    points sits on a corner or an edge of the box."""
+    b = draw(st.sampled_from(_BOXES))
+    step = b / draw(st.sampled_from((12, 36)))
+    coord = st.integers(-30, 30).map(lambda k: k * step)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4, unique=True))
+    rays = draw(st.lists(st.sampled_from(_RAYS), max_size=2, unique=True))
+    cell = Polyhedron(pts, rays)
+    anchor = draw(st.sampled_from((None, (b, b), (-b, b), (b, -b), (-b, -b), (b, 0), (0, -b))))
+    if anchor is not None:
+        p = draw(st.sampled_from(pts))
+        cell = cell.translate((anchor[0] - p[0], anchor[1] - p[1]))
+    if poly_dim(cell) < 2 or not is_pointed(cell):
+        return draw(st.nothing())
+    return cell, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_clip_cases(), st.randoms(use_true_random=False))
+def test_box_cut_matches_halfplane_intersection(case, rnd):
+    """The box ring cut by the cell's facets, in any facet order, gives the
+    hull of the halfplane intersection of cell and box."""
+    cell, b = case
+    plane = svg_mod._Plane(b)
+    want = _clip_by_intersect2(cell, plane)
+    assert svg_mod._clipped_hull(cell, plane) == want
+    facets = list(halfplanes(cell))
+    rnd.shuffle(facets)
+    assert svg_mod._clipped_hull(cell, plane, lambda: tuple(facets)) == want
+
+
+def test_box_cut_degenerate_cases():
+    """Cells disjoint from the box, touching it at a corner or along an
+    edge, and strictly inside it."""
+    plane = svg_mod._Plane(3)
+    cases = [
+        (Polyhedron(((4, 4), (5, 4), (4, 5))), None),  # disjoint
+        (Polyhedron(((-4, 0),), ((-1, 0), (-1, 1))), None),  # unbounded, disjoint
+        (Polyhedron(((3, 3), (4, 3), (3, 4))), [(3, 3)]),  # the corner
+        (Polyhedron(((3, -3),), ((1, 0), (0, -1))), [(3, -3)]),  # a cone at a corner
+        (Polyhedron(((3, -1), (4, -1), (3, 1), (4, 1))), [(3, -1), (3, 1)]),  # along an edge
+        (Polyhedron(((-5, -3), (5, -3)), ((0, -1),)), [(-3, -3), (3, -3)]),  # along a side
+        (Polyhedron(((0, 0), (1, 0), (0, 1))), [(0, 0), (1, 0), (0, 1)]),  # inside
+        (Polyhedron(((0, 0),), ((1, 0), (0, 1))), [(0, 0), (3, 0), (3, 3), (0, 3)]),
+    ]
+    for cell, want in cases:
+        got = svg_mod._clipped_hull(cell, plane)
+        assert got == (None if want is None else [tuple(map(Rat, p)) for p in want])
+        assert got == _clip_by_intersect2(cell, plane)
+
+
+def _snap_by_fraction(q):
+    eighths = rfloor(q * 8 + Rat(1, 2))
+    thousandths = eighths * 125
+    sign = "-" if thousandths < 0 else ""
+    whole, frac = divmod(abs(thousandths), 1000)
+    return f"{sign}{whole}" + (f".{frac:03d}".rstrip("0") if frac else "")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.builds(Rat, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+        st.integers(-(10**4), 10**4).map(lambda k: Rat(2 * k + 1, 16)),  # ties
+    )
+)
+def test_snap_in_integers_matches_fraction_rounding(q):
+    assert svg_mod._snap(q) == _snap_by_fraction(q)
+
+
+def test_snap_rounds_ties_up():
+    assert [svg_mod._snap(Rat(k, 16)) for k in (-3, -1, 1, 3)] == ["-0.125", "0", "0.125", "0.25"]
 
 
 def test_svg_escapes_text_without_saxutils():

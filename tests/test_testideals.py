@@ -49,6 +49,41 @@ def test_ideal_normalization():
         MonomialIdeal(2, ((-1, 0),))
 
 
+_ideals = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=5),
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=5),
+        st.integers(0, 4),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ideals)
+def test_products_match_validating_constructor(case):
+    """Products, sums, intersections and powers, which skip re-validating
+    their exponent vectors, equal the ideals the validating constructor
+    builds from the same vectors; the zero ideal is included."""
+    n, ga, gb, m = case
+    a, b = MonomialIdeal(n, ga), MonomialIdeal(n, gb)
+
+    def times(c, d):
+        sums = [tuple(x + y for x, y in zip(u, v)) for u in c.gens for v in d.gens]
+        return MonomialIdeal(n, sums)
+
+    assert a * b == times(a, b)
+    assert a + b == MonomialIdeal(n, a.gens + b.gens)
+    lcms = [tuple(map(max, u, v)) for u in a.gens for v in b.gens]
+    assert a.intersect(b) == MonomialIdeal(n, lcms)
+    power = MonomialIdeal(n, [(0,) * n])
+    for _ in range(m):
+        power = times(power, a)
+    assert a**m == power
+    for ideal in (a * b, a + b, a.intersect(b), a**m):
+        assert type(ideal) is MonomialIdeal and ideal.n == n
+
+
 def test_ideal_arithmetic():
     a = I(2, (1, 0))
     b = I(2, (0, 1))
@@ -612,6 +647,15 @@ def test_sequence_table_validation():
     assert seq.ideal(2) == m2**2
     with pytest.raises(IdealError):
         seq.ideal(3)
+
+
+@pytest.mark.parametrize("index", [1.5, "2", True, 2.0])
+def test_sequence_table_rejects_non_int_index(index):
+    """A table index must be a plain int: a float, a string or a bool is
+    refused, not truncated or read as 1."""
+    x2 = I(1, (2,))
+    with pytest.raises(IdealError, match="not an int"):
+        GradedSequence.table({index: x2, 3: x2**3})
 
 
 def test_asymptotic_matches_plain_for_principal():
