@@ -8,14 +8,17 @@ homogenised generators (p, 1) and (r, 0), and by Caratheodory's theorem some
 linearly independent subset of at most three of them then carries it, which
 Cramer's rule decides.  Dimension is decided by cross products.  For the
 2-dimensional case there is a full facet (H-) representation, read off the
-convex hull of the generators, and its way back to generators, with hull
-and hull-area tools, all over Q.
+convex hull of the generators, with hull and hull-area tools, and one
+clipping kernel: a cell's counterclockwise ring of points and rays cut by
+halfplanes (Sutherland-Hodgman), which the SVG layer uses to cut its box by
+a cell and toric to intersect two cells, all over Q.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .rat import Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
 
@@ -187,42 +190,58 @@ def halfplane_contains(hps, u) -> bool:
     return all(dot(n, u) <= c for n, c in hps)
 
 
-def vrep_from_halfplanes(hps) -> Polyhedron | None:
-    """Generators of {x : <n_i, x> <= c_i} in the plane, canonically sorted.
+def interior_point(poly: Polyhedron):
+    """Mean of the points plus sum of the rays: inside a 2-dimensional
+    polyhedron, as a strictly positive combination of all its generators."""
+    pts, rays = poly.gen_points, poly.gen_rays
+    return tuple(sum(p[k] for p in pts) / len(pts) + sum(r[k] for r in rays) for k in (0, 1))
 
-    Returns None when the region is empty, raises when it is not pointed
-    (contains a line) since such cells never occur in valid complexes.
 
-    The output is already minimal, so it needs no minimalize: every vertex
-    kept lies in the region on two tight lines with independent normals, so
-    it is extreme, and every ray kept is a primitive direction on the
-    boundary of a pointed recession cone, so it is an extreme ray.
-    """
-    hps = [((rat(n[0]), rat(n[1])), rat(c)) for n, c in hps]
-    verts = set()
-    for (n1, c1), (n2, c2) in itertools.combinations(hps, 2):
-        det = cross2(n1, n2)
-        if det == 0:
-            continue
-        x = (c1 * n2[1] - c2 * n1[1]) / det
-        y = (n1[0] * c2 - n2[0] * c1) / det
-        if halfplane_contains(hps, (x, y)):
-            verts.add((x, y))
-    rays = set()
-    for n, _ in hps:
-        for d in ((-n[1], n[0]), (n[1], -n[0])):
-            if all(dot(m, d) <= 0 for m, _ in hps):
-                rays.add(primitive(d))
-    for r in list(rays):
-        if (-r[0], -r[1]) in rays:
-            raise ValueError("region is not pointed (contains a line)")
-    if not verts:
-        # Parallel normals put a line into the rays above, so here some two
-        # normals are independent and a nonempty region has a vertex.
-        if any(cross2(n1, n2) != 0 for (n1, _), (n2, _) in itertools.combinations(hps, 2)):
+def angle_order(a, b) -> int:
+    """Compare directions by exact angle in [0, 2 pi): the half-plane first,
+    then the sign of cross2."""
+    ha, hb = (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1 for d in (a, b))
+    c = cross2(a, b)
+    return ha - hb or (c < 0) - (c > 0)
+
+
+def cell_ring(poly: Polyhedron) -> list:
+    """Generators (x, y, w) of a minimalized pointed 2-dimensional polyhedron,
+    points with w = 1 and rays with w = 0, counterclockwise: sorted by the
+    angle at which an interior point u sees them, p - u for p and r for r."""
+    u = interior_point(poly)
+    seen = [((p[0] - u[0], p[1] - u[1]), (p[0], p[1], 1)) for p in poly.gen_points]
+    seen += [(r, (r[0], r[1], 0)) for r in poly.gen_rays]
+    return [g for _, g in sorted(seen, key=cmp_to_key(lambda a, b: angle_order(a[0], b[0])))]
+
+
+def clip_ring(ring, hps):
+    """Sutherland-Hodgman clipping (Commun. ACM 1974) of a counterclockwise
+    ring of generators (x, y, w) by each halfplane <n, x> <= c in turn: keep
+    the generators with side <n, (x, y)> - c*w <= 0 and the crossing on each
+    ring edge that changes side.  Equal w cross at (s*q - t*p) / (s - t); a
+    point a and a ray r at a - (s_a/s_r)*r, and a ray parallel to the line
+    (s_r = 0) is kept as itself, so w stays in {0, 1}.  None when no point
+    is left: two disjoint half-strips still share a ray."""
+    for n, c in hps:
+        side = [n[0] * g[0] + n[1] * g[1] - c if g[2] else n[0] * g[0] + n[1] * g[1] for g in ring]
+        cut = []
+        for k, (q, t) in enumerate(zip(ring, side)):
+            p, s = ring[k - 1], side[k - 1]
+            if (s <= 0) != (t <= 0):
+                if p[2] == q[2]:
+                    cut.append(((s * q[0] - t * p[0]) / (s - t), (s * q[1] - t * p[1]) / (s - t), q[2]))
+                else:
+                    (a, sa), (r, sr) = ((p, s), (q, t)) if p[2] else ((q, t), (p, s))
+                    if sr != 0:  # else the crossing is r, kept as a generator
+                        f = sa / sr
+                        cut.append((a[0] - f * r[0], a[1] - f * r[1], 1))
+            if t <= 0:
+                cut.append(q)
+        if not any(g[2] for g in cut):
             return None
-        raise ValueError("region is not pointed (no vertex)")
-    return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
+        ring = cut
+    return ring
 
 
 def convex_hull_2d(points) -> list:

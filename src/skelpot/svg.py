@@ -10,11 +10,11 @@ polyhedral complex (cells clipped to the bounding box and labeled), a
 single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 1-dimensional pieces and polygon boundaries become line segments).
 
-Clipping is Sutherland-Hodgman (Commun. ACM 1974) with the box as the
-subject polygon: its corner ring is cut by each facet of a 2-dimensional
-cell in turn, so an unbounded cell needs no special handling of its rays,
-and each cut costs O(ring).  Lower-dimensional pieces are clipped
-parametrically.
+A 2-dimensional cell is clipped to the box by polyhedra.clip_ring, the
+Sutherland-Hodgman kernel that toric also uses for cell ∩ cell: the box's
+corner ring is cut by each facet of the cell in turn, so an unbounded cell
+needs no special handling of its rays, and each cut costs O(ring).
+Lower-dimensional pieces are clipped parametrically.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from functools import partial
 from .graphs import MetrizedGraph, PLFunction
 from .polyhedra import (
     Polyhedron,
+    clip_ring,
     convex_hull_2d,
     halfplanes,
     minimalize,
@@ -103,8 +104,8 @@ def _document(body) -> str:
 
 
 class _Plane:
-    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box,
-    its corners counterclockwise, for clipping."""
+    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box
+    and its ring of corners, counterclockwise, for clipping."""
 
     def __init__(self, b):
         b = rat(b)
@@ -113,6 +114,7 @@ class _Plane:
         self.b = b
         self.scale = Rat(_SIZE - 2 * _MARGIN) / (2 * b)
         self.box = Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
+        self.ring = [(x, y, 1) for x, y in self.box.gen_points]
 
     def to_px(self, p):
         x = _MARGIN + (rat(p[0]) + self.b) * self.scale
@@ -164,28 +166,15 @@ def _clip_thin(poly: Polyhedron, plane: _Plane):
 def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
     """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
 
-    The box's corner ring is cut by each facet <n, x> <= c of poly: keep
-    the corners with <n, x> <= c and the exact crossing on each edge that
-    changes side.  The facets come from facets() when given
-    (a complex passes its cached cell facets) and are computed here
-    otherwise.  convex_hull_2d drops the repeated and collinear points the
-    cuts leave and puts the vertices in canonical order."""
+    The box's corner ring is clipped by each facet of poly.  The facets come
+    from facets() when given (a complex passes its cached cell facets) and
+    are computed here otherwise.  convex_hull_2d drops the repeated and
+    collinear points the cuts leave and puts the vertices in canonical
+    order."""
     if poly_dim(poly) < 2:
         return _clip_thin(poly, plane)
-    ring = list(plane.box.gen_points)
-    for n, c in facets() if facets is not None else halfplanes(poly):
-        side = [n[0] * p[0] + n[1] * p[1] - c for p in ring]
-        cut = []
-        for k, (q, t) in enumerate(zip(ring, side)):
-            p, s = ring[k - 1], side[k - 1]
-            if (s <= 0) != (t <= 0):
-                cut.append(((s * q[0] - t * p[0]) / (s - t), (s * q[1] - t * p[1]) / (s - t)))
-            if t <= 0:
-                cut.append(q)
-        if not cut:
-            return None
-        ring = cut
-    return convex_hull_2d(ring)
+    ring = clip_ring(plane.ring, facets() if facets is not None else halfplanes(poly))
+    return None if ring is None else convex_hull_2d(ring)
 
 
 def _render_complex(pc: PolyComplex, bbox, labels) -> str:
@@ -245,19 +234,15 @@ def _render_skeleton(polys, bbox) -> str:
 def _vertex_positions(n: int):
     """Evenly spaced (by perimeter) positions on a square outline."""
     side = Rat(_SIZE - 2 * _MARGIN)
+    m = Rat(_MARGIN)
     out = []
     for k in range(n):
         d = 4 * side * k / n
         s = rfloor(d / side)
         r = d - s * side
-        m = Rat(_MARGIN)
         out.append(
-            {
-                0: (m + r, m),
-                1: (m + side, m + r),
-                2: (m + side - r, m + side),
-                3: (m, m + side - r),
-            }[s]
+            (m + r, m) if s == 0 else (m + side, m + r) if s == 1
+            else (m + side - r, m + side) if s == 2 else (m, m + side - r)
         )
     return out
 

@@ -27,16 +27,19 @@ from functools import cmp_to_key
 
 from .polyhedra import (
     Polyhedron,
+    angle_order,
+    cell_ring,
+    clip_ring,
     convex_hull_2d,
     halfplane_contains,
     halfplanes,
     hull_area_2d,
+    interior_point,
     is_pointed,
     minimalize,
     poly_dim,
     poly_is_subset,
     recession,
-    vrep_from_halfplanes,
 )
 from .rat import Rat, rat, rat_str, dot, rfloor, primitive, adjugate, cramer, cross2, det, det3, vec_sub
 
@@ -60,8 +63,9 @@ class PolyComplex:
     A complex computes the facets of each cell (cell_halfplanes), the cells
     owning each facet (facet_owners, facet_pairs), its recession fan and its
     skeleton at most once and keeps them; validation, the skeleton, the
-    continuity and concavity checks of every function on the complex,
-    refinement and SVG clipping all read these caches."""
+    continuity and concavity checks of every function on the complex, and
+    polyhedra.clip_ring, when refine, pl_functions_equal or the SVG layer cut
+    another cell or the box by these facets, all read these caches."""
 
     def __init__(self, cells, dim=2):
         if dim != 2:
@@ -158,14 +162,6 @@ def _facets(pc: PolyComplex, i: int):
     return out
 
 
-def _angle_order(a, b) -> int:
-    """Compare directions by exact angle in [0, 2 pi): the half-plane first,
-    then the sign of cross2."""
-    ha, hb = (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1 for d in (a, b))
-    c = cross2(a, b)
-    return ha - hb or (c < 0) - (c > 0)
-
-
 def _winds_once(corner_edges) -> bool:
     """Do the corners (each a cell's two edge directions at one of its
     vertices) close up around the point with winding number one?  Each
@@ -175,7 +171,7 @@ def _winds_once(corner_edges) -> bool:
     the turns add up to exactly 2 pi."""
     corners = sorted(
         (ds if cross2(*ds) > 0 else ds[::-1] for ds in corner_edges),
-        key=cmp_to_key(lambda s, t: _angle_order(s[0], t[0])),
+        key=cmp_to_key(lambda s, t: angle_order(s[0], t[0])),
     )
     return all(b == corners[(k + 1) % len(corners)][0] for k, (_, b) in enumerate(corners))
 
@@ -225,8 +221,7 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
                 f"cells around vertex ({rat_str(v[0])}, {rat_str(v[1])}) "
                 "do not tile the plane"
             )
-    pts, rays = cells[0].gen_points, cells[0].gen_rays
-    inner = tuple(sum(p[k] for p in pts) / len(pts) + sum(r[k] for r in rays) for k in (0, 1))
+    inner = interior_point(cells[0])
     for j in range(1, len(cells)):
         if halfplane_contains(pc.cell_halfplanes(j), inner):
             raise ComplexInvalid(f"cells 0 and {j} overlap in dimension 2")
@@ -634,15 +629,22 @@ def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
 # ---------------------------------------------------------------------------
 
 
+def _overlaps(a: PolyComplex, b: PolyComplex):
+    """(i, j, a.cells[i] ∩ b.cells[j]) for each pair of cells overlapping in
+    dimension 2: the ring of cell i clipped by the facets of cell j."""
+    for i, cell in enumerate(a.cells):
+        ring = cell_ring(cell)
+        for j in range(len(b.cells)):
+            cut = clip_ring(ring, b.cell_halfplanes(j))
+            if cut is not None:
+                inter = Polyhedron([g[:2] for g in cut if g[2]], [g[:2] for g in cut if not g[2]])
+                if poly_dim(inter) == 2:
+                    yield i, j, inter
+
+
 def refine(a: PolyComplex, b: PolyComplex) -> PolyComplex:
     """Common refinement: all full-dimensional pairwise intersections."""
-    cells = []
-    for i in range(len(a.cells)):
-        for j in range(len(b.cells)):
-            inter = vrep_from_halfplanes(a.cell_halfplanes(i) + b.cell_halfplanes(j))
-            if inter is not None and poly_dim(inter) == 2:
-                cells.append(inter)
-    return PolyComplex(tuple(cells))
+    return PolyComplex(tuple(inter for _, _, inter in _overlaps(a, b)))
 
 
 def refine_function(f: ToricPLFunction, fine: PolyComplex) -> ToricPLFunction:
@@ -662,13 +664,6 @@ def refine_function(f: ToricPLFunction, fine: PolyComplex) -> ToricPLFunction:
 def pl_functions_equal(f: ToricPLFunction, g: ToricPLFunction) -> bool:
     """Exact equality of PL functions on possibly different complexes: the
     pieces agree on every pair of cells that overlap in dimension 2."""
-    a, b = f.complex, g.complex
-    if a == b:
+    if f.complex == g.complex:
         return f.pieces == g.pieces
-    for i, j in itertools.product(range(len(a.cells)), range(len(b.cells))):
-        if f.pieces[i] == g.pieces[j]:
-            continue
-        inter = vrep_from_halfplanes(a.cell_halfplanes(i) + b.cell_halfplanes(j))
-        if inter is not None and poly_dim(inter) == 2:
-            return False
-    return True
+    return all(f.pieces[i] == g.pieces[j] for i, j, _ in _overlaps(f.complex, g.complex))

@@ -1,9 +1,11 @@
 """General-purpose planar routines kept as test oracles.
 
-skelpot decides the dimension of a planar polyhedron with cross products
-and reads its facets off a convex hull.  The routines here take the older,
-general route: rank by Gaussian elimination, and facets by trying every
-normal that a pair of generators suggests.
+skelpot decides the dimension of a planar polyhedron with cross products,
+reads its facets off a convex hull, and intersects cells by clipping one
+cell's ring of generators by the other's facets.  The routines here take
+the older, general route: rank by Gaussian elimination, facets by trying
+every normal that a pair of generators suggests, and the generators of a
+set of halfplanes by trying every pair of lines.
 
 skelpot validates a complex from local data (paired facets, vertex links,
 one sheet), walks only the paired facets for continuity and concavity, and
@@ -22,15 +24,15 @@ import weakref
 
 from skelpot.polyhedra import (
     Polyhedron,
+    halfplane_contains,
     halfplanes,
     minimalize,
     poly_dim,
     poly_equal,
     poly_is_subset,
     recession,
-    vrep_from_halfplanes,
 )
-from skelpot.rat import Rat, dot, primitive, rfloor, vec_sub
+from skelpot.rat import Rat, cross2, dot, primitive, rfloor, vec_sub
 from skelpot.rat import rat
 from skelpot.toric import (
     ComplexInvalid,
@@ -113,6 +115,44 @@ def halfplanes_by_normals(poly) -> tuple:
             scale = Rat(key[0], normal[0]) if normal[0] else Rat(key[1], normal[1])
             out[key] = c * scale
     return tuple(sorted((n, c) for n, c in out.items()))
+
+
+def vrep_from_halfplanes(hps) -> Polyhedron | None:
+    """Generators of {x : <n_i, x> <= c_i} in the plane, canonically sorted.
+
+    Returns None when the region is empty, raises when it is not pointed
+    (contains a line) since such cells never occur in valid complexes.
+
+    The output is already minimal, so it needs no minimalize: every vertex
+    kept lies in the region on two tight lines with independent normals, so
+    it is extreme, and every ray kept is a primitive direction on the
+    boundary of a pointed recession cone, so it is an extreme ray.
+    """
+    hps = [((rat(n[0]), rat(n[1])), rat(c)) for n, c in hps]
+    verts = set()
+    for (n1, c1), (n2, c2) in itertools.combinations(hps, 2):
+        det = cross2(n1, n2)
+        if det == 0:
+            continue
+        x = (c1 * n2[1] - c2 * n1[1]) / det
+        y = (n1[0] * c2 - n2[0] * c1) / det
+        if halfplane_contains(hps, (x, y)):
+            verts.add((x, y))
+    rays = set()
+    for n, _ in hps:
+        for d in ((-n[1], n[0]), (n[1], -n[0])):
+            if all(dot(m, d) <= 0 for m, _ in hps):
+                rays.add(primitive(d))
+    for r in list(rays):
+        if (-r[0], -r[1]) in rays:
+            raise ValueError("region is not pointed (contains a line)")
+    if not verts:
+        # Parallel normals put a line into the rays above, so here some two
+        # normals are independent and a nonempty region has a vertex.
+        if any(cross2(n1, n2) != 0 for (n1, _), (n2, _) in itertools.combinations(hps, 2)):
+            return None
+        raise ValueError("region is not pointed (no vertex)")
+    return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
 
 
 # ---------------------------------------------------------------------------

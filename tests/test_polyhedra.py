@@ -1,11 +1,19 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skelpot
+from skelpot import svg as svg_mod
+from skelpot import toric as toric_mod
+from skelpot.fixtures import counterexample_fixture
 from skelpot.polyhedra import (
     Polyhedron,
+    cell_ring,
+    clip_ring,
     convex_hull_2d,
     halfplane_contains,
     halfplanes,
@@ -17,14 +25,19 @@ from skelpot.polyhedra import (
     poly_is_subset,
     is_pointed,
     recession,
-    vrep_from_halfplanes,
 )
 from skelpot.rat import Rat, adjugate, cramer, primitive
-from skelpot.toric import ToricError, decompose
+from skelpot.toric import PolyComplex, ToricError, decompose, refine
 
 from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
-from planar_oracle import halfplanes_by_normals, intersect2, matrix_rank, poly_dim_by_rank
+from planar_oracle import (
+    halfplanes_by_normals,
+    intersect2,
+    matrix_rank,
+    poly_dim_by_rank,
+    vrep_from_halfplanes,
+)
 
 SQUARE = Polyhedron(((0, 0), (1, 0), (1, 1), (0, 1)))
 QUADRANT = Polyhedron(((0, 0),), ((1, 0), (0, 1)))
@@ -282,6 +295,101 @@ def test_vrep_from_halfplanes_output_is_minimal(hps):
     assert out is None or out == minimalize(out)
     if out is not None:
         assert all(halfplane_contains(hps, p) for p in out.gen_points)
+
+
+# ---------------------------------------------------------------------------
+# cell ∩ cell: the clipping kernel against vrep_from_halfplanes
+# ---------------------------------------------------------------------------
+
+
+def _cut(a, facets):
+    """a ∩ {<n, x> <= c for (n, c) in facets} by clipping a's ring,
+    minimalized; None when empty."""
+    ring = clip_ring(cell_ring(a), facets)
+    if ring is None:
+        return None
+    return minimalize(Polyhedron([g[:2] for g in ring if g[2]], [g[:2] for g in ring if not g[2]]))
+
+
+def _cut_by_vrep(a, b):
+    out = vrep_from_halfplanes(halfplanes(a) + halfplanes(b))
+    return None if out is None else minimalize(out)
+
+
+_RAYS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 2), (2, -1), (-3, -1))
+_coord = st.integers(-6, 6).map(lambda k: Rat(k, 2))
+
+
+@st.composite
+def _pointed_cells(draw):
+    """A minimal 2-dimensional pointed cell, bounded or not, with its points
+    on the half-integer grid of [-3, 3]^2."""
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=4, unique=True))
+    rays = draw(st.lists(st.sampled_from(_RAYS), max_size=2, unique=True))
+    cell = Polyhedron(pts, rays)
+    if poly_dim(cell) < 2 or not is_pointed(cell):
+        return draw(st.nothing())
+    return minimalize(cell)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_pointed_cells(), _pointed_cells(), st.randoms(use_true_random=False))
+def test_cell_cut_matches_halfplane_intersection(a, b, rnd):
+    """Either cell's ring cut by the other's facets, in any facet order,
+    gives the halfplane intersection of both."""
+    want = _cut_by_vrep(a, b)
+    for x, y in ((a, b), (b, a)):
+        facets = list(halfplanes(y))
+        rnd.shuffle(facets)
+        assert _cut(x, facets) == want
+
+
+def test_cell_cut_pinned_cases():
+    """A ray parallel to a cutting line, disjoint parallel half-strips
+    (which share only a ray at infinity), and cells touching along an edge
+    or at a vertex, which refine drops."""
+    up = ((0, 1),)
+    strip = Polyhedron(((0, 0), (1, 0)), up)
+    half = Rat(1, 2)
+    cases = [
+        (strip, Polyhedron(((half, -1), (3, -1)), up), Polyhedron(((half, 0), (1, 0)), up)),
+        (strip, Polyhedron(((2, 0), (3, 0)), up), None),
+        (strip, Polyhedron(((1, 0), (2, 0)), up), Polyhedron(((1, 0),), up)),
+        (Polyhedron(((0, 0), (1, 0), (0, 1))), Polyhedron(((1, 0), (1, 1), (0, 1))), Polyhedron(((1, 0), (0, 1)))),
+        (Polyhedron(((0, 0), (1, 0), (0, 1))), Polyhedron(((1, 0), (2, 0), (1, -1))), Polyhedron(((1, 0),))),
+        (Polyhedron(((0, 0),), ((1, 0), (0, 1))), Polyhedron(((0, 0),), ((0, 1), (-1, 0))), Polyhedron(((0, 0),), up)),
+    ]
+    for a, b, want in cases:
+        a, b = minimalize(a), minimalize(b)
+        want = None if want is None else minimalize(want)
+        for x, y in ((a, b), (b, a)):
+            assert _cut(x, halfplanes(y)) == want == _cut_by_vrep(x, y)
+        if want is None or poly_dim(want) < 2:
+            assert list(toric_mod._overlaps(PolyComplex([a]), PolyComplex([b]))) == []
+
+
+def test_package_has_one_clipping_kernel(monkeypatch):
+    """vrep_from_halfplanes lives in the tests only: the SVG box cut and
+    toric's cell ∩ cell both call polyhedra.clip_ring."""
+    for info in pkgutil.iter_modules(skelpot.__path__):
+        mod = importlib.import_module(f"skelpot.{info.name}")
+        assert not hasattr(mod, "vrep_from_halfplanes"), f"skelpot.{info.name} binds vrep_from_halfplanes"
+    callers = []
+
+    def counting(name):
+        def clip(ring, hps):
+            callers.append(name)
+            return clip_ring(ring, hps)
+
+        return clip
+
+    for mod in (svg_mod, toric_mod):
+        assert mod.clip_ring is clip_ring
+        monkeypatch.setattr(mod, "clip_ring", counting(mod.__name__))
+    fx = counterexample_fixture()
+    svg_mod.render_svg(fx.pi)
+    refine(fx.pi, fx.pi_prime)
+    assert set(callers) == {"skelpot.svg", "skelpot.toric"}
 
 
 # ---------------------------------------------------------------------------

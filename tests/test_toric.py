@@ -562,19 +562,19 @@ def test_large_complex_is_validated_from_local_data(monkeypatch):
     """A 211-cell complex is validated, and a function on it checked for
     continuity and concavity, with no pairwise intersection and the facets
     of each cell computed once."""
-    vreps, hps = [], []
-    original_vrep = polyhedra_mod.vrep_from_halfplanes
+    clips, hps = [], []
+    original_clip = polyhedra_mod.clip_ring
 
-    def counting_vrep(rows):
-        vreps.append(rows)
-        return original_vrep(rows)
+    def counting_clip(ring, rows):
+        clips.append(rows)
+        return original_clip(ring, rows)
 
     def counting_halfplanes(poly):
         hps.append(poly)
         return halfplanes(poly)
 
     for mod in (toric_mod, polyhedra_mod):
-        monkeypatch.setattr(mod, "vrep_from_halfplanes", counting_vrep)
+        monkeypatch.setattr(mod, "clip_ring", counting_clip)
         monkeypatch.setattr(mod, "halfplanes", counting_halfplanes)
     pc = PolyComplex(_dilated_triangle(13))
     assert len(pc.cells) == 211
@@ -584,7 +584,7 @@ def test_large_complex_is_validated_from_local_data(monkeypatch):
     assert sum(flags.unimodular) == len(pc.cells) - 13
     h = _interpolant(pc, lambda p: -(p[0] ** 2 + p[0] * p[1] + p[1] ** 2), lambda r: -100)
     assert is_concave(h) == (True, None)
-    assert vreps == []
+    assert clips == []
     counts = Counter(id(poly) for poly in hps)
     assert set(counts) <= {id(c) for c in pc.cells}
     assert max(counts.values()) == 1
@@ -595,7 +595,7 @@ def test_directions_sort_by_exact_angle():
     for seed in range(6):
         dirs = ccw[:]
         random.Random(seed).shuffle(dirs)
-        assert sorted(dirs, key=cmp_to_key(toric_mod._angle_order)) == ccw
+        assert sorted(dirs, key=cmp_to_key(polyhedra_mod.angle_order)) == ccw
 
 
 def test_dropped_or_duplicated_cell_is_named(fx):
