@@ -43,7 +43,7 @@ MAX_RAT_DIGITS = 4300
 
 
 def rat_from_str(s) -> Rat:
-    if not isinstance(s, str) or not _RAT_RE.match(s):
+    if not isinstance(s, str) or not _RAT_RE.fullmatch(s):
         raise SchemaError(f"not a rational string: {s!r}")
     digits = max(len(part.lstrip("-")) for part in s.split("/"))
     if digits > MAX_RAT_DIGITS:

@@ -174,12 +174,14 @@ def _min_degree_order(nbrs, skip):
     return order
 
 
+def _slack_at(nbrs, y, d, v):
+    """s_v = (Delta y)_v + d_v, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
+    return d[v] + sum((c * (y[v] - y[u]) for u, c in nbrs[v].items()), start=ZERO)
+
+
 def _slack(nbrs, y, d):
-    """s = Delta y + d, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
-    return [
-        d[v] + sum((c * (y[v] - y[u]) for u, c in nbrs[v].items()), start=ZERO)
-        for v in range(len(d))
-    ]
+    """s = Delta y + d at every vertex."""
+    return [_slack_at(nbrs, y, d, v) for v in range(len(d))]
 
 
 def _least_feasible(nbrs, d):
@@ -192,22 +194,26 @@ def _least_feasible(nbrs, d):
     joins, so J = every vertex means that no feasible point exists.
     J only grows, so one LDL^T factor of Delta_JJ serves every round: the
     new vertices are appended in the order they join, and each round only
-    back-substitutes.  Returns (y, slack)."""
+    back-substitutes.  Off J the slack is d until a neighbour joins J, so
+    after the first round only J's outer neighbours are tested; the full
+    slack is computed once, from the final y.  Returns (y, slack)."""
     n = len(d)
     y = [ZERO] * n
     factor = LDLFactor()
-    while True:
-        s = _slack(nbrs, y, d)
-        grow = [v for v in range(n) if s[v] < 0 and v not in factor]
-        if not grow:
-            return y, s
+    frontier = set()
+    grow = [v for v in range(n) if d[v] < 0]
+    while grow:
         if len(factor) + len(grow) == n:
             raise EnvelopeInfeasible("no theta-psh function exists")
         for v in grow:
             _add_vertex(factor, nbrs, v, -d[v])
+        frontier.difference_update(grow)
+        frontier.update(u for v in grow for u in nbrs[v] if u not in factor)
         y = [ZERO] * n
         for v, x in factor.solve().items():
             y[v] = x
+        grow = sorted(v for v in frontier if _slack_at(nbrs, y, d, v) < 0)
+    return y, _slack(nbrs, y, d)
 
 
 def _check_least(y, s) -> None:

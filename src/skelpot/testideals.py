@@ -4,14 +4,23 @@ Monomial ideals make every Frobenius-side operation exactly computable:
 bracket powers scale exponents, bracket roots floor-divide them, and the
 test ideal tau(a^lambda) is the stable value of the increasing chain
 (a^ceil(lambda p^e))^[1/p^e].  No power is materialized: a principal
-power has a closed form, and every other root is probed by membership
-queries, each a packing integer program with at most 3 rows that an exact
-integer-only solver decides from the basic solutions of its LP relaxation
-(no simplex, no rationals).  The root is read off slice by slice, each
-slice's search bounded by its neighbours, which are already known.  A
-Newton-polyhedron route computes the same ideal from the interior condition
-u + (1,..,1) in int(lambda * Newt(a)), sliced on integer data; it shares
-no code with the stabilization loop and is used to cross-validate it.
+power has a closed form, and every other root is read off row by row.
+Membership of a point is a packing integer program with at most 3 rows.
+Before a row is searched, the dual vertices of its LP relaxation bound it
+in closed form.  Below the lower bound the LP optimum is under the count
+m: a certified non-member.  At and above the upper bound the optimum is
+at least m + r - 1, r = min(n, number of generators), and the floors of
+an optimal basic solution pack m generators: a certified member.  Only
+the points between the bounds are queried, within the bounds that the
+neighbouring rows give.  An exact integer-only solver (no simplex, no
+rationals) decides them from the basic solutions of the relaxation, by
+branch and bound when no floored solution is a witness.  At the stable
+index of test_ideal the bounds close the rows (on every family measured,
+the box corner is the only query); the solver's work is at the smaller
+indices, in direct roots of powers.  A Newton-polyhedron route computes
+the same ideal from the interior condition u + (1,..,1) in
+int(lambda * Newt(a)), sliced on integer data; it shares no code with the
+stabilization loop and is used to cross-validate it.
 """
 
 from __future__ import annotations
@@ -131,7 +140,8 @@ class MonomialIdeal:
     @classmethod
     def _from_valid(cls, n: int, rows) -> "MonomialIdeal":
         """The ideal of exponent vectors built from valid ideals' generators
-        (sums, maxima, unions): nothing to check, straight to _antichain."""
+        (sums, maxima, unions) or read off a root's rows: nothing to check,
+        straight to _antichain."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
         object.__setattr__(ideal, "gens", _antichain(rows))
@@ -385,6 +395,49 @@ def _least_row(member, by: int, bz: int, lower=None, upper=None) -> list:
     return row
 
 
+def _certified_bounds(table: _BasisTable, q: int, m: int, prefix, by: int, bz: int,
+                      lower=None, upper=None):
+    """lower and upper for _least_row on the rows v = prefix + (y, z),
+    y = 0..by, tightened by two certificates read off the LP relaxation of
+    the query at w = q*v + (q-1)*(1,..,1).  Its optimum is the least
+    <w, a>/den over the dual vertices (a, den), and each <w, a> is linear
+    in y and z:
+
+    * if <w, a> < m*den at some vertex, the optimum is below m and v is a
+      non-member.  The least z that clears every vertex is a lower bound;
+      a vertex with zero z-coefficient that the row's y does not clear
+      leaves the row without a member (None);
+    * if <w, a> >= (m + r - 1)*den at every vertex, r = min(n, g), an
+      optimal basic solution (at most r positive coordinates) floors to at
+      least m generators, so v is a member.  The least such z <= bz is an
+      upper bound.
+
+    A lower bound past bz leaves the row without a member (a row's least
+    member, if any, is at most bz), and an upper bound past bz certifies
+    nothing.  The known bounds, when given, are folded in."""
+    gens = table.gens
+    spare = min(len(gens[0]), len(gens)) - 1
+    ys = range(by + 1)
+    lows, highs = [[0] * (by + 1)], [[0] * (by + 1)]
+    for a, den in table.duals:
+        c, slope = q * a[-1], q * a[-2]
+        low = m * den - (q - 1) * sum(a) - q * sum(x * t for x, t in zip(a, prefix))
+        for need, cols in ((low, lows), (low + spare * den, highs)):
+            if c:
+                cols.append([-((slope * y - need) // c) for y in ys])
+            else:
+                cols.append([bz + 1 if need > slope * y else 0 for y in ys])
+    if lower is not None:
+        lows.append([bz + 1 if z is None else z for z in lower])
+    ups = map(max, *highs)
+    if upper is not None:
+        ups = map(min, ups, (bz + 1 if z is None else z for z in upper))
+    return (
+        [z if z <= bz else None for z in map(max, *lows)],
+        [z if z <= bz else None for z in ups],
+    )
+
+
 def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
     q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
@@ -394,7 +447,17 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     independent of m itself.  For n = 3 the limit slice t = box[0] comes
     first; each slice t = 0, 1, .. is then a least-z row bounded by that
     limit row below and by the slice before it above, until the two rows
-    are equal."""
+    are equal.
+
+    Before a row is searched, the LP relaxation's dual vertices bound it
+    in closed form (_certified_bounds): below the lower bound every point
+    is a certified non-member, at and above the upper bound a certified
+    member, so only the points between them are queried.  For a vertex
+    (a, den) the two thresholds lie (r - 1)*den/(q*a_z) apart in z, so the
+    gap shrinks as q grows; at the stable index of test_ideal the bounds
+    decide every row of the families measured, and the only query is the
+    box corner.  At smaller e the points left between the bounds go to
+    _count_feasible, whose branch and bound decides the hard ones."""
     q = p**e
     gens = a.gens
     n = a.n
@@ -413,16 +476,20 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
 
     assert member(box)  # every coordinate constraint is slack at the corner
     if n == 2:
-        row = _least_row(lambda y, z: member((y, z)), *box)
-        return MonomialIdeal(2, ((y, z) for y, z in enumerate(row) if z is not None))
-    limit = _least_row(lambda y, z: member((box[0], y, z)), box[1], box[2])
+        bounds = _certified_bounds(table, q, m, (), *box)
+        row = _least_row(lambda y, z: member((y, z)), *box, *bounds)
+        cand = [(y, z) for y, z in enumerate(row) if z is not None]
+        return MonomialIdeal._from_valid(2, cand)
+    bounds = _certified_bounds(table, q, m, box[:1], box[1], box[2])
+    limit = _least_row(lambda y, z: member((box[0], y, z)), box[1], box[2], *bounds)
     cand, row = [], None
     for t in range(box[0] + 1):
-        row = _least_row(lambda y, z: member((t, y, z)), box[1], box[2], limit, row)
+        bounds = _certified_bounds(table, q, m, (t,), box[1], box[2], limit, row)
+        row = _least_row(lambda y, z: member((t, y, z)), box[1], box[2], *bounds)
         cand.extend((t, y, z) for y, z in enumerate(row) if z is not None)
         if row == limit:
             break
-    return MonomialIdeal(n, cand)
+    return MonomialIdeal._from_valid(n, cand)
 
 
 def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:

@@ -105,6 +105,19 @@ def test_validation_exit_2(tmp_path):
     assert _stderr_error(r)["kind"] == "validation"
 
 
+def test_rational_with_trailing_newline_exit_2(tmp_path):
+    """A wire rational must be the whole string: "1\\n" is not "1"."""
+    bad = json.loads(json.dumps(ENVELOPE_EDGE))
+    bad["graph"]["edges"][0]["len"] = "1\n"
+    r = cli("run", write_scenario(tmp_path, "n.json", bad), "--out", str(tmp_path))
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert "not a rational string" in err["message"]
+    with pytest.raises(jsonio.SchemaError):
+        jsonio.rat_from_str("3\n")
+
+
 def test_infeasible_exit_3(tmp_path):
     bad = {
         "kind": "curve-envelope",

@@ -8,6 +8,7 @@ branch-and-bound over the general simplex.
 """
 
 import random
+from itertools import permutations
 from math import gcd
 from unittest.mock import patch
 
@@ -27,7 +28,14 @@ from skelpot.testideals import (
 from skelpot.testideals import TestIdealError as IdealError
 from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
-from skelpot.testideals import _BasisTable, _count_feasible, _least_row, _root_by_queries, is_prime
+from skelpot.testideals import (
+    _BasisTable,
+    _certified_bounds,
+    _count_feasible,
+    _least_row,
+    _root_by_queries,
+    is_prime,
+)
 from skelpot.rat import Rat, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
@@ -459,6 +467,103 @@ def test_pinned_deep_chain_query_count(monkeypatch):
     a = MonomialIdeal(3, [(4, 0, 2), (0, 4, 1), (2, 1, 3)])
     assert tau(a, Rat(11, 2), 2) == newton_tau(a, Rat(11, 2))
     assert len(calls) <= 450
+
+
+@st.composite
+def _certificate_rows(draw):
+    """A row v = prefix + (y, z) of a membership query at w = q*v + q - 1:
+    n = 2 or 3 (the rows of _root_by_queries), 2-4 generators with
+    exponents <= 6, a count m and a scale q."""
+    n = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(0, 6)] * n).filter(any)
+    gens = draw(st.lists(vec, min_size=2, max_size=4, unique=True))
+    m = draw(st.integers(1, 12))
+    q = draw(st.sampled_from((1, 2, 3, 4, 8, 9, 25)))
+    cap = -(-m * 6 // q) + 1
+    prefix = draw(st.tuples(*[st.integers(0, cap)] * (n - 2)))
+    y = draw(st.integers(0, cap))
+    return gens, m, q, prefix, y, cap
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_certificate_rows(), st.randoms(use_true_random=False))
+def test_certified_bounds_against_the_integer_solver(row, rnd):
+    """Below the lower bound every point is a non-member and at and above
+    the upper bound every point a member, by _count_feasible, which decides
+    each point exactly; a row without a lower bound has no member at all."""
+    gens, m, q, prefix, y, bz = row
+    table = _BasisTable(gens)
+    lower, upper = _certified_bounds(table, q, m, prefix, y, bz)
+
+    def member(z):
+        return _count_feasible(table, tuple(q * x + q - 1 for x in prefix + (y, z)), m)
+
+    lo, up = lower[y], upper[y]
+    if lo is None:
+        assert not member(bz) and not member(rnd.randint(0, bz))
+        return
+    if lo > 0:
+        assert not member(lo - 1) and not member(rnd.randint(0, lo - 1))
+    if up is not None:
+        assert lo <= up <= bz
+        assert member(up) and member(rnd.randint(up, bz + 3))
+
+
+def test_small_e_roots_still_reach_the_branch_and_bound(monkeypatch):
+    """Below the stable index the certificates leave gaps: random roots at
+    small e query beyond the box corner, and some of those queries get past
+    both of _count_feasible's fast paths into its branch and bound."""
+    real = skelpot.testideals._count_feasible
+    calls, searched = [], []
+
+    def counting(table, w, m):
+        calls.append(w)
+        fits = any(all(m * u[i] <= w[i] for i in range(len(w))) for u in table.gens)
+        bounded = any(sum(a * b for a, b in zip(w, y)) < m * den for y, den in table.duals)
+        if min(w) >= 0 and not fits and not bounded:
+            searched.append(w)
+        return real(table, w, m)
+
+    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+    rng = random.Random(104)
+    beyond = 0
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        a = rand_proper_ideal(rng, n)
+        if len(a.gens) < 2:
+            continue
+        m, p = rng.randint(6, 40), rng.choice((2, 3))
+        calls.clear()
+        assert _root_by_queries(a, m, p, 1) == frobenius_root(a**m, p, 1)
+        beyond += len(calls) > 1
+    assert beyond >= 10
+    assert searched
+
+
+def test_probe_rows_query_counts(monkeypatch):
+    """The two probe families of large outputs, pinned by query count: the
+    certificates decide every row at the stable index, in every variable
+    order, so the chain route makes a handful of queries whatever the size
+    of the output (373k at n = 2, lambda = 10^4, before the certificates)."""
+    calls = []
+    real = skelpot.testideals._count_feasible
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+    a = I(2, (3, 0), (0, 3), (1, 1))
+    got = tau(a, 1000, 2)
+    assert got == newton_tau(a, 1000) and len(got.gens) == 2000
+    assert len(calls) <= 10
+    base = ((7, 0, 1), (0, 9, 2), (2, 3, 11))
+    for order in permutations(range(3)):
+        a = MonomialIdeal(3, [tuple(g[i] for i in order) for g in base])
+        calls.clear()
+        got = tau(a, 20, 3)
+        assert got == newton_tau(a, 20)
+        assert len(calls) <= 10, order
 
 
 def test_power_root_matches_definition():
