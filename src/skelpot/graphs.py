@@ -74,24 +74,26 @@ class MetrizedGraph:
             rows.append((a, b, length, int(weight)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(rows))
+        # per vertex, its (edge, end) pairs by edge index, a-side first
+        ends = [[] for _ in labels]
+        for e, (a, b, _, _) in enumerate(rows):
+            ends[a].append((e, 0))
+            ends[b].append((e, 1))
+        object.__setattr__(self, "_ends", tuple(tuple(x) for x in ends))
         if not self._connected():
             raise GraphError("graph must be connected")
 
     def _connected(self) -> bool:
-        n = len(self.labels)
         seen = {0}
         stack = [0]
-        adj = [[] for _ in range(n)]
-        for a, b, _, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
         while stack:
             v = stack.pop()
-            for w in adj[v]:
+            for e, end in self._ends[v]:
+                w = self.edges[e][1 - end]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == n
+        return len(seen) == len(self.labels)
 
     @property
     def n_vertices(self) -> int:
@@ -124,14 +126,8 @@ class MetrizedGraph:
 
     def incident(self, v: int):
         """(edge index, end) pairs with end 0 for the a-side, 1 for the
-        b-side; a loop at v yields both ends."""
-        out = []
-        for e, (a, b, _, _) in enumerate(self.edges):
-            if a == v:
-                out.append((e, 0))
-            if b == v:
-                out.append((e, 1))
-        return out
+        b-side, by edge index; a loop at v yields both ends."""
+        return list(self._ends[v])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Cramer's rule decides.  Dimension is decided by cross products.  For the
 convex hull of the generators, with hull and hull-area tools, and one
 clipping kernel: a cell's counterclockwise ring of points and rays cut by
 halfplanes (Sutherland-Hodgman), which the SVG layer uses to cut its box by
-a cell and toric to intersect two cells, all over Q.
+a cell and toric to intersect two cells, all over Q.  inequalities extends
+the facets to pieces of dimension 0 and 1 (both sides of their line, and
+caps at bounded ends), so the same kernel cuts the box by every piece.
 """
 
 from __future__ import annotations
@@ -184,6 +186,33 @@ def halfplanes(poly: Polyhedron) -> tuple:
         if all(dot(n, r) <= 0 for r in rays):
             out.append((n, dot(n, a)))
     return tuple(sorted(out))
+
+
+def inequalities(poly: Polyhedron) -> tuple:
+    """Rows (n, c) meaning <n, x> <= c whose solutions are exactly poly, a
+    planar polyhedron of any dimension.  A 2-dimensional one gets its
+    facets.  A lower-dimensional piece lies on the line through its first
+    point along its primitive direction d, taken as (1, 0) for a point: it
+    gets both sides of that line, and at each end that no ray leaves a cap
+    <±d, x> <= max <±d, p> over its points.  A point thus gets the x- and
+    y-lines through it."""
+    if poly.ambient_dim != 2:
+        raise ValueError("inequalities is 2-dimensional only")
+    if poly_dim(poly) == 2:
+        return halfplanes(poly)
+    pts, rays = poly.gen_points, poly.gen_rays
+    p0 = pts[0]
+    dirs = [v for v in (vec_sub(p, p0) for p in pts[1:]) if any(v)] + list(rays)
+    d = primitive(dirs[0]) if dirs else (1, 0)
+    n = (-d[1], d[0])
+    c = dot(n, p0)
+    out = [(n, c), ((d[1], -d[0]), -c)]
+    along = [dot(d, p) for p in pts]
+    if all(dot(d, r) < 0 for r in rays):
+        out.append((d, max(along)))
+    if all(dot(d, r) > 0 for r in rays):
+        out.append(((-d[0], -d[1]), -min(along)))
+    return tuple(out)
 
 
 def halfplane_contains(hps, u) -> bool:

@@ -244,13 +244,11 @@ def envelope(g: MetrizedGraph, theta: CurvatureData, u: PLFunction) -> EnvelopeR
     gs, smap = subdivide(g, u.breakpoints())
     us = smap.plf(u)
     theta_s = smap.curvature(theta)
-    ddc_u = ma_measure(gs, CurvatureData(gs, (ZERO,) * gs.n_vertices), us)
-    degrees = list(theta_s.degrees)
-    for pt, m in ddc_u.atoms:
-        assert pt.is_vertex()  # us is affine on the subdivided edges
-        degrees[pt.index] += m
+    # us is affine on the subdivided edges, so its curvature is -Delta us
+    nbrs = _conductances(gs)
+    degrees = _slack(nbrs, [-x for x in us.vertex_values], theta_s.degrees)
     n = gs.n_vertices
-    y, s = _least_feasible(_conductances(gs), degrees)
+    y, s = _least_feasible(nbrs, degrees)
     _check_least(y, s)
     f0 = tuple(-yi for yi in y)
     env_s = PLFunction(gs, tuple(a + b for a, b in zip(f0, us.vertex_values)), None)

@@ -10,11 +10,12 @@ polyhedral complex (cells clipped to the bounding box and labeled), a
 single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 1-dimensional pieces and polygon boundaries become line segments).
 
-A 2-dimensional cell is clipped to the box by polyhedra.clip_ring, the
+Every piece is clipped to the box by polyhedra.clip_ring, the
 Sutherland-Hodgman kernel that toric also uses for cell ∩ cell: the box's
-corner ring is cut by each facet of the cell in turn, so an unbounded cell
-needs no special handling of its rays, and each cut costs O(ring).
-Lower-dimensional pieces are clipped parametrically.
+corner ring is cut by each inequality of the piece in turn (the facets of
+a cell; both sides of its line and its bounded ends for a segment, ray or
+line; the x- and y-lines through a point), so an unbounded piece needs no
+special handling of its rays, and each cut costs O(ring).
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from __future__ import annotations
 from functools import partial
 
 from .graphs import MetrizedGraph, PLFunction
-from .polyhedra import (
-    Polyhedron,
-    clip_ring,
-    convex_hull_2d,
-    halfplanes,
-    minimalize,
-    poly_contains,
-    poly_dim,
-)
+from .polyhedra import Polyhedron, clip_ring, convex_hull_2d, inequalities
 from .rat import Rat, rat, rat_str, rfloor, vec_add, vec_scale, vec_sub
 from .toric import PolyComplex
 
@@ -104,8 +97,8 @@ def _document(body) -> str:
 
 
 class _Plane:
-    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the box
-    and its ring of corners, counterclockwise, for clipping."""
+    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the ring
+    of the box's corners, counterclockwise, for clipping."""
 
     def __init__(self, b):
         b = rat(b)
@@ -113,8 +106,7 @@ class _Plane:
             raise ValueError("bounding box half-width must be positive")
         self.b = b
         self.scale = Rat(_SIZE - 2 * _MARGIN) / (2 * b)
-        self.box = Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
-        self.ring = [(x, y, 1) for x, y in self.box.gen_points]
+        self.ring = [(-b, -b, 1), (b, -b, 1), (b, b, 1), (-b, b, 1)]
 
     def to_px(self, p):
         x = _MARGIN + (rat(p[0]) + self.b) * self.scale
@@ -122,58 +114,15 @@ class _Plane:
         return (x, y)
 
 
-def _clip_thin(poly: Polyhedron, plane: _Plane):
-    """Clip a point / segment / half-line / line to the box.
-
-    Parametric: write the piece as base + t*d and shrink the t-interval by
-    each box halfplane.  Facets cannot be used here because halfplane
-    representations only exist for full-dimensional cells."""
-    slim = minimalize(poly)
-    pts, rays = slim.gen_points, slim.gen_rays
-    base = pts[0]
-    d = None
-    for p in pts[1:]:
-        d = vec_sub(p, base)
-    if rays:
-        d = rays[0]
-    if d is None:
-        return [base] if poly_contains(plane.box, base) else None
-    axis = 0 if d[0] != 0 else 1
-    ts = [(p[axis] - base[axis]) / d[axis] for p in pts]
-    lo, hi = min(ts), max(ts)
-    for r in rays:  # parallel to d since dim(poly) = 1
-        if r[axis] / d[axis] > 0:
-            hi = None
-        else:
-            lo = None
-    b = plane.b
-    for n, c in (((1, 0), b), ((-1, 0), b), ((0, 1), b), ((0, -1), b)):
-        a = n[0] * d[0] + n[1] * d[1]
-        room = rat(c) - (n[0] * base[0] + n[1] * base[1])
-        if a == 0:
-            if room < 0:
-                return None
-        elif a > 0:
-            hi = room / a if hi is None else min(hi, room / a)
-        else:
-            lo = room / a if lo is None else max(lo, room / a)
-    if lo > hi:
-        return None
-    at = lambda t: vec_add(base, vec_scale(t, d))  # noqa: E731
-    return [at(lo)] if lo == hi else [at(lo), at(hi)]
-
-
 def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
     """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
 
-    The box's corner ring is clipped by each facet of poly.  The facets come
-    from facets() when given (a complex passes its cached cell facets) and
-    are computed here otherwise.  convex_hull_2d drops the repeated and
-    collinear points the cuts leave and puts the vertices in canonical
-    order."""
-    if poly_dim(poly) < 2:
-        return _clip_thin(poly, plane)
-    ring = clip_ring(plane.ring, facets() if facets is not None else halfplanes(poly))
+    The box's corner ring is clipped by each inequality of poly, of any
+    dimension.  They come from facets() when given (a complex passes its
+    cached cell facets) and from inequalities() otherwise.  convex_hull_2d
+    drops the repeated and collinear points the cuts leave and puts the
+    vertices in canonical order."""
+    ring = clip_ring(plane.ring, facets() if facets is not None else inequalities(poly))
     return None if ring is None else convex_hull_2d(ring)
 
 

@@ -5,7 +5,8 @@ reads its facets off a convex hull, and intersects cells by clipping one
 cell's ring of generators by the other's facets.  The routines here take
 the older, general route: rank by Gaussian elimination, facets by trying
 every normal that a pair of generators suggests, and the generators of a
-set of halfplanes by trying every pair of lines.
+set of halfplanes by trying every pair of lines.  A point, segment or ray
+is clipped to a box parametrically, by shrinking an interval of its line.
 
 skelpot validates a complex from local data (paired facets, vertex links,
 one sheet), walks only the paired facets for continuity and concavity, and
@@ -27,12 +28,13 @@ from skelpot.polyhedra import (
     halfplane_contains,
     halfplanes,
     minimalize,
+    poly_contains,
     poly_dim,
     poly_equal,
     poly_is_subset,
     recession,
 )
-from skelpot.rat import Rat, cross2, dot, primitive, rfloor, vec_sub
+from skelpot.rat import Rat, cross2, dot, primitive, rfloor, vec_add, vec_scale, vec_sub
 from skelpot.rat import rat
 from skelpot.toric import (
     ComplexInvalid,
@@ -153,6 +155,53 @@ def vrep_from_halfplanes(hps) -> Polyhedron | None:
             return None
         raise ValueError("region is not pointed (no vertex)")
     return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
+
+
+def box(b) -> Polyhedron:
+    """The box [-b, b]^2."""
+    return Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
+
+
+def clip_thin(poly: Polyhedron, plane):
+    """Clip a point / segment / half-line / line to the box [-b, b]^2 of an
+    svg plane, b = plane.b.
+
+    Parametric: write the piece as base + t*d and shrink the t-interval by
+    each box halfplane.  Facets cannot be used here because halfplane
+    representations only exist for full-dimensional cells."""
+    slim = minimalize(poly)
+    pts, rays = slim.gen_points, slim.gen_rays
+    base = pts[0]
+    d = None
+    for p in pts[1:]:
+        d = vec_sub(p, base)
+    if rays:
+        d = rays[0]
+    if d is None:
+        return [base] if poly_contains(box(plane.b), base) else None
+    axis = 0 if d[0] != 0 else 1
+    ts = [(p[axis] - base[axis]) / d[axis] for p in pts]
+    lo, hi = min(ts), max(ts)
+    for r in rays:  # parallel to d since dim(poly) = 1
+        if r[axis] / d[axis] > 0:
+            hi = None
+        else:
+            lo = None
+    b = plane.b
+    for n, c in (((1, 0), b), ((-1, 0), b), ((0, 1), b), ((0, -1), b)):
+        a = n[0] * d[0] + n[1] * d[1]
+        room = rat(c) - (n[0] * base[0] + n[1] * base[1])
+        if a == 0:
+            if room < 0:
+                return None
+        elif a > 0:
+            hi = room / a if hi is None else min(hi, room / a)
+        else:
+            lo = room / a if lo is None else max(lo, room / a)
+    if lo > hi:
+        return None
+    at = lambda t: vec_add(base, vec_scale(t, d))  # noqa: E731
+    return [at(lo)] if lo == hi else [at(lo), at(hi)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from skelpot.polyhedra import (
     halfplane_contains,
     halfplanes,
     hull_area_2d,
+    inequalities,
     minimalize,
     poly_contains,
     poly_dim,
@@ -369,11 +370,13 @@ def test_cell_cut_pinned_cases():
 
 
 def test_package_has_one_clipping_kernel(monkeypatch):
-    """vrep_from_halfplanes lives in the tests only: the SVG box cut and
-    toric's cell ∩ cell both call polyhedra.clip_ring."""
+    """vrep_from_halfplanes and the parametric clip_thin live in the tests
+    only: the SVG box cut, for cells, segments and points alike, and
+    toric's cell ∩ cell all call polyhedra.clip_ring."""
     for info in pkgutil.iter_modules(skelpot.__path__):
         mod = importlib.import_module(f"skelpot.{info.name}")
-        assert not hasattr(mod, "vrep_from_halfplanes"), f"skelpot.{info.name} binds vrep_from_halfplanes"
+        for name in ("vrep_from_halfplanes", "_clip_thin", "clip_thin"):
+            assert not hasattr(mod, name), f"skelpot.{info.name} binds {name}"
     callers = []
 
     def counting(name):
@@ -390,6 +393,9 @@ def test_package_has_one_clipping_kernel(monkeypatch):
     svg_mod.render_svg(fx.pi)
     refine(fx.pi, fx.pi_prime)
     assert set(callers) == {"skelpot.svg", "skelpot.toric"}
+    callers.clear()
+    svg_mod.render_svg([Polyhedron(((0, 0), (1, 2))), Polyhedron(((1, -1),))])
+    assert callers == ["skelpot.svg"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +463,15 @@ def _planar_cases(draw):
     matrix = [[draw(_entry) for _ in range(k)] for _ in range(k)]
     rhs = [draw(_entry) for _ in range(k)]
     return Polyhedron(pts, rays), u, matrix, rhs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_planar_cases())
+def test_inequalities_describe_every_planar_piece(case):
+    """A point satisfies the inequalities of a polyhedron of any dimension
+    exactly when the generators carry it."""
+    poly, u, _, _ = case
+    assert halfplane_contains(inequalities(poly), u) == poly_contains(poly, u)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)

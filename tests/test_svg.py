@@ -24,7 +24,7 @@ from skelpot.rat import Rat, rfloor
 from skelpot.svg import render_svg
 from skelpot.toric import skeleton
 
-from planar_oracle import intersect2
+from planar_oracle import box, clip_thin, intersect2
 
 
 def _coords(svg):
@@ -116,10 +116,11 @@ def test_skeleton_of_refined_complex_renders():
 
 def _clip_by_intersect2(poly, plane, facets=None):
     """Clipping through bare-polyhedron intersection, ignoring any cached
-    facets: the reference route for the complex renderer."""
+    facets, and parametric clipping for thin pieces: the reference route
+    for the complex renderer."""
     if poly_dim(poly) < 2:
-        return svg_mod._clip_thin(poly, plane)
-    cut = intersect2(poly, plane.box)
+        return clip_thin(poly, plane)
+    cut = intersect2(poly, box(plane.b))
     if cut is None:
         return None
     pts = minimalize(cut).gen_points
@@ -192,6 +193,56 @@ def test_box_cut_degenerate_cases():
         got = svg_mod._clipped_hull(cell, plane)
         assert got == (None if want is None else [tuple(map(Rat, p)) for p in want])
         assert got == _clip_by_intersect2(cell, plane)
+
+
+_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1), (-1, 2), (2, -1), (-3, -1), (1, 3))
+
+
+@st.composite
+def _thin_cases(draw):
+    """(piece, b): a point, segment, set of collinear points, half-line or
+    line, with its points on the grid of step b/12 along a direction from
+    _DIRS (so often outside the box [-b, b]^2 and now and then on its
+    boundary); it may be moved so one of its points sits on a corner or an
+    edge of the box."""
+    b = draw(st.sampled_from(_BOXES))
+    step = b / 12
+    coord = st.integers(-30, 30).map(lambda k: k * step)
+    base = (draw(coord), draw(coord))
+    d = draw(st.sampled_from(_DIRS))
+    if draw(st.booleans()):
+        d = (-d[0], -d[1])
+    kind = draw(st.sampled_from(("point", "segment", "collinear", "half-line", "line")))
+    if kind == "point":
+        ks = [0]
+    elif kind == "segment":
+        ks = [0, draw(st.integers(1, 24))]
+    else:
+        ks = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=4, unique=True))
+    pts = [(base[0] + k * step * d[0], base[1] + k * step * d[1]) for k in ks]
+    rays = {"half-line": [d], "line": [d, (-d[0], -d[1])]}.get(kind, [])
+    anchor = draw(st.sampled_from((None, (b, b), (-b, b), (b, -b), (-b, -b), (b, 0), (0, -b))))
+    piece = Polyhedron(pts, rays)
+    if anchor is not None:
+        p = draw(st.sampled_from(pts))
+        piece = piece.translate((anchor[0] - p[0], anchor[1] - p[1]))
+    return piece, b
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_thin_cases())
+def test_thin_piece_cut_matches_parametric_clipping(case):
+    """The box ring cut by the inequalities of a point, segment, collinear
+    set, half-line or line gives the parametric clip: the same list for a
+    bounded piece, and the same endpoints (or None) for an unbounded one,
+    whose parametric endpoints follow its direction instead of sorting."""
+    piece, b = case
+    plane = svg_mod._Plane(b)
+    got, want = svg_mod._clipped_hull(piece, plane), clip_thin(piece, plane)
+    if not piece.gen_rays or want is None:
+        assert got == want
+    else:
+        assert got is not None and set(got) == set(want)
 
 
 def _snap_by_fraction(q):
