@@ -21,17 +21,15 @@ theta-psh exactly when  Delta y + d >= 0,  where Delta is the weighted graph
 Laplacian (off-diagonal entries <= 0).  Feasible points are closed under
 taking minima, so the envelope is u - y for the least y >= 0 with
 Delta y + d >= 0: the least-action principle of chip-firing.
-Chandrasekaran's algorithm finds it in at most n rounds, and an O(E)
-certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0, min y = 0) proves
-it least by the maximum principle on {y > 0}.
+Elimination finds it by pivoting only where the reduced slack is negative,
+and an O(E) certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0,
+min y = 0) proves it least by the maximum principle on {y > 0}.
 
-Every linear system here is a principal block of the Laplacian: Delta_JJ
-for a growing vertex set J in the envelope, and the Laplacian grounded at
-the anchor in solve_ma.  Both are symmetric positive definite M-matrices,
-and both are solved by the one sparse LDL^T factor of `rat.LDLFactor`,
-without pivoting.  The envelope appends each round's new vertices to the
-factor and only back-substitutes; solve_ma factors in minimum-degree
-order.
+Both Laplacian solves go through one sparse Gaussian elimination in
+minimum-degree order, `_eliminate`, which differs only in the vertices it
+may pivot on: those with negative reduced slack for the envelope, every
+vertex but the anchor for solve_ma.  No pivoting for stability is needed,
+because every Schur complement of a Laplacian is again a Laplacian.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .graphs import (
     PLFunction,
     subdivide,
 )
-from .rat import LDLFactor, Rat
+from .rat import Rat
 
 ZERO = Rat(0)
 
@@ -146,73 +144,77 @@ def _conductances(gs: MetrizedGraph):
     return nbrs
 
 
-def _add_vertex(factor, nbrs, v, rhs) -> None:
-    """Append vertex v to a factor of a principal block Delta_JJ of the
-    Laplacian, J being the vertices in the factor: its row holds the
-    conductances towards J, negated, and its diagonal the conductances
-    towards every neighbour."""
-    row = {u: -c for u, c in nbrs[v].items() if u in factor}
-    factor.add(v, row, sum(nbrs[v].values(), start=ZERO), rhs)
+def _eliminate(nbrs, d, eligible):
+    """Gaussian elimination on the Laplacian in minimum-degree order.
 
-
-def _min_degree_order(nbrs, skip):
-    """The vertices other than skip in minimum-degree order: each next
-    vertex has the fewest neighbours in the graph that eliminating the
-    earlier ones leaves, where eliminating a vertex joins its neighbours
-    into a clique.  Computed on the pattern alone, before any arithmetic, so
-    an LDL^T factor taken in this order has little fill; the degree-2
-    subdivision vertices go first and cause none."""
-    adj = {v: set(nb) - {skip} for v, nb in enumerate(nbrs) if v != skip}
-    order = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        clique = adj.pop(v)
-        for u in clique:
-            adj[u] |= clique
-            adj[u] -= {u, v}
-        order.append(v)
-    return order
-
-
-def _slack_at(nbrs, y, d, v):
-    """s_v = (Delta y)_v + d_v, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
-    return d[v] + sum((c * (y[v] - y[u]) for u, c in nbrs[v].items()), start=ZERO)
+    Solves (Delta x)_v + d_v = 0 at every vertex v that it eliminates, with
+    x = 0 at the vertices it never eliminates.  The Schur complement is kept
+    as a dict of dicts of its off-diagonal entries, together with the
+    reduced d'.  Each step eliminates, among the remaining vertices that
+    eligible(v, d'_v) admits, one with the fewest remaining neighbours (the
+    least index on ties), so the degree-2 subdivision vertices go first and
+    cause no fill.  A Schur complement of a Laplacian is again a Laplacian,
+    so a pivot is the total conductance from its vertex to the remaining
+    ones; a vertex with no neighbour left has pivot 0, which raises
+    ValueError.  Eliminating v changes d' and the degree only at v's
+    neighbours, so only they are tested again; a vertex once admitted stays
+    admitted, as both callers' tests do.  Returns x as a list."""
+    n = len(d)
+    a = [{u: -c for u, c in nb.items()} for nb in nbrs]
+    d = list(d)
+    ready = {v for v in range(n) if eligible(v, d[v])}
+    steps = []
+    while ready:
+        v = min(ready, key=lambda u: (len(a[u]), u))
+        ready.remove(v)
+        row = a[v]
+        pivot = -sum(row.values(), start=ZERO)
+        if not pivot:
+            raise ValueError("zero pivot: the Laplacian block is singular")
+        steps.append((v, pivot, row, d[v]))
+        items = list(row.items())
+        for u, _ in items:
+            del a[u][v]
+        for i, (u, au) in enumerate(items):
+            f = au / pivot
+            d[u] -= f * d[v]
+            for w, aw in items[i + 1 :]:
+                a[u][w] = a[w][u] = a[u].get(w, ZERO) - f * aw
+            if eligible(u, d[u]):
+                ready.add(u)
+    x = [ZERO] * n
+    for v, pivot, row, dv in reversed(steps):
+        x[v] = -(dv + sum(au * x[u] for u, au in row.items())) / pivot
+    return x
 
 
 def _slack(nbrs, y, d):
-    """s = Delta y + d at every vertex."""
-    return [_slack_at(nbrs, y, d, v) for v in range(len(d))]
+    """s = Delta y + d, with (Delta y)_v = sum_nu c_{v,nu} (y_v - y_nu)."""
+    return [
+        d[v] + sum((c * (y[v] - y[u]) for u, c in nb.items()), start=ZERO)
+        for v, nb in enumerate(nbrs)
+    ]
 
 
 def _least_feasible(nbrs, d):
-    """Least y >= 0 with Delta y + d >= 0 (Chandrasekaran's algorithm).
+    """Least y >= 0 with Delta y + d >= 0, by elimination on negative slack.
 
-    J collects the vertices where y > 0 is forced; on J the slack is held at
-    zero by solving Delta_JJ y_J = -d_J with y = 0 off J, and every vertex
-    whose slack is still negative joins J, so there are at most n rounds.
-    y only grows, and a vertex where the least feasible point vanishes never
-    joins, so J = every vertex means that no feasible point exists.
-    J only grows, so one LDL^T factor of Delta_JJ serves every round: the
-    new vertices are appended in the order they join, and each round only
-    back-substitutes.  Off J the slack is d until a neighbour joins J, so
-    after the first round only J's outer neighbours are tested; the full
-    slack is computed once, from the final y.  Returns (y, slack)."""
-    n = len(d)
-    y = [ZERO] * n
-    factor = LDLFactor()
-    frontier = set()
-    grow = [v for v in range(n) if d[v] < 0]
-    while grow:
-        if len(factor) + len(grow) == n:
-            raise EnvelopeInfeasible("no theta-psh function exists")
-        for v in grow:
-            _add_vertex(factor, nbrs, v, -d[v])
-        frontier.difference_update(grow)
-        frontier.update(u for v in grow for u in nbrs[v] if u not in factor)
-        y = [ZERO] * n
-        for v, x in factor.solve().items():
-            y[v] = x
-        grow = sorted(v for v in frontier if _slack_at(nbrs, y, d, v) < 0)
+    A remaining vertex whose reduced d'_v is negative lies in the support of
+    the least point y* (Chandrasekaran's argument), so eliminating it
+    imposes (Delta y)_v + d_v = 0.  What remains is again a Z-matrix LCP:
+    the Schur complement with the reduced d', whose least point is y*
+    restricted to the remaining vertices, because its feasible points extend
+    back through the eliminated rows with y_v > 0 and feasible sets are
+    closed under min.  Eliminating v adds c_uv d'_v / pivot <= 0 to each
+    neighbour's d'_u, so d' only decreases and an eligible vertex stays
+    eligible.  When no remaining d' is negative, y = 0 there is feasible and
+    least.  If every vertex is eliminated, the last pivot is the Schur
+    complement of a connected Laplacian onto one vertex, which is 0: no
+    feasible point exists.  Returns (y, slack)."""
+    try:
+        y = _eliminate(nbrs, d, lambda v, dv: dv < 0)
+    except ValueError:
+        raise EnvelopeInfeasible("no theta-psh function exists") from None
     return y, _slack(nbrs, y, d)
 
 
@@ -306,15 +308,11 @@ def solve_ma(
     # Laplacian, positive definite on a connected graph (the anchor's row is
     # implied: rows sum to zero)
     nbrs = _conductances(gs)
-    factor = LDLFactor()
     try:
-        for v in _min_degree_order(nbrs, anchor):
-            _add_vertex(factor, nbrs, v, -b[v])
+        f_vals = _eliminate(nbrs, b, lambda v, dv: v != anchor)
     except ValueError as ex:  # pragma: no cover - connected graphs are regular
         raise PotentialError(f"Laplacian solve failed: {ex}") from ex
-    sol = factor.solve()
-    f_vals = tuple(sol.get(v, ZERO) for v in range(n))
-    f_s = PLFunction(gs, f_vals, None)
+    f_s = PLFunction(gs, tuple(f_vals), None)
     f = smap.plf_back(f_s)
     if ma_measure(g, theta, f).atoms != mu.atoms:
         raise PotentialError("internal: solution does not reproduce the measure")

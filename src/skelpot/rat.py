@@ -4,17 +4,14 @@ Everything in this package computes over Q.  `Rat` is gmpy2's mpq when
 available, otherwise fractions.Fraction.  Both keep values in lowest terms
 with positive denominator, interoperate with int, and hash consistently.
 
-There are two solvers.  `LDLFactor` is a sparse LDL^T factor of a
-symmetric positive definite matrix, grown one row at a time; it solves the
-graph-Laplacian blocks of `potential`, of any size, without pivoting.  The
-planar and test-ideal systems have at most 3 unknowns; `det`, `adjugate`
-and `cramer` solve those by cofactor expansion, without dividing, so they
-stay in int on integer data.
+The planar and test-ideal systems have at most 3 unknowns; `det`,
+`adjugate` and `cramer` solve those by cofactor expansion, without
+dividing, so they stay in int on integer data.  The graph-Laplacian
+systems, of any size, are solved in `potential` by sparse elimination.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
@@ -162,77 +159,3 @@ def cramer(cols, target):
             return d, [det(rows[:j] + [b] + rows[j + 1 :]) for j in range(k)]
     return 0, []
 
-
-class LDLFactor:
-    """Sparse LDL^T factor of a symmetric positive definite matrix, grown by
-    bordering: `add` appends one row and column, and the factor of the
-    matrix so far is the leading part of every later factor.  The forward
-    solve of L z = b grows with it, so `solve` only scales by D and
-    back-substitutes, in O(nnz L).
-
-    Rows are keyed by the caller's keys, in the order they were added.  L is
-    unit lower triangular and kept twice, by rows for the back-substitution
-    and by columns for the sparse triangular solve that computes a new row.
-    There is no pivoting; a zero pivot raises ValueError and leaves the
-    factor unchanged.  On a positive definite matrix every pivot is
-    positive."""
-
-    def __init__(self):
-        self._pos = {}  # key -> position
-        self._rows = []  # position k -> {j: L[k][j]} for j < k
-        self._cols = []  # position j -> {k: L[k][j]} for k > j
-        self._diag = []  # D
-        self._z = []  # L z = b, solved so far
-
-    def __len__(self) -> int:
-        return len(self._pos)
-
-    def __contains__(self, key) -> bool:
-        return key in self._pos
-
-    def add(self, key, row, diag, rhs) -> None:
-        """Append the row of `key`: `row` maps keys added earlier to the
-        nonzero off-diagonal entries, `diag` is the diagonal entry and `rhs`
-        the entry of b, all Rat."""
-        # w solves L w = row by columns, in increasing position; w = D l
-        w = {self._pos[u]: a for u, a in row.items()}
-        heap = list(w)
-        heapq.heapify(heap)
-        while heap:
-            j = heapq.heappop(heap)
-            wj = w[j]
-            if not wj:
-                continue
-            for i, lij in self._cols[j].items():
-                if i in w:
-                    w[i] -= lij * wj
-                else:
-                    w[i] = -lij * wj
-                    heapq.heappush(heap, i)
-        lrow = {}
-        for j, wj in w.items():
-            if wj:
-                lkj = wj / self._diag[j]
-                lrow[j] = lkj
-                diag -= lkj * wj
-                rhs -= lkj * self._z[j]
-        if not diag:
-            raise ValueError("zero pivot: the matrix is singular")
-        k = len(self._rows)
-        for j, lkj in lrow.items():
-            self._cols[j][k] = lkj
-        self._pos[key] = k
-        self._rows.append(lrow)
-        self._cols.append({})
-        self._diag.append(diag)
-        self._z.append(rhs)
-
-    def solve(self) -> dict:
-        """The solution x of L D L^T x = b, as {key: x}."""
-        x = [z / d for z, d in zip(self._z, self._diag)]
-        for k in range(len(x) - 1, -1, -1):
-            xk = x[k]
-            if xk:
-                for j, lkj in self._rows[k].items():
-                    x[j] -= lkj * xk
-        return dict(zip(self._pos, x))

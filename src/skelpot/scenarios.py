@@ -70,8 +70,8 @@ def _check_lp_cap(g, u, opts: _Options) -> None:
     need = g.n_vertices + len(u.breakpoints())
     if need > opts.max_lp_vars:
         raise SchemaError(
-            f"envelope LP needs {need} variables, above the cap of "
-            f"{opts.max_lp_vars} (raise SKELPOT_MAX_LP_VARS)"
+            f"envelope needs {need} vertices after subdivision, above the cap "
+            f"of {opts.max_lp_vars} (raise SKELPOT_MAX_LP_VARS)"
         )
 
 

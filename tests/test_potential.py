@@ -26,13 +26,13 @@ from skelpot import (
 from hypothesis import given, settings, strategies as st
 
 from skelpot.graphs import subdivide
-from skelpot.potential import _add_vertex, _conductances, _min_degree_order
-from skelpot.rat import LDLFactor, Rat
+from skelpot.potential import _conductances, _eliminate, _least_feasible
+from skelpot.rat import Rat
 
 import random
 
 from helpers import rand_graph, rand_nef_theta, rand_plf, rand_psh
-from linear_oracle import solve_linear
+from linear_oracle import least_feasible_rounds, solve_linear
 from lp_oracle import LinearProgram, lp_solve
 
 EDGE = MetrizedGraph(("a", "b"), ((0, 1, 1, 1),))
@@ -135,6 +135,29 @@ def test_orthogonality_on_fixed_instance():
     assert orthogonality_residual(EDGE, theta, u) == 0
 
 
+@pytest.mark.parametrize("breaks", [None, (((Rat(1), Rat(-3)),),)])
+@pytest.mark.parametrize("t", [-1, 0, 1])
+def test_envelope_on_one_vertex(t, breaks):
+    """A single vertex with a loop: its Laplacian is the 1x1 zero matrix, so
+    theta = -1 reaches the zero pivot.  Otherwise nothing is eliminated
+    without a breakpoint; with one, the loop splits into two parallel edges
+    and only the vertex is eliminated, so the breakpoint keeps its value."""
+    g = MetrizedGraph(("a",), ((0, 0, 2, 1),))
+    theta = CurvatureData(g, (t,))
+    u = PLFunction(g, (0,), breaks)
+    if t < 0:
+        with pytest.raises(EnvelopeInfeasible, match="no theta-psh function exists"):
+            envelope(g, theta, u)
+        return
+    env = envelope(g, theta, u).envelope
+    if breaks is None:
+        assert env.vertex_values == (Rat(0),) and env.breaks == ((),)
+    elif t == 0:
+        assert env.vertex_values == (Rat(-3),) and env.breaks == ((),)
+    else:
+        assert env.vertex_values == (Rat(-5, 2),) and env.breaks == breaks
+
+
 def test_slope_report_failing_rows():
     theta = CurvatureData(EDGE, (0, 0))
     f = PLFunction(EDGE, (0, 1))
@@ -208,7 +231,7 @@ def test_envelope_matches_lp_oracle(instance):
 
 
 # ---------------------------------------------------------------------------
-# Two routes: the incremental LDL^T Laplacian kernel against dense elimination
+# Two routes: minimum-degree elimination against dense elimination and rounds
 # ---------------------------------------------------------------------------
 
 
@@ -247,34 +270,44 @@ def _laplacian_instances(draw):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_laplacian_instances())
 def test_laplacian_factor_matches_dense_elimination(instance):
-    """Delta_JJ y = b_J as J grows batch by batch (the envelope's systems),
-    and the Laplacian grounded at the anchor (solve_ma's system), in
-    minimum-degree and in random order, against dense elimination."""
-    g, rhs, order, cuts, anchor = instance
+    """_eliminate against dense elimination: Delta_JJ x = -d_J as J grows
+    batch by batch (the envelope's systems), the Laplacian grounded at the
+    anchor (solve_ma's system), and J = every vertex, where the last pivot
+    is zero."""
+    g, d, order, cuts, anchor = instance
     n = g.n_vertices
     lap = _dense_laplacian(g)
     nbrs = _conductances(g)
-    factor = LDLFactor()
-    for lo, hi in zip([0] + cuts, cuts + [n - 1]):
-        for v in order[lo:hi]:
-            _add_vertex(factor, nbrs, v, rhs[v])
+    for hi in cuts + [n - 1]:
         J = order[:hi]
-        expect = solve_linear([[lap[a][b] for b in J] for a in J], [rhs[v] for v in J])
-        assert factor.solve() == dict(zip(J, expect))
-    # every vertex: the Laplacian is singular, and the last pivot is zero
-    before = factor.solve()
-    with pytest.raises(ValueError, match="zero pivot"):
-        _add_vertex(factor, nbrs, order[-1], rhs[order[-1]])
-    assert len(factor) == n - 1 and factor.solve() == before
+        expect = [Rat(0)] * n
+        sol = solve_linear([[lap[a][b] for b in J] for a in J], [-d[v] for v in J])
+        for v, x in zip(J, sol):
+            expect[v] = x
+        assert _eliminate(nbrs, d, lambda v, dv: v in J) == expect
 
     mat = [row[:] for row in lap]
     mat[anchor] = [Rat(int(j == anchor)) for j in range(n)]
-    expect = solve_linear(mat, [Rat(0) if v == anchor else rhs[v] for v in range(n)])
-    min_degree = _min_degree_order(nbrs, anchor)
-    assert sorted(min_degree) == [v for v in range(n) if v != anchor]
-    for grounded in (min_degree, [v for v in order if v != anchor]):
-        factor = LDLFactor()
-        for v in grounded:
-            _add_vertex(factor, nbrs, v, rhs[v])
-        sol = factor.solve()
-        assert tuple(sol.get(v, Rat(0)) for v in range(n)) == expect
+    expect = solve_linear(mat, [Rat(0) if v == anchor else -d[v] for v in range(n)])
+    assert _eliminate(nbrs, d, lambda v, dv: v != anchor) == list(expect)
+
+    with pytest.raises(ValueError, match="zero pivot"):
+        _eliminate(nbrs, d, lambda v, dv: True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laplacian_instances())
+def test_least_feasible_matches_rounds(instance):
+    """The least feasible point by elimination on negative reduced slack
+    against Chandrasekaran's rounds with a dense solve per round: the same
+    y, or EnvelopeInfeasible from both.  d has both signs, and its total
+    (the total degree) is often negative."""
+    g, d, _, _, _ = instance
+    nbrs = _conductances(g)
+    try:
+        expect = least_feasible_rounds(nbrs, d)
+    except EnvelopeInfeasible:
+        with pytest.raises(EnvelopeInfeasible, match="no theta-psh function exists"):
+            _least_feasible(nbrs, d)
+        return
+    assert _least_feasible(nbrs, d)[0] == expect
