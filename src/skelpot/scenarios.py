@@ -66,11 +66,11 @@ def _graph_with_theta(payload):
     return g, theta
 
 
-def _check_lp_cap(g, u, opts: _Options) -> None:
-    need = g.n_vertices + len(u.breakpoints())
+def _check_lp_cap(g, points, opts: _Options, what="envelope") -> None:
+    need = g.n_vertices + len(points)
     if need > opts.max_lp_vars:
         raise SchemaError(
-            f"envelope needs {need} vertices after subdivision, above the cap "
+            f"{what} needs {need} vertices after subdivision, above the cap "
             f"of {opts.max_lp_vars} (raise SKELPOT_MAX_LP_VARS)"
         )
 
@@ -83,7 +83,7 @@ def _check_lp_cap(g, u, opts: _Options) -> None:
 def _run_curve_envelope(payload, opts: _Options) -> ScenarioOutput:
     g, theta = _graph_with_theta(payload)
     u = jsonio.plf_from_json(g, payload["f"])
-    _check_lp_cap(g, u, opts)
+    _check_lp_cap(g, u.breakpoints(), opts)
     res = envelope(g, theta, u)
     result = {
         "envelope": jsonio.plf_to_json(res.envelope),
@@ -105,6 +105,7 @@ def _run_curve_envelope(payload, opts: _Options) -> ScenarioOutput:
 def _run_curve_solve_ma(payload, opts: _Options) -> ScenarioOutput:
     g, theta = _graph_with_theta(payload)
     mu = jsonio.measure_from_json(g, payload["measure"])
+    _check_lp_cap(g, [pt for pt, _ in mu.atoms if not pt.is_vertex()], opts, "solve_ma")
     anchor = 0
     if "anchor" in payload:
         if payload["anchor"] not in g.labels:
@@ -120,7 +121,7 @@ def _run_curve_solve_ma(payload, opts: _Options) -> ScenarioOutput:
 def _run_curve_orthogonality(payload, opts: _Options) -> ScenarioOutput:
     g, theta = _graph_with_theta(payload)
     u = jsonio.plf_from_json(g, payload["f"])
-    _check_lp_cap(g, u, opts)
+    _check_lp_cap(g, u.breakpoints(), opts)
     residual = orthogonality_residual(g, theta, u)
     return ScenarioOutput(
         {"residual": rat_str(residual), "residual_is_zero": residual == 0}
@@ -131,8 +132,8 @@ def _run_curve_energy(payload, opts: _Options) -> ScenarioOutput:
     g, theta = _graph_with_theta(payload)
     u1 = jsonio.plf_from_json(g, payload["f"])
     u2 = jsonio.plf_from_json(g, payload["g"])
-    _check_lp_cap(g, u1, opts)
-    _check_lp_cap(g, u2, opts)
+    _check_lp_cap(g, u1.breakpoints(), opts)
+    _check_lp_cap(g, u2.breakpoints(), opts)
     phi1 = envelope(g, theta, u1).envelope
     phi2 = envelope(g, theta, u2).envelope
     return ScenarioOutput(

@@ -1,35 +1,25 @@
 """Frobenius calculus and test ideals for monomial ideals over F_p.
 
-Monomial ideals make every Frobenius-side operation exactly computable:
-bracket powers scale exponents, bracket roots floor-divide them, and the
+Bracket powers scale exponents, bracket roots floor-divide them, and the
 test ideal tau(a^lambda) is the stable value of the increasing chain
-(a^ceil(lambda p^e))^[1/p^e].  No power is materialized: a principal
-power has a closed form, and every other root is read off row by row.
-Membership of a point is a packing integer program with at most 3 rows.
-Before a row is searched, the dual vertices of its LP relaxation bound it
-in closed form.  Below the lower bound the LP optimum is under the count
-m: a certified non-member.  At and above the upper bound the optimum is
-at least m + r - 1, r = min(n, number of generators), and the floors of
-an optimal basic solution pack m generators: a certified member.  Only
-the points between the bounds are queried, within the bounds that the
-neighbouring rows give.  An exact integer-only solver (no simplex, no
-rationals) decides them from the basic solutions of the relaxation, by
-branch and bound when no floored solution is a witness.  At the stable
-index of test_ideal the bounds close the rows (on every family measured,
-the box corner is the only query); the solver's work is at the smaller
-indices, in direct roots of powers.  A Newton-polyhedron route computes
+(a^ceil(lambda p^e))^[1/p^e].  No power is materialized: a root is an
+up-closed set whose staircase is walked corner to corner.  Membership of a
+point is a packing integer program with at most 3 rows, bounded in closed
+form by the dual vertices of its LP relaxation and decided exactly, in
+integers, only between those bounds.  A Newton-polyhedron route computes
 the same ideal from the interior condition u + (1,..,1) in
-int(lambda * Newt(a)), sliced on integer data; it shares no code with the
-stabilization loop and is used to cross-validate it.
+int(lambda * Newt(a)); it shares no code with the chain route and
+cross-validates it.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .rat import adjugate, det as rat_det, rat, rceil
 
@@ -140,8 +130,8 @@ class MonomialIdeal:
     @classmethod
     def _from_valid(cls, n: int, rows) -> "MonomialIdeal":
         """The ideal of exponent vectors built from valid ideals' generators
-        (sums, maxima, unions) or read off a root's rows: nothing to check,
-        straight to _antichain."""
+        (sums, maxima, unions) or read off a root's staircases: nothing to
+        check, straight to _antichain."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
         object.__setattr__(ideal, "gens", _antichain(rows))
@@ -370,100 +360,84 @@ def _count_feasible(table: _BasisTable, w, m: int) -> bool:
     return search(tuple(w), m, {})
 
 
-def _least_row(member, by: int, bz: int, lower=None, upper=None) -> list:
-    """row[y] = least z <= bz with member(y, z) in an up-closed set, for
-    y = 0..by (None where there is none).  Each z is binary-searched in
-    [lower[y], min(row[y-1], upper[y])]: known members above, a known lower
-    bound below (None there: no member, no query).  A one-point range makes
-    no query, and bz is probed only when no upper bound exists."""
-    row, prev = [], None
-    for y in range(by + 1):
-        lo = 0 if lower is None else lower[y]
-        known = [z for z in (prev, upper and upper[y]) if z is not None]
-        if lo is None or (not known and not member(y, bz)):
-            row.append(None)
-            continue
-        hi = min(known, default=bz)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if member(y, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        row.append(lo)
-        prev = lo
-    return row
+def _least(pred, lo: int, hi: int) -> int:
+    """The least x in [lo, hi] with pred(x), pred monotone, else hi + 1: a
+    gallop up from lo, then bisection; O(log(x - lo)) calls, none repeated."""
+    step = 1
+    while lo <= hi:
+        mid = min(lo + step - 1, hi)
+        if pred(mid):
+            while lo < mid:
+                half = (lo + mid) // 2
+                lo, mid = (lo, half) if pred(half) else (half + 1, mid)
+            return mid
+        lo, step = mid + 1, 2 * step
+    return lo
 
 
-def _certified_bounds(table: _BasisTable, q: int, m: int, prefix, by: int, bz: int,
-                      lower=None, upper=None):
-    """lower and upper for _least_row on the rows v = prefix + (y, z),
-    y = 0..by, tightened by two certificates read off the LP relaxation of
-    the query at w = q*v + (q-1)*(1,..,1).  Its optimum is the least
-    <w, a>/den over the dual vertices (a, den), and each <w, a> is linear
-    in y and z:
-
-    * if <w, a> < m*den at some vertex, the optimum is below m and v is a
-      non-member.  The least z that clears every vertex is a lower bound;
-      a vertex with zero z-coefficient that the row's y does not clear
-      leaves the row without a member (None);
-    * if <w, a> >= (m + r - 1)*den at every vertex, r = min(n, g), an
-      optimal basic solution (at most r positive coordinates) floors to at
-      least m generators, so v is a member.  The least such z <= bz is an
-      upper bound.
-
-    A lower bound past bz leaves the row without a member (a row's least
-    member, if any, is at most bz), and an upper bound past bz certifies
-    nothing.  The known bounds, when given, are folded in."""
-    gens = table.gens
-    spare = min(len(gens[0]), len(gens)) - 1
-    ys = range(by + 1)
-    lows, highs = [[0] * (by + 1)], [[0] * (by + 1)]
+def _row_bounds(table: _BasisTable, q: int, m: int, prefix, bz: int):
+    """bounds(y) = (lo, hi) for the row v = prefix + (y, z).  The LP
+    relaxation of the query at w = q*v + (q-1)*(1,..,1) has optimum
+    min <w, a>/den over the dual vertices (a, den), each linear in y and z.
+    Below lo some vertex has <w, a> < m*den: a certified non-member.  From
+    hi on every vertex has <w, a> >= (m + r - 1)*den, r = min(n, g), so an
+    optimal basic solution (at most r positive coordinates) floors to m
+    generators: a certified member.  A bound past bz reads bz + 1: the row
+    has no member (lo; its least one is at most bz) or no certificate (hi)."""
+    spare = min(len(table.gens[0]), len(table.gens)) - 1
+    wp = [q * x + q - 1 for x in prefix]
+    rows, top = [], bz + 1
     for a, den in table.duals:
-        c, slope = q * a[-1], q * a[-2]
-        low = m * den - (q - 1) * sum(a) - q * sum(x * t for x, t in zip(a, prefix))
-        for need, cols in ((low, lows), (low + spare * den, highs)):
-            if c:
-                cols.append([-((slope * y - need) // c) for y in ys])
-            else:
-                cols.append([bz + 1 if need > slope * y else 0 for y in ys])
-    if lower is not None:
-        lows.append([bz + 1 if z is None else z for z in lower])
-    ups = map(max, *highs)
-    if upper is not None:
-        ups = map(min, ups, (bz + 1 if z is None else z for z in upper))
-    return (
-        [z if z <= bz else None for z in map(max, *lows)],
-        [z if z <= bz else None for z in ups],
-    )
+        # <w, a> >= m*den  <=>  c*z >= t - s*y, and u for (m + r - 1)*den
+        t = m * den - sum(map(mul, wp, a)) - (q - 1) * (a[-2] + a[-1])
+        rows.append((t, t + spare * den, q * a[-2], q * a[-1]))
+
+    def bounds(y):  # a plain loop: this runs about once per row
+        lo = hi = 0
+        for t, u, s, c in rows:
+            sy = s * y
+            zt, zu = (-((sy - t) // c), -((sy - u) // c)) if c else (top * (t > sy), top * (u > sy))
+            lo, hi = (zt if zt > lo else lo), (zu if zu > hi else hi)
+        return min(lo, top), min(hi, top)
+
+    return bounds
+
+
+def _staircase(bounds, member, by: int, bz: int) -> list:
+    """The corners (minimal points), by increasing y, of an up-closed set in
+    [0, by] x [0, bz].  From a corner (y0, z0), first (-1, bz + 1), the next
+    lies at the least y > y0 with a member at z0 - 1 and the least z in
+    [lo(y), min(hi(y), z0 - 1)] there.  bounds(y) = (lo, hi): the row has
+    no member below lo and only members from hi on, so member is asked only
+    between them, and a one-point range asks nothing."""
+    bounds = cache(bounds)
+
+    def has(y):  # is (y, z0 - 1) a member?
+        lo, hi = bounds(y)
+        return z0 > hi or (z0 > lo and member(y, z0 - 1))
+
+    corners, y0, z0 = [], -1, bz + 1
+    while z0 > 0 and (y0 := _least(has, y0 + 1, by)) <= by:
+        lo, hi = bounds(y0)
+        top = min(hi, z0 - 1)
+        z0 = top if lo == top else _least(lambda z: member(y0, z), lo, top - 1)
+        corners.append((y0, z0))
+    return corners
 
 
 def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
     q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
-    up-closed criterion probed by count-feasibility queries (n = 2 or 3;
-    a one-variable ideal is principal and never gets here).  The minimal
-    solutions live in a box of size ~ (m/q) * max exponent, so the cost is
-    independent of m itself.  For n = 3 the limit slice t = box[0] comes
-    first; each slice t = 0, 1, .. is then a least-z row bounded by that
-    limit row below and by the slice before it above, until the two rows
-    are equal.
-
-    Before a row is searched, the LP relaxation's dual vertices bound it
-    in closed form (_certified_bounds): below the lower bound every point
-    is a certified non-member, at and above the upper bound a certified
-    member, so only the points between them are queried.  For a vertex
-    (a, den) the two thresholds lie (r - 1)*den/(q*a_z) apart in z, so the
-    gap shrinks as q grows; at the stable index of test_ideal the bounds
-    decide every row of the families measured, and the only query is the
-    box corner.  At smaller e the points left between the bounds go to
-    _count_feasible, whose branch and bound decides the hard ones."""
-    q = p**e
-    gens = a.gens
-    n = a.n
-    box = tuple(
-        max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n)
-    )
+    up-closed criterion (n = 2 or 3) whose minimal points lie in a box of
+    size ~ (m/q) * max exponent.  For n = 2 it is one staircase.  For n = 3
+    the slices t = 0, 1, .. are staircases growing with t up to the limit
+    slice t = box[0], walked first; from slice t a gallop on t finds the
+    next slice that differs, whose corners outside slice t are new
+    generators, until the slice equals the limit.  A row is bounded by
+    _row_bounds and, where those leave a gap, by the nearest walked slices
+    below (members) and above (all members)."""
+    q, gens, n = p**e, a.gens, a.n
+    box = tuple(max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n))
     table = _BasisTable(gens)
     memo = {}
 
@@ -475,20 +449,43 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
         return got
 
     assert member(box)  # every coordinate constraint is slack at the corner
+
+    by, bz = box[-2:]
+    walks, done = {}, []  # prefix -> corners of its slice; walked prefixes, sorted
+
+    def level(corners, y):  # least z at y of a walked slice, bz + 1 if none
+        i = bisect.bisect(corners, (y, bz + 1))
+        return corners[i - 1][1] if i else bz + 1
+
+    def walk(prefix):
+        if prefix not in walks:
+            cert = _row_bounds(table, q, m, prefix, bz)
+            i = bisect.bisect(done, prefix)
+            below = walks[done[i - 1]] if i else []
+            above = walks[done[i]] if i < len(done) else [(0, 0)]
+
+            def bounds(y):
+                lo, hi = cert(y)
+                if lo < hi:  # nested slices: above has all, below only members
+                    lo, hi = max(lo, level(above, y)), min(hi, level(below, y))
+                return lo, hi
+
+            walks[prefix] = _staircase(bounds if done else cert,
+                                       lambda y, z: member(prefix + (y, z)), by, bz)
+            bisect.insort(done, prefix)
+        return walks[prefix]
+
     if n == 2:
-        bounds = _certified_bounds(table, q, m, (), *box)
-        row = _least_row(lambda y, z: member((y, z)), *box, *bounds)
-        cand = [(y, z) for y, z in enumerate(row) if z is not None]
-        return MonomialIdeal._from_valid(2, cand)
-    bounds = _certified_bounds(table, q, m, box[:1], box[1], box[2])
-    limit = _least_row(lambda y, z: member((box[0], y, z)), box[1], box[2], *bounds)
-    cand, row = [], None
-    for t in range(box[0] + 1):
-        bounds = _certified_bounds(table, q, m, (t,), box[1], box[2], limit, row)
-        row = _least_row(lambda y, z: member((t, y, z)), box[1], box[2], *bounds)
-        cand.extend((t, y, z) for y, z in enumerate(row) if z is not None)
-        if row == limit:
+        return MonomialIdeal._from_valid(2, walk(()))
+    limit = walk(box[:1])
+    cand, t, prev = [], 0, set()
+    while True:
+        corners = walk((t,))
+        cand.extend((t, y, z) for y, z in corners if (y, z) not in prev)
+        if corners == limit:
             break
+        prev = set(corners)
+        t = _least(lambda s: walk((s,)) != corners, t + 1, box[0])
     return MonomialIdeal._from_valid(n, cand)
 
 

@@ -159,6 +159,45 @@ def test_lp_cap_env_var(tmp_path):
     assert r.returncode == 2
 
 
+
+def _solve_ma_grid(k):
+    """curve-solve-ma on a k x k unit grid: theta 1 at every vertex, mass 1
+    on one edge's midpoint and the rest at the first vertex."""
+    names = [f"v{i}_{j}" for i in range(k) for j in range(k)]
+    edges = [
+        {"a": f"v{i}_{j}", "b": f"v{i + di}_{j + dj}", "len": "1", "w": 1}
+        for i in range(k)
+        for j in range(k)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < k and j + dj < k
+    ]
+    return {
+        "kind": "curve-solve-ma",
+        "graph": {"vertices": names, "edges": edges, "theta": dict.fromkeys(names, "1")},
+        "measure": {"atoms": [
+            {"point": {"vertex": names[0]}, "mass": str(k * k - 1)},
+            {"point": {"edge": 0, "offset": "1/2"}, "mass": "1"},
+        ]},
+    }
+
+
+def test_lp_cap_covers_solve_ma(tmp_path):
+    """The cap counts solve_ma's vertices after subdivision, 25 + 1 here."""
+    import os
+
+    path = write_scenario(tmp_path, "ma.json", _solve_ma_grid(5))
+    r = cli("run", path, "--out", str(tmp_path / "ok"))
+    assert r.returncode == 0, r.stderr
+    env = dict(os.environ, SKELPOT_MAX_LP_VARS="1")
+    r = cli("run", path, "--out", str(tmp_path / "capped"), env=env)
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert err["message"] == (
+        "solve_ma needs 26 vertices after subdivision, above the cap of 1 "
+        "(raise SKELPOT_MAX_LP_VARS)"
+    )
+
 _LINE = [["1", "0"], ["-1", "0"]]
 
 
@@ -260,6 +299,23 @@ def test_testideal_large_prime(tmp_path):
     assert r.returncode == 2
     assert "3317044064679887385961981" in _stderr_error(r)["message"]
 
+
+
+@pytest.mark.parametrize("k", [20, 40, 70])
+def test_testideal_huge_exponent_exit_0(tmp_path, capsys, k):
+    """testideal_basic.json with x^2 raised to x^(2^k): in process, exit 0
+    with the maximal ideal on both routes.  A chain route that walks the
+    query box ran 4 s at 2^20 and exited 1 at 2^40 (MemoryError) and 2^70
+    (OverflowError)."""
+    from skelpot import cli as cli_mod, scenarios
+
+    s = scenarios.load_builtin("testideal_basic.json")
+    s["gens"][0] = [2**k, 0]
+    path = write_scenario(tmp_path, "huge.json", s)
+    assert cli_mod.main(["run", path, "--out", str(tmp_path / "out"), "--format", "json"]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["test_ideal"] == {"n": 2, "gens": [[0, 1], [1, 0]]}
+    assert result["newton_agrees"] is True
 
 def test_testideal_rejects_four_variables(tmp_path):
     s = {"kind": "testideal", "n": 4, "p": 2, "gens": [[1, 0, 0, 1]], "lambda": "1"}

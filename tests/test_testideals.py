@@ -30,13 +30,13 @@ from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
 from skelpot.testideals import (
     _BasisTable,
-    _certified_bounds,
     _count_feasible,
-    _least_row,
     _root_by_queries,
+    _row_bounds,
+    _staircase,
     is_prime,
 )
-from skelpot.rat import Rat, rfloor
+from skelpot.rat import Rat, rceil, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
 from lp_oracle import LinearProgram, lp_solve
@@ -385,27 +385,34 @@ def _power_by_counts(a, m):
 
 def test_bounded_slices_match_floors():
     """The bounded slices against the floors of the minimal generators of
-    a^m, on instances that reach limit rows with no member (those rows are
-    skipped) and rows whose upper and lower bounds meet (no query)."""
-    real = skelpot.testideals._least_row
+    a^m, on instances that reach rows with no member and rows whose bounds
+    meet at their corner (found with no query)."""
+    real = skelpot.testideals._staircase
     seen = set()
 
-    def spy(member, by, bz, lower=None, upper=None):
-        row = real(member, by, bz, lower, upper)
-        if lower is not None and None in lower:
-            seen.add("empty limit row")
-        if upper is not None:
-            for y, lo in enumerate(lower):
-                known = [z for z in (row[y - 1] if y else None, upper[y]) if z is not None]
-                if lo is not None and known and min(known) == lo:
-                    seen.add("bounds meet")
-        return row
+    def spy(bounds, member, by, bz):
+        rows, asked = {}, set()
+
+        def spied_bounds(y):
+            rows[y] = bounds(y)
+            return rows[y]
+
+        def spied_member(y, z):
+            asked.add(y)
+            return member(y, z)
+
+        corners = real(spied_bounds, spied_member, by, bz)
+        if any(lo > bz for lo, _ in rows.values()):
+            seen.add("row with no member")
+        if any(y not in asked and rows[y] == (z, z) for y, z in corners):
+            seen.add("bounds meet, no query")
+        return corners
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_root_instances())
     def check(instance):
         a, m, p, e = instance
-        with patch.object(skelpot.testideals, "_least_row", spy):
+        with patch.object(skelpot.testideals, "_staircase", spy):
             got = _root_by_queries(a, m, p, e)
         power = _power_by_counts(a, m)
         if m <= 12:
@@ -413,43 +420,48 @@ def test_bounded_slices_match_floors():
         assert got == frobenius_root(power, p, e)
 
     check()
-    assert seen == {"empty limit row", "bounds meet"}
+    assert seen == {"row with no member", "bounds meet, no query"}
 
 
-def test_least_row_against_brute_force_scan():
-    """_least_row on random up-closed staircases in [0,by] x [0,bz], without
-    bounds and between the rows of a larger set (below) and of a smaller one
-    (above).  It never probes a row that the lower bound rules out, and with
-    both bounds at the answer it makes no query at all."""
+def _log2_ceil(x):
+    return (x - 1).bit_length()
+
+
+def test_staircase_against_brute_force_scan():
+    """_staircase on random up-closed sets in [0,by] x [0,bz], without
+    bounds and between the rows of a larger set (below) and of a smaller
+    one (above).  It asks member only between a row's bounds, never twice
+    at a point, at most 4 (#corners + 1) ceil(log2(by + bz + 2)) times, and
+    not at all when both bounds sit at the answer."""
     rng = random.Random(102)
     for _ in range(400):
-        by, bz = rng.randint(0, 8), rng.randint(0, 8)
+        by, bz = rng.randint(0, 40), rng.randint(0, 40)
 
         def corners(k):
             return [(rng.randint(0, by + 1), rng.randint(0, bz + 1)) for _ in range(k)]
 
-        gens = corners(rng.randint(0, 4))
+        gens = corners(rng.randint(0, 6))
         small = rng.sample(gens, rng.randint(0, len(gens)))
         big = gens + corners(rng.randint(0, 3))
 
-        def scan(cs):
-            return [
-                min((z for z in range(bz + 1) if any(c <= y and d <= z for c, d in cs)), default=None)
-                for y in range(by + 1)
-            ]
+        def scan(cs):  # least z in each row, bz + 1 where there is none
+            return [min([d for c, d in cs if c <= y] + [bz + 1]) for y in range(by + 1)]
 
-        truth, below, above = scan(gens), scan(big), scan(small)
-        for lower, upper in ((None, None), (below, None), (None, above), (below, above), (truth, truth)):
+        row, below, above = scan(gens), scan(big), scan(small)
+        truth = [(y, z) for y, z in enumerate(row) if z <= bz and (y == 0 or z < row[y - 1])]
+        none = [0] * (by + 1), [bz + 1] * (by + 1)
+        for lower, upper in (none, (below, none[1]), (none[0], above), (below, above), (row, row)):
             asked = []
 
             def member(y, z):
-                assert lower is None or lower[y] is not None
+                assert lower[y] <= z < upper[y]
                 asked.append((y, z))
                 return any(c <= y and d <= z for c, d in gens)
 
-            assert _least_row(member, by, bz, lower, upper) == truth
+            assert _staircase(lambda y: (lower[y], upper[y]), member, by, bz) == truth
             assert len(asked) == len(set(asked))
-            if lower is truth:
+            assert len(asked) <= 4 * (len(truth) + 1) * _log2_ceil(by + bz + 2)
+            if lower is row:
                 assert not asked
 
 
@@ -487,32 +499,35 @@ def _certificate_rows(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_certificate_rows(), st.randoms(use_true_random=False))
-def test_certified_bounds_against_the_integer_solver(row, rnd):
-    """Below the lower bound every point is a non-member and at and above
-    the upper bound every point a member, by _count_feasible, which decides
-    each point exactly; a row without a lower bound has no member at all."""
+def test_row_bounds_against_the_integer_solver(row, rnd):
+    """Below lo every point is a non-member and from hi on every point a
+    member, by _count_feasible, which decides each point exactly; lo past
+    bz means the row has no member at all.  Both bounds are ints in
+    [0, bz + 1]."""
     gens, m, q, prefix, y, bz = row
     table = _BasisTable(gens)
-    lower, upper = _certified_bounds(table, q, m, prefix, y, bz)
+    lo, hi = _row_bounds(table, q, m, prefix, bz)(y)
 
     def member(z):
         return _count_feasible(table, tuple(q * x + q - 1 for x in prefix + (y, z)), m)
 
-    lo, up = lower[y], upper[y]
-    if lo is None:
+    assert type(lo) is int and type(hi) is int
+    assert 0 <= lo <= hi <= bz + 1
+    if lo > bz:
         assert not member(bz) and not member(rnd.randint(0, bz))
         return
     if lo > 0:
         assert not member(lo - 1) and not member(rnd.randint(0, lo - 1))
-    if up is not None:
-        assert lo <= up <= bz
-        assert member(up) and member(rnd.randint(up, bz + 3))
+    if hi <= bz:
+        assert member(hi) and member(rnd.randint(hi, bz + 3))
 
 
 def test_small_e_roots_still_reach_the_branch_and_bound(monkeypatch):
     """Below the stable index the certificates leave gaps: random roots at
     small e query beyond the box corner, and some of those queries get past
-    both of _count_feasible's fast paths into its branch and bound."""
+    both of _count_feasible's fast paths into its branch and bound.  The
+    nearest walked slices bound the gaps: 1,465 queries in all (1,758 for
+    the row-by-row search, 2,246 without the slice above)."""
     real = skelpot.testideals._count_feasible
     calls, searched = [], []
 
@@ -526,7 +541,7 @@ def test_small_e_roots_still_reach_the_branch_and_bound(monkeypatch):
 
     monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
     rng = random.Random(104)
-    beyond = 0
+    beyond = total = 0
     for _ in range(40):
         n = rng.choice((2, 3))
         a = rand_proper_ideal(rng, n)
@@ -536,7 +551,8 @@ def test_small_e_roots_still_reach_the_branch_and_bound(monkeypatch):
         calls.clear()
         assert _root_by_queries(a, m, p, 1) == frobenius_root(a**m, p, 1)
         beyond += len(calls) > 1
-    assert beyond >= 10
+        total += len(calls)
+    assert beyond >= 10 and total <= 1600
     assert searched
 
 
@@ -564,6 +580,37 @@ def test_probe_rows_query_counts(monkeypatch):
         got = tau(a, 20, 3)
         assert got == newton_tau(a, 20)
         assert len(calls) <= 10, order
+
+
+@pytest.mark.parametrize(
+    "a, lam, p",
+    [(I(2, (2**k, 0), (1, 1), (0, 2)), 1, 2) for k in (20, 40, 70)]
+    + [(I(2, (3, 0), (0, 3), (1, 1)), 1000, 2), (I(3, (4, 0, 2), (0, 4, 1), (2, 1, 3)), Rat(11, 2), 2)],
+    ids=["2^20", "2^40", "2^70", "n2-1000", "deep-chain"],
+)
+def test_probes_follow_the_staircase_not_the_box(monkeypatch, a, lam, p):
+    """Membership queries plus row-bound evaluations stay within
+    #generators * ceil(log2(box size)): the walk costs what the answer
+    has, however large the box (2^70 wide for the first family)."""
+    probes = []
+    real_count, real_walk = skelpot.testideals._count_feasible, skelpot.testideals._staircase
+
+    def counting(*args):
+        probes.append(args)
+        return real_count(*args)
+
+    def walk(bounds, member, by, bz):
+        return real_walk(lambda y: probes.append(y) or bounds(y), member, by, bz)
+
+    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+    monkeypatch.setattr(skelpot.testideals, "_staircase", walk)
+    got = tau(a, lam, p)
+    assert got == newton_tau(a, lam)
+    e = skelpot.testideals._stop_exponent(a, lam, p)
+    q = p**e
+    m = rceil(Rat(lam) * q)
+    box = [-((q - 1 - m * max(u[i] for u in a.gens)) // q) for i in range(a.n)]
+    assert len(probes) <= len(got.gens) * _log2_ceil(sum(box) + 2)
 
 
 def test_power_root_matches_definition():
