@@ -4,8 +4,10 @@ Every rational travels as a string -- "3", "-1/2" -- never as a JSON
 number with a fractional part.  Floats are rejected on decode (including
 ``1e3`` and ``NaN``) and can never be produced on encode; :func:`dumps`
 walks its input once more to enforce that.  Structural validation is
-jsonschema; semantic validation is whatever the target constructors
-raise, re-wrapped as :class:`SchemaError`.
+:func:`validate`, a walk of the value and a JSON Schema together that
+knows the twelve keywords this module's schemas use; semantic validation
+is whatever the target constructors raise, re-wrapped as
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -61,157 +63,161 @@ def _arr(items, **kw):
     return {"type": "array", "items": items, **kw}
 
 
+def _obj(required, optional={}):
+    """A closed object: these required properties, these optional ones and
+    no others."""
+    return {
+        "type": "object",
+        "required": list(required),
+        "additionalProperties": False,
+        "properties": {**required, **optional},
+    }
+
+
+_STR = {"type": "string"}
 VEC2_SCHEMA = _arr(RAT_SCHEMA, minItems=2, maxItems=2)
 
-GRAPH_SCHEMA = {
-    "type": "object",
-    "required": ["vertices", "edges"],
-    "additionalProperties": False,
-    "properties": {
-        "vertices": _arr({"type": "string"}, minItems=1),
+GRAPH_SCHEMA = _obj(
+    {
+        "vertices": _arr(_STR, minItems=1),
         "edges": _arr(
-            {
-                "type": "object",
-                "required": ["a", "b", "len"],
-                "additionalProperties": False,
-                "properties": {
-                    "a": {"type": "string"},
-                    "b": {"type": "string"},
-                    "len": RAT_SCHEMA,
-                    "w": {"type": "integer", "minimum": 1},
-                },
-            }
+            _obj(
+                {"a": _STR, "b": _STR, "len": RAT_SCHEMA},
+                {"w": {"type": "integer", "minimum": 1}},
+            )
         ),
-        "theta": {"type": "object", "additionalProperties": RAT_SCHEMA},
     },
-}
+    {"theta": {"type": "object", "additionalProperties": RAT_SCHEMA}},
+)
 
+_EDGE_INDEX = {"type": "integer", "minimum": 0}
 POINT_SCHEMA = {
     "oneOf": [
-        {
-            "type": "object",
-            "required": ["vertex"],
-            "additionalProperties": False,
-            "properties": {"vertex": {"type": "string"}},
-        },
-        {
-            "type": "object",
-            "required": ["edge", "offset"],
-            "additionalProperties": False,
-            "properties": {
-                "edge": {"type": "integer", "minimum": 0},
-                "offset": RAT_SCHEMA,
-            },
-        },
+        _obj({"vertex": _STR}),
+        _obj({"edge": _EDGE_INDEX, "offset": RAT_SCHEMA}),
     ]
 }
 
-PLF_SCHEMA = {
-    "type": "object",
-    "required": ["vertex_values"],
-    "additionalProperties": False,
-    "properties": {
-        "vertex_values": {"type": "object", "additionalProperties": RAT_SCHEMA},
+PLF_SCHEMA = _obj(
+    {"vertex_values": {"type": "object", "additionalProperties": RAT_SCHEMA}},
+    {
         "breakpoints": _arr(
-            {
-                "type": "object",
-                "required": ["edge", "offset", "value"],
-                "additionalProperties": False,
-                "properties": {
-                    "edge": {"type": "integer", "minimum": 0},
-                    "offset": RAT_SCHEMA,
-                    "value": RAT_SCHEMA,
-                },
-            }
-        ),
-    },
-}
-
-MEASURE_SCHEMA = {
-    "type": "object",
-    "required": ["atoms"],
-    "additionalProperties": False,
-    "properties": {
-        "atoms": _arr(
-            {
-                "type": "object",
-                "required": ["point", "mass"],
-                "additionalProperties": False,
-                "properties": {"point": POINT_SCHEMA, "mass": RAT_SCHEMA},
-            }
+            _obj({"edge": _EDGE_INDEX, "offset": RAT_SCHEMA, "value": RAT_SCHEMA})
         )
     },
-}
+)
 
-COMPLEX_SCHEMA = {
-    "type": "object",
-    "required": ["dim", "cells"],
-    "additionalProperties": False,
-    "properties": {
+MEASURE_SCHEMA = _obj({"atoms": _arr(_obj({"point": POINT_SCHEMA, "mass": RAT_SCHEMA}))})
+
+COMPLEX_SCHEMA = _obj(
+    {
         "dim": {"const": 2},
         "cells": _arr(
-            {
-                "type": "object",
-                "required": ["points"],
-                "additionalProperties": False,
-                "properties": {
-                    "points": _arr(VEC2_SCHEMA, minItems=1),
-                    "rays": _arr(VEC2_SCHEMA),
-                },
-            },
+            _obj({"points": _arr(VEC2_SCHEMA, minItems=1)}, {"rays": _arr(VEC2_SCHEMA)}),
             minItems=1,
         ),
-    },
-}
+    }
+)
 
-TORIC_PLF_SCHEMA = {
-    "type": "object",
-    "required": ["pieces"],
-    "additionalProperties": False,
-    "properties": {
-        "pieces": _arr(
-            {
-                "type": "object",
-                "required": ["grad", "const"],
-                "additionalProperties": False,
-                "properties": {"grad": VEC2_SCHEMA, "const": RAT_SCHEMA},
-            },
-            minItems=1,
-        )
-    },
-}
+TORIC_PLF_SCHEMA = _obj(
+    {"pieces": _arr(_obj({"grad": VEC2_SCHEMA, "const": RAT_SCHEMA}), minItems=1)}
+)
 
-IDEAL_SCHEMA = {
-    "type": "object",
-    "required": ["n", "gens"],
-    "additionalProperties": False,
-    "properties": {
+IDEAL_SCHEMA = _obj(
+    {
         "n": {"type": "integer", "minimum": 1},
         "gens": _arr(_arr({"type": "integer", "minimum": 0})),
-    },
-}
+    }
+)
 
 
-# id(schema) -> (schema, validator); holding the schema keeps its id unique.
-_VALIDATORS = {}
+# The JSON Schema keywords the schemas of this package use, with their
+# Draft 2020-12 meaning; validate interprets exactly these.
+_KEYWORDS = frozenset((
+    "type", "properties", "required", "additionalProperties", "items", "minItems",
+    "maxItems", "minimum", "maximum", "pattern", "const", "oneOf",
+))
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _same(a, b) -> bool:
+    """JSON equality, under which true is not 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _first_error(obj, schema):
+    """None, or (keys, message) for the first rule of schema that obj
+    breaks, keys running from the failing node up to obj.  Keywords that
+    do not apply to obj's JSON type are ignored, as in JSON Schema."""
+    if not schema:
+        return None
+    if not _KEYWORDS.issuperset(schema):  # a fault in the schema, not the input
+        raise TypeError(f"unsupported schema keywords {sorted(set(schema) - _KEYWORDS)}")
+    want = schema.get("type")
+    if want is not None and (isinstance(obj, bool) or not isinstance(obj, _TYPES[want])):
+        return [], f"{obj!r} is not of type {want!r}"
+    if "const" in schema and not _same(obj, schema["const"]):
+        return [], f"{schema['const']!r} was expected"
+    if "oneOf" in schema:
+        valid = [s for s in schema["oneOf"] if _first_error(obj, s) is None]
+        if not valid:
+            return [], f"{obj!r} is not valid under any of the given schemas"
+        if len(valid) > 1:
+            return [], f"{obj!r} is valid under each of {', '.join(map(repr, valid))}"
+    if isinstance(obj, dict):
+        props, more = schema.get("properties", {}), schema.get("additionalProperties", {})
+        for key in schema.get("required", ()):
+            if key not in obj:
+                return [], f"{key!r} is a required property"
+        if more is False and not obj.keys() <= props.keys():
+            extra = sorted(obj.keys() - props.keys(), key=str)
+            names = ", ".join(map(repr, extra))
+            verb = "was" if len(extra) == 1 else "were"
+            return [], f"Additional properties are not allowed ({names} {verb} unexpected)"
+        children = ((key, value, props.get(key, more)) for key, value in obj.items())
+    elif isinstance(obj, list):
+        least, most = schema.get("minItems", 0), schema.get("maxItems", len(obj))
+        if len(obj) < least:
+            return [], f"{obj!r} {'should be non-empty' if least == 1 else 'is too short'}"
+        if len(obj) > most:
+            return [], f"{obj!r} {'is expected to be empty' if most == 0 else 'is too long'}"
+        items = schema.get("items", {})
+        children = ((i, value, items) for i, value in enumerate(obj)) if items else ()
+    else:
+        pattern = schema.get("pattern")
+        if isinstance(obj, str) and pattern is not None and not re.search(pattern, obj):
+            return [], f"{obj!r} does not match {pattern!r}"
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            if obj < schema.get("minimum", obj):
+                return [], f"{obj!r} is less than the minimum of {schema['minimum']!r}"
+            if obj > schema.get("maximum", obj):
+                return [], f"{obj!r} is greater than the maximum of {schema['maximum']!r}"
+        return None
+    for key, value, sub in children:
+        err = _first_error(value, sub)
+        if err is not None:
+            err[0].append(key)
+            return err
+    return None
 
 
 def validate(obj, schema, where: str = "payload") -> None:
-    """Raise SchemaError naming jsonschema's best-matching error.  Each
-    schema is checked and compiled once, so schemas should be long-lived
-    objects such as the module-level constants.  jsonschema is imported on
-    the first call: it is most of the package's import time."""
-    import jsonschema
-
-    entry = _VALIDATORS.get(id(schema))
-    if entry is None:
-        jsonschema.Draft202012Validator.check_schema(schema)
-        entry = (schema, jsonschema.Draft202012Validator(schema))
-        _VALIDATORS[id(schema)] = entry
-    ex = jsonschema.exceptions.best_match(entry[1].iter_errors(obj))
-    if ex is not None:
-        path = "/".join(str(k) for k in ex.absolute_path) or "."
-        raise SchemaError(f"{where} at {path}: {ex.message}")
+    """Raise SchemaError for the first rule of the JSON Schema that obj
+    breaks, as "{where} at {path}: {message}", where path is the
+    slash-separated path of the failing node ("." for obj itself).  Only
+    the keywords in _KEYWORDS may occur in schema; any other raises
+    TypeError, since it is a fault of the program, not of its input."""
+    err = _first_error(obj, schema)
+    if err is not None:
+        keys, message = err
+        path = "/".join(str(k) for k in reversed(keys)) or "."
+        raise SchemaError(f"{where} at {path}: {message}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,9 @@ class _Options:
     max_lp_vars: int = DEFAULT_MAX_LP_VARS
 
 
-def _schema(required, optional=()):
-    props = {"kind": {"type": "string"}, "comment": {"type": "string"}}
-    props.update(required)
-    props.update(optional)
-    return {
-        "type": "object",
-        "required": ["kind", *required],
-        "additionalProperties": False,
-        "properties": props,
-    }
+def _schema(required, optional={}):
+    text = {"type": "string"}
+    return jsonio._obj({"kind": text, **required}, {"comment": text, **optional})
 
 
 _ANY = {}  # nested payloads are validated by their own codecs

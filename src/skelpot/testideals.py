@@ -129,12 +129,11 @@ class MonomialIdeal:
 
     @classmethod
     def _from_valid(cls, n: int, rows) -> "MonomialIdeal":
-        """The ideal of exponent vectors built from valid ideals' generators
-        (sums, maxima, unions) or read off a root's staircases: nothing to
-        check, straight to _antichain."""
+        """The ideal whose generators are rows, which already form a minimal
+        antichain sorted as _antichain sorts it: nothing to check."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
-        object.__setattr__(ideal, "gens", _antichain(rows))
+        object.__setattr__(ideal, "gens", tuple(rows))
         return ideal
 
     def __setattr__(self, *a):
@@ -186,7 +185,7 @@ class MonomialIdeal:
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
         sums = [tuple(map(add, a, b)) for a in self.gens for b in other.gens]
-        return MonomialIdeal._from_valid(self.n, sums)
+        return MonomialIdeal._from_valid(self.n, _antichain(sums))
 
     def __pow__(self, m: int) -> "MonomialIdeal":
         if not isinstance(m, int) or m < 0:
@@ -203,13 +202,13 @@ class MonomialIdeal:
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
-        return MonomialIdeal._from_valid(self.n, self.gens + other.gens)
+        return MonomialIdeal._from_valid(self.n, _antichain(self.gens + other.gens))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise TestIdealError("variable count mismatch")
         lcms = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
-        return MonomialIdeal._from_valid(self.n, lcms)
+        return MonomialIdeal._from_valid(self.n, _antichain(lcms))
 
 
 def unit_ideal(n: int) -> MonomialIdeal:
@@ -486,6 +485,8 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
             break
         prev = set(corners)
         t = _least(lambda s: walk((s,)) != corners, t + 1, box[0])
+    # sorted by t, then y, and minimal: a corner new at t lies outside
+    # slice t - 1, which holds every earlier slice
     return MonomialIdeal._from_valid(n, cand)
 
 

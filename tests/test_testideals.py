@@ -29,6 +29,7 @@ from skelpot.testideals import TestIdealError as IdealError
 from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
 from skelpot.testideals import (
+    _antichain,
     _BasisTable,
     _count_feasible,
     _root_by_queries,
@@ -346,7 +347,9 @@ def test_query_route_matches_materialized_floors():
         while p**e < m:
             e += 1
         e = rng.randint(1, e)
-        assert _root_by_queries(a, m, p, e) == frobenius_root(a**m, p, e)
+        root = _root_by_queries(a, m, p, e)
+        assert root == frobenius_root(a**m, p, e)
+        assert _antichain(root.gens) == root.gens
         done += 1
 
 
