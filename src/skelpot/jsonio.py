@@ -38,9 +38,10 @@ _RAT_RE = re.compile(_RAT_PATTERN)
 RAT_SCHEMA = {"type": "string", "pattern": _RAT_PATTERN}
 
 
-# Digits allowed in the numerator or the denominator of a wire rational:
-# CPython's default limit on int-from-string conversion, checked here so
-# that an over-long rational gets this module's message.
+# Digits allowed in a JSON integer and in the numerator or the denominator
+# of a wire rational: CPython's default limit on int-from-string
+# conversion, checked here so that an over-long number gets this module's
+# message.
 MAX_RAT_DIGITS = 4300
 
 
@@ -443,9 +444,17 @@ def _reject_float(text):
     raise SchemaError(f"float literal {text!r} is not allowed; use rational strings")
 
 
+def _parse_int(text):
+    digits = len(text.lstrip("-"))
+    if digits > MAX_RAT_DIGITS:
+        raise SchemaError(f"integer has too many digits: {digits}, at most {MAX_RAT_DIGITS} allowed")
+    return int(text)
+
+
 def loads(text: str):
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        return json.loads(text, parse_float=_reject_float, parse_int=_parse_int,
+                          parse_constant=_reject_float)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"invalid JSON: {ex}") from None
 

@@ -14,7 +14,7 @@ from .polyhedra import Polyhedron, poly_equal
 from .potential import energy, envelope, orthogonality_residual, solve_ma
 from .rat import Rat, rat_str
 from .svg import render_svg
-from .testideals import newton_test_ideal, test_ideal
+from .testideals import PRIME_LIMIT, is_prime, newton_test_ideal, test_ideal
 from .toric import (
     ToricPLFunction,
     is_concave,
@@ -341,8 +341,6 @@ def execute(scenario, *, bbox=DEFAULT_BBOX, max_lp_vars=DEFAULT_MAX_LP_VARS):
     schema, runner = _KINDS[kind]
     jsonio.validate(scenario, schema, f"{kind} scenario")
     if kind == "testideal":
-        from .testideals import PRIME_LIMIT, is_prime
-
         if scenario["p"] >= PRIME_LIMIT:
             raise SchemaError(f"p must be below {PRIME_LIMIT}, where primality is exact")
         if not is_prime(scenario["p"]):

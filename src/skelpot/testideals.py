@@ -8,8 +8,8 @@ point is a packing integer program with at most 3 rows, bounded in closed
 form by the dual vertices of its LP relaxation and decided exactly, in
 integers, only between those bounds.  A Newton-polyhedron route computes
 the same ideal from the interior condition u + (1,..,1) in
-int(lambda * Newt(a)); it shares no code with the chain route and
-cross-validates it.
+int(lambda * Newt(a)), exact row by row in closed form; it shares only
+the corner walker with the chain route and cross-validates it.
 """
 
 from __future__ import annotations
@@ -424,31 +424,16 @@ def _staircase(bounds, member, by: int, bz: int) -> list:
     return corners
 
 
-def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
-    """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
-    q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
-    up-closed criterion (n = 2 or 3) whose minimal points lie in a box of
-    size ~ (m/q) * max exponent.  For n = 2 it is one staircase.  For n = 3
-    the slices t = 0, 1, .. are staircases growing with t up to the limit
-    slice t = box[0], walked first; from slice t a gallop on t finds the
-    next slice that differs, whose corners outside slice t are new
-    generators, until the slice equals the limit.  A row is bounded by
-    _row_bounds and, where those leave a gap, by the nearest walked slices
-    below (members) and above (all members)."""
-    q, gens, n = p**e, a.gens, a.n
-    box = tuple(max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n))
-    table = _BasisTable(gens)
-    memo = {}
-
-    def member(v) -> bool:
-        got = memo.get(v)
-        if got is None:
-            w = tuple(q * vi + q - 1 for vi in v)
-            got = memo[v] = _count_feasible(table, w, m)
-        return got
-
-    assert member(box)  # every coordinate constraint is slack at the corner
-
+def _corners(box, member, cert) -> list:
+    """The corners (minimal points), sorted, of an up-closed set in N^n,
+    n = 2 or 3, whose corners lie in box: cert(prefix) bounds the rows
+    prefix + (y, z) for _staircase, and member(v) decides a point between
+    the bounds.  For n = 3 the slices t = 0, 1, .. grow with t up to the
+    limit slice t = box[0], walked first; from slice t a gallop on t finds
+    the next slice that differs, whose corners outside slice t are new,
+    until the slice equals the limit.  Where cert leaves a gap, a row is
+    also bounded by the nearest walked slices below (members) and above
+    (all members)."""
     by, bz = box[-2:]
     walks, done = {}, []  # prefix -> corners of its slice; walked prefixes, sorted
 
@@ -458,24 +443,23 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
 
     def walk(prefix):
         if prefix not in walks:
-            cert = _row_bounds(table, q, m, prefix, bz)
+            certified = cert(prefix)
             i = bisect.bisect(done, prefix)
             below = walks[done[i - 1]] if i else []
             above = walks[done[i]] if i < len(done) else [(0, 0)]
 
             def bounds(y):
-                lo, hi = cert(y)
+                lo, hi = certified(y)
                 if lo < hi:  # nested slices: above has all, below only members
                     lo, hi = max(lo, level(above, y)), min(hi, level(below, y))
                 return lo, hi
 
-            walks[prefix] = _staircase(bounds if done else cert,
-                                       lambda y, z: member(prefix + (y, z)), by, bz)
+            walks[prefix] = _staircase(bounds, lambda y, z: member(prefix + (y, z)), by, bz)
             bisect.insort(done, prefix)
         return walks[prefix]
 
-    if n == 2:
-        return MonomialIdeal._from_valid(2, walk(()))
+    if len(box) == 2:
+        return walk(())
     limit = walk(box[:1])
     cand, t, prev = [], 0, set()
     while True:
@@ -487,7 +471,26 @@ def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
         t = _least(lambda s: walk((s,)) != corners, t + 1, box[0])
     # sorted by t, then y, and minimal: a corner new at t lies outside
     # slice t - 1, which holds every earlier slice
-    return MonomialIdeal._from_valid(n, cand)
+    return cand
+
+
+def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
+    """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
+    q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
+    up-closed criterion (n = 2 or 3) whose minimal points lie in a box of
+    size ~ (m/q) * max exponent.  _corners walks it, each row bounded by
+    _row_bounds and decided by _count_feasible between those bounds."""
+    q, gens, n = p**e, a.gens, a.n
+    box = tuple(max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n))
+    table = _BasisTable(gens)
+
+    @cache
+    def member(v) -> bool:
+        return _count_feasible(table, tuple(q * vi + q - 1 for vi in v), m)
+
+    assert member(box)  # every coordinate constraint is slack at the corner
+    corners = _corners(box, member, lambda prefix: _row_bounds(table, q, m, prefix, box[-1]))
+    return MonomialIdeal._from_valid(n, corners)
 
 
 def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
@@ -706,43 +709,28 @@ def newton_normals(a: MonomialIdeal) -> tuple:
     return tuple(sorted(out))
 
 
-def _slice_mingens(constraints, dim):
-    """Minimal integer points u >= 0 with <c, u> > r for every (c, r); the
-    constraint data is integer (c >= 0), so only int // and - are used.
-    Returns a tuple of tuples, or () when no point satisfies the system
-    (the zero ideal)."""
-    if dim == 1:
+def _newton_bounds(constraints, prefix, bz: int):
+    """bounds(y) = (z, z) for the row v = prefix + (y, z): the least z with
+    <c, v> > r for every (c, r), or bz + 1 if no z will do.  Exact, so no
+    membership query is asked, and in integers (integer data, c >= 0)."""
+    k, top = len(prefix), bz + 1
+    rows = [(r - sum(map(mul, c, prefix)), c[k], c[k + 1]) for c, r in constraints]
+
+    def bounds(y):
         z = 0
-        for c, r in constraints:
-            if c[0] == 0:
-                if not (0 > r):
-                    return ()
-            else:
-                z = max(z, r // c[0] + 1)
-        return ((z,),)
-    # limit slice: constraints that survive u_1 -> infinity
-    limit = [(c[1:], r) for c, r in constraints if c[0] == 0]
-    limit_gens = _slice_mingens(limit, dim - 1)
-    # bound beyond which every dropped constraint is strictly slack
-    t_star = 0
-    for c, r in constraints:
-        if c[0] > 0:
-            t_star = max(t_star, r // c[0] + 1)
-    gens = []
-    for t in range(t_star + 2):
-        sliced = [(c[1:], r - c[0] * t) for c, r in constraints]
-        sub = _slice_mingens(sliced, dim - 1)
-        gens.extend((t,) + v for v in sub)
-        if sub == limit_gens:
-            break
-    return _antichain(gens)
+        for t, s, c in rows:  # c*z > t - s*y
+            zt = (t - s * y) // c + 1 if c else top * (t >= s * y)
+            z = zt if zt > z else z
+        return z, z
+
+    return bounds
 
 
 def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
     """tau(a^lambda) via the interior criterion: exponents u with
-    u + (1,..,1) in the interior of lambda * Newt(a).  Independent of the
-    Frobenius route and of p.  Each facet inequality is scaled by the
-    denominator of lambda once, so the slicing runs on integer data."""
+    u + (1,..,1) in the interior of lambda * Newt(a), walked by _corners.
+    Independent of p.  Each facet inequality is scaled by the denominator
+    of lambda once, so the walk runs on integer data."""
     lam = rat(lam)
     if lam < 0:
         raise TestIdealError("exponent must be >= 0")
@@ -756,4 +744,8 @@ def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
         h = min(sum(ci * gi for ci, gi in zip(c, g)) for g in a.gens)
         # <c, u + 1> > lam * h  <=>  <den*c, u> > num*h - den*sum(c)
         constraints.append((tuple(den * ci for ci in c), num * h - den * sum(c)))
-    return MonomialIdeal(a.n, _slice_mingens(constraints, a.n))
+    # a minimal u with u_i > 0 has c_i*(u_i - 1) <= r for some (c, r), c_i > 0
+    box = tuple(max((r // c[i] + 1 for c, r in constraints if c[i]), default=0) for i in range(a.n))
+    corners = [box] if a.n == 1 else _corners(  # exact rows: member is never asked
+        box, None, lambda prefix: _newton_bounds(constraints, prefix, box[-1]))
+    return MonomialIdeal._from_valid(a.n, corners)

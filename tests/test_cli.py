@@ -301,21 +301,46 @@ def test_testideal_large_prime(tmp_path):
 
 
 
-@pytest.mark.parametrize("k", [20, 40, 70])
-def test_testideal_huge_exponent_exit_0(tmp_path, capsys, k):
-    """testideal_basic.json with x^2 raised to x^(2^k): in process, exit 0
-    with the maximal ideal on both routes.  A chain route that walks the
-    query box ran 4 s at 2^20 and exited 1 at 2^40 (MemoryError) and 2^70
-    (OverflowError)."""
+@pytest.mark.parametrize(
+    "gens, p, expected",
+    [([[2**k, 0], [1, 1], [0, 2]], 2, [[0, 1], [1, 0]]) for k in (20, 40, 70)]
+    + [([[2**40, 0, 0], [0, 3, 0], [0, 0, 3]], 3, [[0, 0, 1], [0, 1, 0], [2**40 // 3, 0, 0]])],
+    ids=["20", "40", "70", "n3-2^40"],
+)
+def test_testideal_huge_exponent_exit_0(tmp_path, gens, p, expected):
+    """testideal_basic.json with x^2 raised to x^(2^k), and the three-variable
+    (x^(2^40), y^3, z^3) at p = 3: in process, exit 0 with the expected
+    ideal on both routes.  A chain route that walks the query box ran 4 s
+    at 2^20 and exited 1 at 2^40 (MemoryError) and 2^70 (OverflowError); a
+    Newton route that sliced every t ran past 55 s on the three-variable
+    ideal."""
     from skelpot import cli as cli_mod, scenarios
 
     s = scenarios.load_builtin("testideal_basic.json")
-    s["gens"][0] = [2**k, 0]
+    s.update(n=len(gens[0]), gens=gens, p=p)
     path = write_scenario(tmp_path, "huge.json", s)
     assert cli_mod.main(["run", path, "--out", str(tmp_path / "out"), "--format", "json"]) == 0
     result = json.loads((tmp_path / "out" / "result.json").read_text())
-    assert result["test_ideal"] == {"n": 2, "gens": [[0, 1], [1, 0]]}
+    assert result["test_ideal"] == {"n": len(gens[0]), "gens": expected}
     assert result["newton_agrees"] is True
+
+
+def test_integer_with_too_many_digits_exit_2(tmp_path):
+    """An integer literal past CPython's 4300-digit conversion limit is a
+    validation error naming the limit, not an internal one."""
+    from skelpot import scenarios
+
+    text = json.dumps(scenarios.load_builtin("testideal_basic.json"))
+    assert text.count('"p": 2') == 1
+    path = tmp_path / "p.json"
+    path.write_text(text.replace('"p": 2', '"p": ' + "9" * 5000), encoding="utf-8")
+    r = cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    err = _stderr_error(r)
+    assert err["kind"] == "validation"
+    assert "too many digits" in err["message"] and str(jsonio.MAX_RAT_DIGITS) in err["message"]
+    assert "sys.set_int_max_str_digits" not in r.stderr
+
 
 def test_testideal_rejects_four_variables(tmp_path):
     s = {"kind": "testideal", "n": 4, "p": 2, "gens": [[1, 0, 0, 1]], "lambda": "1"}

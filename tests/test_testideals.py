@@ -41,6 +41,7 @@ from skelpot.rat import Rat, rceil, rfloor
 
 from helpers import rand_lambda, rand_proper_ideal
 from lp_oracle import LinearProgram, lp_solve
+from newton_oracle import newton_by_slices
 
 
 def I(n, *gens):
@@ -594,26 +595,40 @@ def test_probe_rows_query_counts(monkeypatch):
 def test_probes_follow_the_staircase_not_the_box(monkeypatch, a, lam, p):
     """Membership queries plus row-bound evaluations stay within
     #generators * ceil(log2(box size)): the walk costs what the answer
-    has, however large the box (2^70 wide for the first family)."""
-    probes = []
+    has, however large the box (2^70 wide for the first family).  The
+    Newton route's row bounds are exact: within the same bound on its own
+    box, all of them row evaluations, and no membership query."""
+    expected = newton_tau(a, lam)
+    probes, asked, boxes = [], [], []
     real_count, real_walk = skelpot.testideals._count_feasible, skelpot.testideals._staircase
+    real_corners = skelpot.testideals._corners
 
     def counting(*args):
         probes.append(args)
         return real_count(*args)
 
     def walk(bounds, member, by, bz):
-        return real_walk(lambda y: probes.append(y) or bounds(y), member, by, bz)
+        return real_walk(lambda y: probes.append(y) or bounds(y),
+                         lambda y, z: asked.append((y, z)) or member(y, z), by, bz)
+
+    def corners(box, member, cert):
+        boxes.append(box)
+        return real_corners(box, member, cert)
 
     monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
     monkeypatch.setattr(skelpot.testideals, "_staircase", walk)
+    monkeypatch.setattr(skelpot.testideals, "_corners", corners)
     got = tau(a, lam, p)
-    assert got == newton_tau(a, lam)
+    assert got == expected
     e = skelpot.testideals._stop_exponent(a, lam, p)
     q = p**e
     m = rceil(Rat(lam) * q)
     box = [-((q - 1 - m * max(u[i] for u in a.gens)) // q) for i in range(a.n)]
     assert len(probes) <= len(got.gens) * _log2_ceil(sum(box) + 2)
+    probes.clear()
+    assert newton_tau(a, lam) == expected
+    assert not asked
+    assert len(probes) <= len(got.gens) * _log2_ceil(sum(boxes[-1]) + 2)
 
 
 def test_power_root_matches_definition():
@@ -742,28 +757,54 @@ def test_basis_table_stays_in_int():
 
 def test_newton_slices_stay_in_int(monkeypatch):
     """Scaled by the denominator of lambda once, every constraint that
-    reaches _slice_mingens, at any depth, is a tuple of ints with an int
-    right-hand side; the integer route still agrees with the chain."""
-    real = skelpot.testideals._slice_mingens
-    seen = []
+    reaches _newton_bounds is a tuple of ints with an int right-hand side,
+    and every row bound it returns is an exact int (lo = hi); the integer
+    route still agrees with the chain on n = 1, 2 and 3."""
+    real = skelpot.testideals._newton_bounds
+    seen, ns = set(), set()
 
-    def checked(constraints, dim):
+    def checked(constraints, prefix, bz):
         for c, r in constraints:
             assert type(c) is tuple and all(type(x) is int for x in c) and type(r) is int
-        seen.append(dim)
-        return real(constraints, dim)
+        bounds = real(constraints, prefix, bz)
 
-    monkeypatch.setattr(skelpot.testideals, "_slice_mingens", checked)
+        def typed(y):
+            lo, hi = bounds(y)
+            assert type(lo) is int and lo == hi
+            seen.add(len(prefix) + 2)
+            return lo, hi
+
+        return typed
+
+    monkeypatch.setattr(skelpot.testideals, "_newton_bounds", checked)
     rng = random.Random(103)
     for den in range(1, 8):
         for _ in range(6):
             n = rng.choice((1, 2, 3))
+            ns.add(n)
             a = rand_proper_ideal(rng, n, max_exp=4)
             lam = Rat(rng.choice([k for k in range(1, 4 * den) if gcd(k, den) == 1]), den)
             assert lam.denominator == den
             p = rng.choice((2, 3, 5, 7))
-            assert newton_tau(a, lam) == tau(a, lam, p)
-    assert set(seen) == {1, 2, 3}
+            got = newton_tau(a, lam)
+            assert all(type(x) is int for g in got.gens for x in g)
+            assert got == tau(a, lam, p)
+    assert seen == {2, 3} and ns == {1, 2, 3}
+
+
+def test_newton_route_matches_slice_oracle():
+    """The Newton route on the corner walker against the slice-by-slice
+    oracle and the chain route, on seeded ideals in one to three variables
+    with exponents up to 6 and lambda = a/b, a <= 36, b <= 3; the walker's
+    corners are a sorted minimal antichain as they come."""
+    rng = random.Random(105)
+    for _ in range(300):
+        n = rng.choice((1, 2, 3, 3))
+        a = rand_proper_ideal(rng, n, max_exp=6)
+        lam = Rat(rng.randint(1, 36), rng.randint(1, 3))
+        got = newton_tau(a, lam)
+        assert _antichain(got.gens) == got.gens
+        assert got == newton_by_slices(a, lam) == tau(a, lam, rng.choice((2, 3, 5)))
 
 
 def test_testideals_does_not_use_the_simplex():
