@@ -29,7 +29,6 @@ from .graphs import (
     pl_equal,
     pl_max,
     retract_point,
-    subdivide,
     subgraph_graph,
     total_mass,
 )

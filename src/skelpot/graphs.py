@@ -8,10 +8,7 @@ canonicalize to the endpoints, so point equality is unambiguous.
 
 PL functions carry rational vertex values plus per-edge interior
 breakpoints and are linear between consecutive samples; every slope is
-rational by construction.  Subdivision returns the refined graph together
-with a transfer map that carries points, functions, curvature and measures
-to the refinement and functions back, so data never has to be re-derived
-after refining.
+rational by construction.
 
 Retraction onto a subgraph collapses hanging trees to their attachment
 points; it is only defined when every complement component is a tree meeting
@@ -20,7 +17,7 @@ the subgraph in exactly one point, and validation enforces that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rat import Rat, rat, rat_str
 
@@ -148,8 +145,9 @@ class PLFunction:
         vertex_values = tuple(rat(x) for x in vertex_values)
         if len(vertex_values) != graph.n_vertices:
             raise GraphError("one value per vertex required")
-        if breaks is None:
-            breaks = tuple(() for _ in graph.edges)
+        breaks = ((),) * len(graph.edges) if breaks is None else tuple(breaks)
+        if len(breaks) != len(graph.edges):
+            raise GraphError("one breakpoint sequence per edge required")
         norm = []
         for e, seq in enumerate(breaks):
             length = graph.edge_length(e)
@@ -161,8 +159,6 @@ class PLFunction:
             if sorted(set(offs)) != offs:
                 raise GraphError("breakpoint offsets must strictly increase")
             norm.append(row)
-        if len(norm) != len(graph.edges):
-            raise GraphError("one breakpoint sequence per edge required")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_values", vertex_values)
         object.__setattr__(self, "breaks", tuple(norm))
@@ -373,12 +369,6 @@ class AtomicMeasure:
     def total_mass(self):
         return sum((m for _, m in self.atoms), start=ZERO)
 
-    def mass_at(self, pt: GraphPoint):
-        for q, m in self.atoms:
-            if q == pt:
-                return m
-        return ZERO
-
     def is_nonnegative(self) -> bool:
         return all(m >= 0 for _, m in self.atoms)
 
@@ -397,106 +387,6 @@ class AtomicMeasure:
 
 def total_mass(measure: AtomicMeasure):
     return measure.total_mass()
-
-
-# ---------------------------------------------------------------------------
-# Subdivision
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SubdivisionMap:
-    """Transfer from a graph to its subdivision, and of functions back."""
-
-    old: MetrizedGraph
-    new: MetrizedGraph
-    cut_vertex: dict = field(default_factory=dict)  # (edge, offset) -> new v
-    edge_pieces: dict = field(default_factory=dict)  # edge -> [(new_e, t0, t1)]
-
-    def point(self, pt: GraphPoint) -> GraphPoint:
-        if pt.is_vertex():
-            return GraphPoint("v", pt.index)
-        e, t = pt.index, pt.offset
-        if (e, t) in self.cut_vertex:
-            return GraphPoint("v", self.cut_vertex[(e, t)])
-        for ne, t0, t1 in self.edge_pieces[e]:
-            if t0 < t < t1:
-                return self.new.point(ne, t - t0)
-        raise GraphError("point not found in subdivision")  # pragma: no cover
-
-    def plf(self, f: PLFunction) -> PLFunction:
-        vv = list(f.vertex_values) + [ZERO] * (self.new.n_vertices - self.old.n_vertices)
-        for (e, t), v in self.cut_vertex.items():
-            vv[v] = f.value_at(self.old.point(e, t))
-        breaks = [() for _ in self.new.edges]
-        for e, pieces in self.edge_pieces.items():
-            for ne, t0, t1 in pieces:
-                row = [
-                    (t - t0, val) for t, val in f.breaks[e] if t0 < t < t1
-                ]
-                breaks[ne] = tuple(row)
-        return PLFunction(self.new, tuple(vv), tuple(breaks))
-
-    def plf_back(self, f: PLFunction) -> PLFunction:
-        """Transfer a PL function on the subdivision back; subdivision
-        vertices become breakpoints (collinear ones pruned)."""
-        vv = tuple(f.vertex_values[: self.old.n_vertices])
-        breaks = []
-        for e in range(len(self.old.edges)):
-            row = []
-            for ne, t0, t1 in self.edge_pieces[e]:
-                if t0 != 0:
-                    row.append((t0, f.vertex_values[self.cut_vertex[(e, t0)]]))
-                row.extend((t0 + t, val) for t, val in f.breaks[ne])
-            breaks.append(tuple(row))
-        return PLFunction(self.old, vv, tuple(breaks)).prune()
-
-    def curvature(self, theta: CurvatureData) -> CurvatureData:
-        degs = list(theta.degrees) + [ZERO] * (
-            self.new.n_vertices - self.old.n_vertices
-        )
-        return CurvatureData(self.new, tuple(degs))
-
-    def measure(self, mu: AtomicMeasure) -> AtomicMeasure:
-        return AtomicMeasure(self.new, {self.point(pt): m for pt, m in mu.atoms})
-
-
-def subdivide(g: MetrizedGraph, points) -> tuple[MetrizedGraph, SubdivisionMap]:
-    """Insert the given points as vertices.  Vertex points are ignored, so
-    subdividing at existing vertices is the identity refinement."""
-    cuts = {}
-    for pt in points:
-        if not isinstance(pt, GraphPoint):
-            raise GraphError("subdivide expects GraphPoints")
-        if pt.is_vertex():
-            continue
-        cuts.setdefault(pt.index, set()).add(pt.offset)
-    labels = list(g.labels)
-    used = set(labels)
-    edges = []
-    cut_vertex = {}
-    edge_pieces = {}
-    counter = 0
-    for e, (a, b, length, w) in enumerate(g.edges):
-        offs = sorted(cuts.get(e, ()))
-        prev_v, prev_t = a, ZERO
-        pieces = []
-        for t in offs:
-            while f"s{counter}" in used:
-                counter += 1
-            name = f"s{counter}"
-            used.add(name)
-            labels.append(name)
-            nv = len(labels) - 1
-            cut_vertex[(e, t)] = nv
-            pieces.append((len(edges), prev_t, t))
-            edges.append((prev_v, nv, t - prev_t, w))
-            prev_v, prev_t = nv, t
-        pieces.append((len(edges), prev_t, length))
-        edges.append((prev_v, b, length - prev_t, w))
-        edge_pieces[e] = pieces
-    new = MetrizedGraph(tuple(labels), tuple(edges))
-    return new, SubdivisionMap(old=g, new=new, cut_vertex=cut_vertex, edge_pieces=edge_pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ The Monge-Ampere operator assigns to F the atomic measure whose mass at x
 is exactly that excess; its total telescopes to the total theta-degree.
 dd^c is the theta = 0 case (a signed measure of total mass zero).
 
-Envelopes are a Z-matrix linear complementarity problem.  After
-subdividing at the breakpoints of u and absorbing dd^c(u) into the
-curvature d, the candidates F = u - y are affine on edges, and F is
-theta-psh exactly when  Delta y + d >= 0,  where Delta is the weighted graph
-Laplacian (off-diagonal entries <= 0).  Feasible points are closed under
-taking minima, so the envelope is u - y for the least y >= 0 with
-Delta y + d >= 0: the least-action principle of chip-firing.
+Envelopes are a Z-matrix linear complementarity problem.  Sample g at
+its vertices and at the breakpoints of u, and absorb dd^c(u) into the
+curvature d.  The candidates F = u - y are affine between samples, and F
+is theta-psh exactly when  Delta y + d >= 0,  where Delta is the weighted
+Laplacian of the samples (off-diagonal entries <= 0).  Feasible points are
+closed under taking minima, so the envelope is u - y for the least y >= 0
+with Delta y + d >= 0: the least-action principle of chip-firing.
 Elimination finds it by pivoting only where the reduced slack is negative,
 and an O(E) certificate (y >= 0, s = Delta y + d >= 0, y_v s_v = 0,
 min y = 0) proves it least by the maximum principle on {y > 0}.
@@ -28,7 +28,8 @@ min y = 0) proves it least by the maximum principle on {y > 0}.
 Both Laplacian solves go through one sparse Gaussian elimination in
 minimum-degree order, `_eliminate`, which differs only in the vertices it
 may pivot on: those with negative reduced slack for the envelope, every
-vertex but the anchor for solve_ma.  No pivoting for stability is needed,
+vertex but the anchor for solve_ma, whose samples are the vertices and
+the interior atoms of the measure.  No pivoting for stability is needed,
 because every Schur complement of a Laplacian is again a Laplacian.
 """
 
@@ -43,7 +44,6 @@ from .graphs import (
     GraphPoint,
     MetrizedGraph,
     PLFunction,
-    subdivide,
 )
 from .rat import Rat
 
@@ -131,17 +131,40 @@ class EnvelopeResult:
     lp_summary: dict
 
 
-def _conductances(gs: MetrizedGraph):
-    """Per vertex, the summed conductance w/l towards each neighbour; loops
-    drop out.  These are the off-diagonal entries of the Laplacian, negated."""
-    nbrs = [{} for _ in range(gs.n_vertices)]
-    for a, b, length, w in gs.edges:
-        if a == b:
-            continue
-        c = Rat(w) / length
-        nbrs[a][b] = nbrs[a].get(b, ZERO) + c
-        nbrs[b][a] = nbrs[b].get(a, ZERO) + c
-    return nbrs
+def _sample_laplacian(g: MetrizedGraph, points):
+    """The Laplacian of g sampled at its vertices and at the given points.
+
+    Vertex v keeps index v; the interior points follow, edge by edge and in
+    offset order.  Returns (nbrs, cuts): per sample, the summed conductance
+    w/dt towards each neighbour along the edges' sample chains, with loops
+    dropped (the off-diagonal entries of the Laplacian, negated); per edge,
+    its (offset, index) pairs."""
+    offsets = [set() for _ in g.edges]
+    for pt in points:
+        if not pt.is_vertex():
+            offsets[pt.index].add(pt.offset)
+    n = g.n_vertices
+    cuts = []
+    for offs in offsets:
+        cuts.append([(t, n + i) for i, t in enumerate(sorted(offs))])
+        n += len(offs)
+    nbrs = [{} for _ in range(n)]
+    for (a, b, length, w), cut in zip(g.edges, cuts):
+        chain = [(ZERO, a), *cut, (length, b)]
+        for (t0, x), (t1, y) in zip(chain, chain[1:]):
+            if x == y:
+                continue
+            c = Rat(w) / (t1 - t0)
+            nbrs[x][y] = nbrs[x].get(y, ZERO) + c
+            nbrs[y][x] = nbrs[y].get(x, ZERO) + c
+    return nbrs, cuts
+
+
+def _from_samples(g: MetrizedGraph, values, cuts) -> PLFunction:
+    """The PL function on g with the given values at the samples of
+    _sample_laplacian, linear between them (collinear breakpoints pruned)."""
+    breaks = tuple(tuple((t, values[i]) for t, i in cut) for cut in cuts)
+    return PLFunction(g, values[: g.n_vertices], breaks).prune()
 
 
 def _eliminate(nbrs, d, eligible):
@@ -152,13 +175,14 @@ def _eliminate(nbrs, d, eligible):
     as a dict of dicts of its off-diagonal entries, together with the
     reduced d'.  Each step eliminates, among the remaining vertices that
     eligible(v, d'_v) admits, one with the fewest remaining neighbours (the
-    least index on ties), so the degree-2 subdivision vertices go first and
-    cause no fill.  A Schur complement of a Laplacian is again a Laplacian,
-    so a pivot is the total conductance from its vertex to the remaining
-    ones; a vertex with no neighbour left has pivot 0, which raises
-    ValueError.  Eliminating v changes d' and the degree only at v's
-    neighbours, so only they are tested again; a vertex once admitted stays
-    admitted, as both callers' tests do.  Returns x as a list."""
+    least index on ties), so the interior sample points, which have at most
+    two neighbours, go first and cause no fill.  A Schur complement of a
+    Laplacian is again a Laplacian, so a pivot is the total conductance from
+    its vertex to the remaining ones; a vertex with no neighbour left has
+    pivot 0, which raises ValueError.  Eliminating v changes d' and the
+    degree only at v's neighbours, so only they are tested again; a vertex
+    once admitted stays admitted, as both callers' tests do.  Returns x as
+    a list."""
     n = len(d)
     a = [{u: -c for u, c in nb.items()} for nb in nbrs]
     d = list(d)
@@ -239,22 +263,20 @@ def envelope(g: MetrizedGraph, theta: CurvatureData, u: PLFunction) -> EnvelopeR
     instance when the total degree is negative).  The result comes with a
     recomputed psh certificate and a certificate that it is pointwise
     maximal.  lp_summary describes the problem as the linear program
-    max sum F - u over the n slope rows in n unknowns (n = vertices of the
-    subdivided graph), with its optimal value.
+    max sum F - u over the n slope rows in n unknowns (n = vertices plus
+    breakpoints of u), with its optimal value.
     """
     _check_same_graph(g, theta, u)
-    gs, smap = subdivide(g, u.breakpoints())
-    us = smap.plf(u)
-    theta_s = smap.curvature(theta)
-    # us is affine on the subdivided edges, so its curvature is -Delta us
-    nbrs = _conductances(gs)
-    degrees = _slack(nbrs, [-x for x in us.vertex_values], theta_s.degrees)
-    n = gs.n_vertices
-    y, s = _least_feasible(nbrs, degrees)
+    nbrs, cuts = _sample_laplacian(g, u.breakpoints())
+    n = len(nbrs)
+    # u at the samples, in their order; u is affine between samples, so its
+    # curvature is -Delta u, and theta vanishes off the vertices
+    us = [*u.vertex_values, *(x for row in u.breaks for _, x in row)]
+    theta_s = list(theta.degrees) + [ZERO] * (n - g.n_vertices)
+    y, s = _least_feasible(nbrs, _slack(nbrs, [-x for x in us], theta_s))
     _check_least(y, s)
     f0 = tuple(-yi for yi in y)
-    env_s = PLFunction(gs, tuple(a + b for a, b in zip(f0, us.vertex_values)), None)
-    env = smap.plf_back(env_s)
+    env = _from_samples(g, [a + b for a, b in zip(f0, us)], cuts)
     report = slope_report(g, theta, env)
     if not report.ok:
         raise PotentialError("internal: envelope fails its own psh certificate")
@@ -298,22 +320,19 @@ def solve_ma(
         )
     if not 0 <= anchor < g.n_vertices:
         raise PotentialError("anchor vertex out of range")
-    interior = [pt for pt, _ in mu.atoms if not pt.is_vertex()]
-    gs, smap = subdivide(g, interior)
-    theta_s = smap.curvature(theta)
-    mu_s = smap.measure(mu)
-    n = gs.n_vertices
-    b = [mu_s.mass_at(gs.vertex_point(v)) - theta_s.degrees[v] for v in range(n)]
+    nbrs, cuts = _sample_laplacian(g, (pt for pt, _ in mu.atoms))
+    index = {(e, t): i for e, cut in enumerate(cuts) for t, i in cut}
+    b = [-x for x in theta.degrees] + [ZERO] * (len(nbrs) - g.n_vertices)
+    for pt, m in mu.atoms:
+        b[pt.index if pt.is_vertex() else index[pt.index, pt.offset]] += m
     # (Delta F)_v = -b[v] off the anchor, with F(anchor) = 0: the grounded
     # Laplacian, positive definite on a connected graph (the anchor's row is
     # implied: rows sum to zero)
-    nbrs = _conductances(gs)
     try:
         f_vals = _eliminate(nbrs, b, lambda v, dv: v != anchor)
     except ValueError as ex:  # pragma: no cover - connected graphs are regular
         raise PotentialError(f"Laplacian solve failed: {ex}") from ex
-    f_s = PLFunction(gs, tuple(f_vals), None)
-    f = smap.plf_back(f_s)
+    f = _from_samples(g, f_vals, cuts)
     if ma_measure(g, theta, f).atoms != mu.atoms:
         raise PotentialError("internal: solution does not reproduce the measure")
     return f

@@ -344,7 +344,9 @@ def _minimal_retraction_affine(cell: Polyhedron):
     rows = [[col[k] for col in cols] for k in range(3)]
     d = det(rows)
     if d == 0:
-        raise ValueError("singular system")
+        raise ToricError(
+            "affine retraction needs a full-dimensional simplicial cell: singular system"
+        )
     # p(u) = sum_i a_i p_i with a = M^{-1} (u, 1) and M^{-1} = adj(M) / d
     adj = adjugate(rows)
     k = len(pts)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from skelpot import (
@@ -15,12 +13,9 @@ from skelpot import (
     pl_equal,
     pl_max,
     retract_point,
-    subdivide,
     subgraph_graph,
 )
 from skelpot.rat import Rat
-
-from helpers import rand_graph, rand_plf
 
 PATH = MetrizedGraph(("a", "b", "c"), ((0, 1, 1, 1), (1, 2, "3/2", 2)))
 
@@ -74,6 +69,14 @@ def test_plf_validation():
         )  # duplicate offset
 
 
+def test_plf_one_breakpoint_row_per_edge():
+    """Too few or too many breakpoint rows is a GraphError, checked before
+    any row is read against its edge."""
+    for rows in (((),), ((), (), ())):
+        with pytest.raises(GraphError, match="one breakpoint sequence per edge required"):
+            PLFunction(PATH, (0, 0, 0), rows)
+
+
 def test_plf_arithmetic_and_prune():
     f = PLFunction(PATH, (0, 1, 0))
     g = PLFunction(PATH, (1, 0, 1))
@@ -110,21 +113,6 @@ def test_measure_canonicalization():
     assert mu.total_mass() == 1
     assert not mu.is_nonnegative()
     assert (mu + mu.scale(-1)).atoms == ()
-
-
-def test_subdivide_roundtrip():
-    f = rand_plf(random.Random(11), PATH)
-    pts = f.breakpoints()
-    gs, smap = subdivide(PATH, pts)
-    assert gs.n_vertices == PATH.n_vertices + len(pts)
-    fs = smap.plf(f)
-    assert all(row == () for row in fs.breaks)
-    assert pl_equal(smap.plf_back(fs), f)
-
-
-def test_subdivide_at_vertex_is_identity():
-    gs, _ = subdivide(PATH, [GraphPoint("v", 2)])
-    assert gs.n_vertices == PATH.n_vertices
 
 
 # -- retraction ---------------------------------------------------------

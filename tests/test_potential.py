@@ -25,8 +25,7 @@ from skelpot import (
 )
 from hypothesis import given, settings, strategies as st
 
-from skelpot.graphs import subdivide
-from skelpot.potential import _conductances, _eliminate, _least_feasible
+from skelpot.potential import _eliminate, _least_feasible, _sample_laplacian
 from skelpot.rat import Rat
 
 import random
@@ -172,29 +171,41 @@ def test_slope_report_failing_rows():
 
 
 def _lp_envelope(g, theta, u):
-    """The envelope by linear programming: on the graph subdivided at u's
-    breakpoints, in y = u - F, minimise sum y over y >= 0 and the slope rows
-    sum_nu (w/l)(y_nu - y_v) <= d_v.  None when the LP is infeasible."""
-    gs, smap = subdivide(g, u.breakpoints())
-    us = smap.plf(u)
-    d = list(smap.curvature(theta).degrees)
-    for pt, m in dd_c(gs, us).atoms:
-        d[pt.index] += m
-    n = gs.n_vertices
+    """The envelope by linear programming.  The unknowns are y = u - F at
+    the vertices and then at u's breakpoints, edge by edge; F is affine
+    between them.  Minimise sum y over y >= 0 and the slope rows
+    sum_nu (w/l)(y_nu - y_x) <= theta_x + sum_nu (w/l)(u_nu - u_x), written
+    here from the edge list and u.breaks.  Returns (F, optimal value, number
+    of unknowns), or None when the LP is infeasible."""
+    us = list(u.vertex_values)
+    chains = []
+    for (a, b, length, w), row in zip(g.edges, u.breaks):
+        chain = [(Rat(0), a)]
+        for t, x in row:
+            chain.append((t, len(us)))
+            us.append(x)
+        chains.append((w, chain + [(length, b)]))
+    n = len(us)
+    lap = [[Rat(0)] * n for _ in range(n)]
+    for w, chain in chains:
+        for (t0, x), (t1, z) in zip(chain, chain[1:]):
+            if x != z:
+                c = Rat(w) / (t1 - t0)
+                lap[x][z] += c
+                lap[z][x] += c
+                lap[x][x] -= c
+                lap[z][z] -= c
+    d = list(theta.degrees) + [Rat(0)] * (n - g.n_vertices)
     rows = []
-    for v in range(n):
-        coeffs = [Rat(0)] * n
-        for e, end in gs.incident(v):
-            a, b, length, w = gs.edges[e]
-            if a != b:
-                coeffs[b if end == 0 else a] += Rat(w) / length
-                coeffs[v] -= Rat(w) / length
-        rows.append((tuple(coeffs), "<=", d[v]))
+    for x in range(n):
+        slope_u = sum((c * uz for c, uz in zip(lap[x], us)), start=Rat(0))
+        rows.append((tuple(lap[x]), "<=", d[x] + slope_u))
     res = lp_solve(LinearProgram((-Rat(1),) * n, rows, nonneg=True))
     if res.status == "infeasible":
         return None
-    values = tuple(x - y for x, y in zip(us.vertex_values, res.point))
-    return smap.plf_back(PLFunction(gs, values)), res.value
+    f = [a - y for a, y in zip(us, res.point)]
+    breaks = tuple(tuple((t, f[i]) for t, i in chain[1:-1]) for _, chain in chains)
+    return PLFunction(g, f[: g.n_vertices], breaks), res.value, n
 
 
 @st.composite
@@ -228,6 +239,7 @@ def test_envelope_matches_lp_oracle(instance):
     res = envelope(g, theta, u)
     assert pl_equal(res.envelope, expect[0])
     assert res.lp_summary["objective"] == expect[1]
+    assert res.lp_summary["n_vars"] == expect[2]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +289,7 @@ def test_laplacian_factor_matches_dense_elimination(instance):
     g, d, order, cuts, anchor = instance
     n = g.n_vertices
     lap = _dense_laplacian(g)
-    nbrs = _conductances(g)
+    nbrs = _sample_laplacian(g, ())[0]
     for hi in cuts + [n - 1]:
         J = order[:hi]
         expect = [Rat(0)] * n
@@ -303,7 +315,7 @@ def test_least_feasible_matches_rounds(instance):
     y, or EnvelopeInfeasible from both.  d has both signs, and its total
     (the total degree) is often negative."""
     g, d, _, _, _ = instance
-    nbrs = _conductances(g)
+    nbrs = _sample_laplacian(g, ())[0]
     try:
         expect = least_feasible_rounds(nbrs, d)
     except EnvelopeInfeasible:

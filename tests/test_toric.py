@@ -166,6 +166,17 @@ def test_decompose_cell_containing_a_line_is_a_toric_error():
         decompose(line, (Rat(1, 2), 0))
 
 
+def test_retraction_affine_of_a_line_raises_toric_error():
+    """A point with two opposite rays is a line, not a full-dimensional
+    simplicial cell: retraction_affine raises ToricError, as decompose does
+    on the same cell."""
+    line = Polyhedron(((0, 0),), ((1, 0), (-1, 0)))
+    with pytest.raises(ToricError, match="full-dimensional simplicial cell"):
+        retraction_affine(line)
+    with pytest.raises(ToricError):
+        decompose(line, (0, 0))
+
+
 def test_support_function_of_triangle(fx):
     # min(0, u, v) on a few probes
     assert fx.psi.value((Rat(2), Rat(3))) == 0
