@@ -11,7 +11,7 @@ it is not rebuilt from any blow-up combinatorics at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyhedra import Polyhedron
 from .toric import (
@@ -75,8 +75,7 @@ _F_PRIME_PIECES = (
 )
 
 
-@dataclass(frozen=True)
-class CounterexampleFixture:
+class CounterexampleFixture(NamedTuple):
     pi: PolyComplex
     pi_prime: PolyComplex
     g: tuple            # affine data ((grad, const),) per skeleton cell

@@ -17,9 +17,9 @@ the subgraph in exactly one point, and validation enforces that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .rat import Rat, rat, rat_str
+from .rat import Frozen, Rat, rat, rat_str
 
 ZERO = Rat(0)
 
@@ -32,15 +32,17 @@ class RetractionError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(Frozen):
     """A point of the geometric realization: ('v', index, 0) at a vertex or
     ('e', edge, offset) strictly inside an edge.  Build via MetrizedGraph
     .point / .vertex_point so canonicalization is guaranteed."""
 
-    kind: str
-    index: int
-    offset: object = ZERO
+    _fields = ("kind", "index", "offset")
+
+    def __init__(self, kind, index, offset=ZERO):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "offset", offset)
 
     def is_vertex(self) -> bool:
         return self.kind == "v"
@@ -49,10 +51,8 @@ class GraphPoint:
         return (0 if self.kind == "v" else 1, self.index, self.offset)
 
 
-@dataclass(frozen=True)
-class MetrizedGraph:
-    labels: tuple
-    edges: tuple  # of (a, b, length, weight) with vertex indices a, b
+class MetrizedGraph(Frozen):
+    _fields = ("labels", "edges")  # edges: (a, b, length, weight) with vertex indices a, b
 
     def __init__(self, labels, edges):
         labels = tuple(str(x) for x in labels)
@@ -132,14 +132,11 @@ class MetrizedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(Frozen):
     """Continuous piecewise linear function: values at vertices, plus sorted
     strictly interior (offset, value) breakpoints per edge."""
 
-    graph: MetrizedGraph
-    vertex_values: tuple
-    breaks: tuple  # per edge: tuple of (offset, value)
+    _fields = ("graph", "vertex_values", "breaks")  # breaks: per edge, (offset, value) pairs
 
     def __init__(self, graph, vertex_values, breaks=None):
         vertex_values = tuple(rat(x) for x in vertex_values)
@@ -320,13 +317,11 @@ def pl_equal(f: PLFunction, g: PLFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(Frozen):
     """A vertex-supported divisor-like weight: rational degree per vertex.
     Nef at graph level means the total degree is >= 0."""
 
-    graph: MetrizedGraph
-    degrees: tuple
+    _fields = ("graph", "degrees")
 
     def __init__(self, graph, degrees):
         degrees = tuple(rat(x) for x in degrees)
@@ -342,13 +337,11 @@ class CurvatureData:
         return self.degrees[pt.index] if pt.is_vertex() else ZERO
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Frozen):
     """Finitely supported rational measure; zero-mass atoms are dropped on
     construction so support is canonical."""
 
-    graph: MetrizedGraph
-    atoms: tuple  # sorted tuple of (GraphPoint, mass), masses nonzero
+    _fields = ("graph", "atoms")  # atoms: sorted (GraphPoint, mass) pairs, masses nonzero
 
     def __init__(self, graph, atoms):
         if isinstance(atoms, dict):
@@ -394,10 +387,8 @@ def total_mass(measure: AtomicMeasure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    vertices: frozenset
-    edges: frozenset
+class Subgraph(Frozen):
+    _fields = ("vertices", "edges")  # two frozensets of indices
 
     def __init__(self, vertices, edges):
         object.__setattr__(self, "vertices", frozenset(int(v) for v in vertices))
@@ -510,8 +501,7 @@ def retract_point(g: MetrizedGraph, sub: Subgraph, x: GraphPoint) -> GraphPoint:
     raise RetractionError("point not located")  # pragma: no cover
 
 
-@dataclass
-class SubgraphEmbedding:
+class SubgraphEmbedding(NamedTuple):
     """The subgraph as a metrized graph in its own right, with index maps."""
 
     big: MetrizedGraph

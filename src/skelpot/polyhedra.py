@@ -19,21 +19,18 @@ caps at bounded ends), so the same kernel cuts the box by every piece.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .rat import Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
+from .rat import Frozen, Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(Frozen):
     """conv(gen_points) + cone(gen_rays); gen_points is never empty."""
 
-    gen_points: tuple
-    gen_rays: tuple = ()
+    _fields = ("gen_points", "gen_rays")
 
     def __init__(self, gen_points, gen_rays=()):
         pts = tuple(tuple(rat(x) for x in p) for p in gen_points)

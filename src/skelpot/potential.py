@@ -35,7 +35,7 @@ because every Schur complement of a Laplacian is again a Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     AtomicMeasure,
@@ -62,16 +62,14 @@ class MassMismatch(PotentialError):
     pass
 
 
-@dataclass(frozen=True)
-class SlopeRow:
+class SlopeRow(NamedTuple):
     point: GraphPoint
     slopes: tuple  # of (edge, tag, weight, slope)
     degree: object
     excess: object
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     rows: tuple
     ok: bool
 
@@ -124,8 +122,7 @@ def dd_c(g: MetrizedGraph, f: PLFunction) -> AtomicMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
+class EnvelopeResult(NamedTuple):
     envelope: PLFunction
     certificate: SlopeReport
     lp_summary: dict

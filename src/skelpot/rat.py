@@ -8,6 +8,8 @@ The planar and test-ideal systems have at most 3 unknowns; `det`,
 `adjugate` and `cramer` solve those by cofactor expansion, without
 dividing, so they stay in int on integer data.  The graph-Laplacian
 systems, of any size, are solved in `potential` by sparse elimination.
+
+`Frozen` is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def rat(value) -> Rat:
     """Coerce ints, strings like '3' or '-7/2', and Rat values to Rat."""
-    if isinstance(value, (int,)) or type(value) is type(ZERO):
+    if type(value) is type(ZERO):
+        return value  # immutable, so sharing it is safe
+    if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
         s = value.strip()
@@ -45,6 +49,36 @@ def rat(value) -> Rat:
     if isinstance(value, float):
         raise TypeError("floats are banned; pass an int, string, or Rat")
     return Rat(value)
+
+
+class Frozen:
+    """Base of the immutable value classes.  A subclass names its fields in
+    `_fields` and sets them in `__init__` through `object.__setattr__`.
+    Objects are equal when their classes match and their fields are equal;
+    the hash is that of the tuple of fields."""
+
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def rat_str(q) -> str:

@@ -5,7 +5,7 @@ reproduces every output byte."""
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jsonio
 from .fixtures import CELL_LABELS, counterexample_fixture
@@ -31,14 +31,12 @@ DEFAULT_MAX_LP_VARS = 512
 DEFAULT_BBOX = Rat(3)
 
 
-@dataclass
-class ScenarioOutput:
+class ScenarioOutput(NamedTuple):
     result: dict
-    figures: dict = field(default_factory=dict)  # file name -> svg text
+    figures: dict  # file name -> svg text
 
 
-@dataclass(frozen=True)
-class _Options:
+class _Options(NamedTuple):
     bbox: object = DEFAULT_BBOX
     max_lp_vars: int = DEFAULT_MAX_LP_VARS
 
@@ -63,8 +61,8 @@ def _check_lp_cap(g, points, opts: _Options, what="envelope") -> None:
     need = g.n_vertices + len(points)
     if need > opts.max_lp_vars:
         raise SchemaError(
-            f"{what} needs {need} vertices after subdivision, above the cap "
-            f"of {opts.max_lp_vars} (raise SKELPOT_MAX_LP_VARS)"
+            f"{what} needs {need} sample points (vertices and interior points), "
+            f"above the cap of {opts.max_lp_vars} (raise SKELPOT_MAX_LP_VARS)"
         )
 
 
@@ -117,7 +115,7 @@ def _run_curve_orthogonality(payload, opts: _Options) -> ScenarioOutput:
     _check_lp_cap(g, u.breakpoints(), opts)
     residual = orthogonality_residual(g, theta, u)
     return ScenarioOutput(
-        {"residual": rat_str(residual), "residual_is_zero": residual == 0}
+        {"residual": rat_str(residual), "residual_is_zero": residual == 0}, {}
     )
 
 
@@ -134,7 +132,8 @@ def _run_curve_energy(payload, opts: _Options) -> ScenarioOutput:
             "envelope_f": jsonio.plf_to_json(phi1),
             "envelope_g": jsonio.plf_to_json(phi2),
             "energy": rat_str(energy(g, theta, phi1, phi2)),
-        }
+        },
+        {},
     )
 
 
@@ -285,7 +284,7 @@ def _run_testideal(payload, opts: _Options) -> ScenarioOutput:
         "test_ideal": jsonio.ideal_to_json(tau),
         "newton_agrees": newton_test_ideal(a, lam) == tau,
     }
-    return ScenarioOutput(result)
+    return ScenarioOutput(result, {})
 
 
 # ---------------------------------------------------------------------------

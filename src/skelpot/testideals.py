@@ -15,11 +15,11 @@ the corner walker with the chain route and cross-validates it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import add, mul
+from typing import NamedTuple
 
 from .rat import adjugate, det as rat_det, rat, rceil
 
@@ -568,8 +568,7 @@ def test_ideal(a: MonomialIdeal, lam, p: int) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedSequence:
+class GradedSequence(NamedTuple):
     """a_m for m >= 1: either powers of a fixed ideal or an explicit table
     (checked for a_m * a_n <= a_{m+n} on all applicable pairs)."""
 

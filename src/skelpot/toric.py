@@ -22,8 +22,8 @@ geometry this package models.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .polyhedra import (
     Polyhedron,
@@ -41,7 +41,7 @@ from .polyhedra import (
     poly_is_subset,
     recession,
 )
-from .rat import Rat, rat, rat_str, dot, rfloor, primitive, adjugate, cramer, cross2, det, det3, vec_sub
+from .rat import Frozen, Rat, rat, rat_str, dot, rfloor, primitive, adjugate, cramer, cross2, det, det3, vec_sub
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -132,8 +132,7 @@ class PolyComplex:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class SimplicialFlag:
+class SimplicialFlag(NamedTuple):
     simplicial: tuple
     unimodular: tuple
 
@@ -363,11 +362,10 @@ def _minimal_retraction_affine(cell: Polyhedron):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportFn:
+class SupportFn(Frozen):
     """min of affine pieces <m, u> + c; concave by construction."""
 
-    pieces: tuple
+    _fields = ("pieces",)
 
     def __init__(self, pieces):
         rows = tuple(
@@ -561,9 +559,8 @@ def is_concave(h: ToricPLFunction):
     return True, None
 
 
-@dataclass(frozen=True)
-class ToricAtomicMeasure:
-    atoms: tuple  # of (point, mass), masses > 0, points distinct, sorted
+class ToricAtomicMeasure(Frozen):
+    _fields = ("atoms",)  # of (point, mass), masses > 0, points distinct, sorted
 
     def __init__(self, atoms):
         rows = []

@@ -182,7 +182,7 @@ def _solve_ma_grid(k):
 
 
 def test_lp_cap_covers_solve_ma(tmp_path):
-    """The cap counts solve_ma's vertices after subdivision, 25 + 1 here."""
+    """The cap counts solve_ma's sample points: 25 vertices and 1 interior atom."""
     import os
 
     path = write_scenario(tmp_path, "ma.json", _solve_ma_grid(5))
@@ -194,8 +194,8 @@ def test_lp_cap_covers_solve_ma(tmp_path):
     err = _stderr_error(r)
     assert err["kind"] == "validation"
     assert err["message"] == (
-        "solve_ma needs 26 vertices after subdivision, above the cap of 1 "
-        "(raise SKELPOT_MAX_LP_VARS)"
+        "solve_ma needs 26 sample points (vertices and interior points), "
+        "above the cap of 1 (raise SKELPOT_MAX_LP_VARS)"
     )
 
 _LINE = [["1", "0"], ["-1", "0"]]

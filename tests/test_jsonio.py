@@ -285,14 +285,14 @@ def test_validate_agrees_with_jsonschema(obj, schema, accepted):
     assert _Reference().check(obj, schema) == accepted
 
 
-def test_builtins_run_without_jsonschema(tmp_path):
-    """jsonschema is only the tests' reference: every built-in runs with
-    it blocked from import."""
+def _run_builtins_blocking(module, tmp_path):
+    """Run every built-in in a fresh interpreter with `module` blocked
+    from import; each must exit 0."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "sys.modules['jsonschema'] = None\n"
+        f"sys.modules[{module!r}] = None\n"
         "from skelpot import cli, scenarios\n"
         "codes = {n: cli.main(['run', n, '--out', f'{sys.argv[1]}/{n}'])\n"
         "         for n in scenarios.builtin_names()}\n"
@@ -308,6 +308,19 @@ def test_builtins_run_without_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = proc.stdout.splitlines()[-1]
     assert codes == str({name: 0 for name in scenarios.builtin_names()})
+
+
+def test_builtins_run_without_jsonschema(tmp_path):
+    """jsonschema is only the tests' reference: every built-in runs with
+    it blocked from import."""
+    _run_builtins_blocking("jsonschema", tmp_path)
+
+
+def test_builtins_run_without_dataclasses(tmp_path):
+    """The value classes build on rat.Frozen and typing.NamedTuple, so
+    every built-in runs with dataclasses (and the inspect, ast and dis it
+    pulls in) blocked from import."""
+    _run_builtins_blocking("dataclasses", tmp_path)
 
 
 # Values the mutator swaps in: lists, objects, null, bools, huge integers,

@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
+from skelpot.graphs import GraphPoint, MetrizedGraph
+from skelpot.polyhedra import Polyhedron
 from skelpot.rat import (
+    ZERO,
     Rat,
     adjugate,
     cramer,
@@ -24,6 +29,40 @@ def test_rat_parsing():
     assert rat("-7") == Rat(-7)
     assert rat(5) == Rat(5)
     assert rat(Rat(2, 6)) == Rat(1, 3)
+
+
+def test_rat_shares_rationals():
+    q = Rat(22, 7)
+    assert rat(q) is q
+
+
+def test_value_classes_keep_frozen_dataclass_behaviour():
+    """rat.Frozen replaces frozen dataclasses: equality needs the same
+    class, the hash is that of the field tuple, the repr reads
+    Name(field=value, ...), and no attribute can be set or deleted."""
+    half = Rat(1, 2)
+    pt = GraphPoint("e", 1, half)
+    twin = dataclasses.make_dataclass(
+        "GraphPoint", ["kind", "index", "offset"], frozen=True
+    )("e", 1, half)
+    assert repr(pt) == repr(twin) == f"GraphPoint(kind='e', index=1, offset={half!r})"
+    assert hash(pt) == hash(twin) == hash(("e", 1, half))
+    assert pt == GraphPoint("e", 1, half) and pt != GraphPoint("e", 2, half)
+    assert pt != twin
+    assert GraphPoint("v", 0) != ("v", 0, 0)
+    pts, rays = ((Rat(0), Rat(0)),), ((Rat(1), Rat(0)),)
+    poly = Polyhedron([(0, 0)], [(1, 0)])
+    assert hash(poly) == hash((pts, rays))
+    assert repr(poly) == f"Polyhedron(gen_points={pts!r}, gen_rays={rays!r})"
+    # the incidence cache _ends is not a field
+    assert repr(MetrizedGraph(["a"], [])) == "MetrizedGraph(labels=('a',), edges=())"
+    with pytest.raises(AttributeError, match="cannot assign to field 'offset'"):
+        pt.offset = ZERO
+    with pytest.raises(AttributeError, match="cannot delete field 'gen_rays'"):
+        del poly.gen_rays
+    with pytest.raises(AttributeError):
+        poly.extra = 1
+    assert pt.offset == half and poly.gen_rays == rays
 
 
 @pytest.mark.parametrize("bad", ["", "1.5", "3/0", "x", "1/2/3", None])
