@@ -30,7 +30,6 @@ from .graphs import (
     pl_max,
     retract_point,
     subgraph_graph,
-    total_mass,
 )
 from .potential import (
     EnvelopeInfeasible,

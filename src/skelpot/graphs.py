@@ -8,7 +8,8 @@ canonicalize to the endpoints, so point equality is unambiguous.
 
 PL functions carry rational vertex values plus per-edge interior
 breakpoints and are linear between consecutive samples; every slope is
-rational by construction.
+rational by construction.  Two PL functions combine (+, -, max) in one
+walk along each edge's two sample lists, and point queries bisect.
 
 Retraction onto a subgraph collapses hanging trees to their attachment
 points; it is only defined when every complement component is a tree meeting
@@ -17,6 +18,7 @@ the subgraph in exactly one point, and validation enforces that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .rat import Frozen, Rat, rat, rat_str
@@ -172,12 +174,9 @@ class PLFunction(Frozen):
     def value_at(self, pt: GraphPoint):
         if pt.is_vertex():
             return self.vertex_values[pt.index]
-        t = pt.offset
         samples = self.samples(pt.index)
-        for (t0, v0), (t1, v1) in zip(samples, samples[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        raise GraphError("point outside edge")  # pragma: no cover
+        i = bisect_left(samples, (pt.offset,))
+        return _interp(samples[i - 1], samples[i], pt.offset)
 
     def breakpoints(self):
         out = []
@@ -206,30 +205,46 @@ class PLFunction(Frozen):
             e, t = pt.index, pt.offset
             samples = self.samples(e)
             w = g.edges[e][3]
-            vt = self.value_at(pt)
-            left = max(((t0, v0) for t0, v0 in samples if t0 < t), key=lambda s: s[0])
-            right = min(((t1, v1) for t1, v1 in samples if t1 > t), key=lambda s: s[0])
-            out.append((e, "left", w, (left[1] - vt) / (t - left[0])))
-            out.append((e, "right", w, (right[1] - vt) / (right[0] - t)))
+            i = bisect_left(samples, (t,))
+            vt = _interp(samples[i - 1], samples[i], t)
+            (t0, v0), (t1, v1) = samples[i - 1], samples[i + 1 if samples[i][0] == t else i]
+            out.append((e, "left", w, (v0 - vt) / (t - t0)))
+            out.append((e, "right", w, (v1 - vt) / (t1 - t)))
         return out
 
     # -- arithmetic -----------------------------------------------------
 
     def _merge(self, other, op):
+        """op pointwise, in one walk along each edge: at every offset where
+        either function has a sample, and where self - other changes sign
+        strictly inside a grid segment.  There both functions are affine
+        and equal some v, so op(v, v) is exact for max, and collinear (so
+        pruned again) for + and -."""
         g = self.graph
         if other.graph != g:
             raise GraphError("PL functions live on different graphs")
         vv = tuple(op(a, b) for a, b in zip(self.vertex_values, other.vertex_values))
         breaks = []
         for e in range(len(g.edges)):
-            offs = sorted(
-                {t for t, _ in self.breaks[e]} | {t for t, _ in other.breaks[e]}
-            )
-            row = tuple(
-                (t, op(self.value_at(GraphPoint("e", e, t)), other.value_at(GraphPoint("e", e, t))))
-                for t in offs
-            )
-            breaks.append(row)
+            fs, gs = self.samples(e), other.samples(e)
+            i = j = 0
+            row, last = [], None
+            while i < len(fs):
+                t = min(fs[i][0], gs[j][0])
+                ft = fs[i][1] if fs[i][0] == t else _interp(fs[i - 1], fs[i], t)
+                gt = gs[j][1] if gs[j][0] == t else _interp(gs[j - 1], gs[j], t)
+                if last is not None:
+                    t0, f0, d0 = last
+                    d1 = ft - gt
+                    if d0 < 0 < d1 or d1 < 0 < d0:
+                        tc = t0 + (t - t0) * d0 / (d0 - d1)
+                        vc = _interp((t0, f0), (t, ft), tc)
+                        row.append((tc, op(vc, vc)))
+                row.append((t, op(ft, gt)))
+                last = (t, ft, ft - gt)
+                i += fs[i][0] == t
+                j += gs[j][0] == t
+            breaks.append(row[1:-1])
         return PLFunction(g, vv, tuple(breaks)).prune()
 
     def __add__(self, other):
@@ -276,40 +291,19 @@ class PLFunction(Frozen):
 
 def pl_max(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise max, with exact breakpoints at crossing offsets."""
-    gr = f.graph
-    if g.graph != gr:
-        raise GraphError("PL functions live on different graphs")
-    vv = tuple(max(a, b) for a, b in zip(f.vertex_values, g.vertex_values))
-    breaks = []
-    for e in range(len(gr.edges)):
-        offs = sorted({t for t, _ in f.breaks[e]} | {t for t, _ in g.breaks[e]})
-        length = gr.edge_length(e)
-        grid = [ZERO] + offs + [length]
-        row = []
-        for t0, t1 in zip(grid, grid[1:]):
-            f0 = f.value_at(gr.point(e, t0))
-            f1 = f.value_at(gr.point(e, t1))
-            g0 = g.value_at(gr.point(e, t0))
-            g1 = g.value_at(gr.point(e, t1))
-            # crossing of the two affine pieces inside (t0, t1)?
-            d0, d1 = f0 - g0, f1 - g1
-            if d0 * d1 < 0:
-                tc = t0 + (t1 - t0) * d0 / (d0 - d1)
-                vc = f0 + (f1 - f0) * (tc - t0) / (t1 - t0)
-                row.append((tc, vc))
-            if t1 != length:
-                row.append((t1, max(f1, g1)))
-        breaks.append(tuple(row))
-    return PLFunction(gr, vv, tuple(breaks)).prune()
+    return f._merge(g, max)
 
 
 def pl_equal(f: PLFunction, g: PLFunction) -> bool:
-    if f.graph != g.graph:
-        return False
-    diff = f - g
-    if any(v != 0 for v in diff.vertex_values):
-        return False
-    return all(not row or all(v == 0 for _, v in row) for row in diff.breaks)
+    """Pruned forms are canonical: prune keeps exactly the offsets where the
+    left and right slopes differ."""
+    return f.prune() == g.prune()
+
+
+def _interp(s0, s1, t):
+    """The value at offset t of the segment between samples s0 and s1."""
+    (t0, v0), (t1, v1) = s0, s1
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +370,6 @@ class AtomicMeasure(Frozen):
     def scale(self, t):
         t = rat(t)
         return AtomicMeasure(self.graph, {pt: t * m for pt, m in self.atoms})
-
-
-def total_mass(measure: AtomicMeasure):
-    return measure.total_mass()
 
 
 # ---------------------------------------------------------------------------

@@ -343,11 +343,7 @@ def energy(
     (MA(phi1) + MA(phi2)), the standard bilinear form normalized so that
     E(phi + c, phi) = c * total degree."""
     total = ma_measure(g, theta, phi1) + ma_measure(g, theta, phi2)
-    diff = phi1 - phi2
-    acc = ZERO
-    for pt, m in total.atoms:
-        acc += m * diff.value_at(pt)
-    return acc / 2
+    return _integrate(phi1 - phi2, total) / 2
 
 
 def orthogonality_residual(g: MetrizedGraph, theta: CurvatureData, u: PLFunction):
@@ -355,8 +351,10 @@ def orthogonality_residual(g: MetrizedGraph, theta: CurvatureData, u: PLFunction
     exactly so callers can assert it."""
     env = envelope(g, theta, u).envelope
     ma = ma_measure(g, theta, env)
-    diff = u - env
-    acc = ZERO
-    for pt, m in ma.atoms:
-        acc += m * diff.value_at(pt)
-    return acc
+    return _integrate(u - env, ma)
+
+
+def _integrate(f: PLFunction, mu: AtomicMeasure):
+    """The pairing of f with an atomic measure: its atoms' masses times the
+    values of f there."""
+    return sum((m * f.value_at(pt) for pt, m in mu.atoms), start=ZERO)

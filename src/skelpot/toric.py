@@ -579,13 +579,6 @@ class ToricAtomicMeasure(Frozen):
     def total_mass(self):
         return sum((m for _, m in self.atoms), start=ZERO)
 
-    def mass_at(self, pt):
-        pt = (rat(pt[0]), rat(pt[1]))
-        for q, m in self.atoms:
-            if q == pt:
-                return m
-        return ZERO
-
 
 def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
     """Monge-Ampere measure of a concave PL function whose recession is the

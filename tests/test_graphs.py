@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import pl_oracle
+from helpers import rand_graph, rand_len, rand_value
 from skelpot import (
     AtomicMeasure,
     CurvatureData,
@@ -98,6 +102,92 @@ def test_pl_max_inserts_crossings():
     assert m.breaks[0] == ((Rat(1, 2), Rat(1, 2)),)
     assert m.value_at(PATH.point(1, Rat(3, 4))) == Rat(1, 2)
     assert pl_equal(pl_max(m, f), m)
+
+
+def _rand_breaks(rng, g, most):
+    """Per edge up to `most` breakpoints at multiples of length / 12."""
+    rows = []
+    for e in range(len(g.edges)):
+        cuts = sorted(rng.sample(range(1, 12), rng.randint(0, most)))
+        rows.append(tuple((g.edge_length(e) * Rat(c, 12), rand_value(rng)) for c in cuts))
+    return rows
+
+
+def _rand_pair(rng):
+    """Two PL functions on one random graph.  Half the graphs gain a loop
+    and an edge parallel to their first; in half the pairs v copies some
+    vertex values and breakpoints of u, so u - v vanishes on grid points."""
+    g = rand_graph(rng, max_v=4, max_e=5)
+    if rng.random() < 0.5:
+        a, b = g.edges[0][:2] if g.edges else (0, 0)
+        loop = (b, b, rand_len(rng), rng.randint(1, 3))
+        g = MetrizedGraph(g.labels, g.edges + (loop, (a, b, rand_len(rng), 2)))
+    n = g.n_vertices
+    u = PLFunction(g, [rand_value(rng) for _ in range(n)], _rand_breaks(rng, g, 4))
+    vv = [rand_value(rng) for _ in range(n)]
+    rows = _rand_breaks(rng, g, 4)
+    if rng.random() < 0.5:
+        vv = [x if rng.random() < 0.5 else y for x, y in zip(u.vertex_values, vv)]
+        rows = [
+            sorted(dict(list(r) + [b for b in ub if rng.random() < 0.5]).items())
+            for r, ub in zip(rows, u.breaks)
+        ]
+    return u, PLFunction(g, vv, rows)
+
+
+def _query_points(rng, f):
+    g = f.graph
+    pts = [g.vertex_point(v) for v in range(g.n_vertices)] + f.breakpoints()
+    pts += [g.point(e, g.edge_length(e) * Rat(rng.randint(1, 999), 1000)) for e in range(len(g.edges))]
+    return pts
+
+
+def _with_collinear_points(rng, f):
+    """f with extra breakpoints on its own segments: equal to f."""
+    rows = []
+    for e, row in enumerate(f.breaks):
+        c = f.graph.edge_length(e) * Rat(rng.randint(1, 47), 48)
+        rows.append(sorted({c: pl_oracle.value_at(f, f.graph.point(e, c)), **dict(row)}.items()))
+    return PLFunction(f.graph, f.vertex_values, rows)
+
+
+def _agrees_with_oracle(rng, u, v):
+    add, sub = u + v, u - v
+    assert add == pl_oracle.merge(u, v, lambda a, b: a + b)
+    assert sub == pl_oracle.merge(u, v, lambda a, b: a - b)
+    assert pl_max(u, v) == pl_oracle.pl_max(u, v)
+    assert pl_max(v, u) == pl_oracle.pl_max(v, u)
+    assert pl_equal(u, v) == pl_oracle.pl_equal(u, v)
+    u2 = _with_collinear_points(rng, u)
+    assert pl_equal(u, u2) and pl_oracle.pl_equal(u, u2)
+    for f in (u, v):
+        for pt in _query_points(rng, f):
+            assert f.value_at(pt) == pl_oracle.value_at(f, pt)
+            assert f.directional_slopes(pt) == pl_oracle.directional_slopes(f, pt)
+    # + and - insert no breakpoint at a crossing strictly between samples
+    for w in (add, sub):
+        for e, row in enumerate(w.breaks):
+            grid = {t for t, _ in u.breaks[e]} | {t for t, _ in v.breaks[e]}
+            assert {t for t, _ in row} <= grid
+
+
+def test_pl_operations_agree_with_scanning_oracle():
+    """The one-walk merge and bisecting queries against the scanning forms,
+    on 1,000 seeded pairs with several breakpoints per edge."""
+    rng = random.Random(2207)
+    for _ in range(1000):
+        _agrees_with_oracle(rng, *_rand_pair(rng))
+
+
+def test_pl_operations_agree_with_oracle_on_a_dense_edge():
+    rng = random.Random(22)
+    g = MetrizedGraph(("a", "b"), ((0, 1, 1, 1),))
+    for shared in (False, True):
+        cuts = sorted(rng.sample(range(1, 4000), 200))
+        u = PLFunction(g, (0, 1), [[(Rat(c, 4000), rand_value(rng)) for c in cuts]])
+        rows = [[(t, x if shared and rng.random() < 0.5 else rand_value(rng)) for t, x in u.breaks[0]]]
+        v = PLFunction(g, (0, 1) if shared else (1, 0), rows)
+        _agrees_with_oracle(rng, u, v)
 
 
 def test_measure_canonicalization():
