@@ -3,11 +3,13 @@
 Every rational travels as a string -- "3", "-1/2" -- never as a JSON
 number with a fractional part.  Floats are rejected on decode (including
 ``1e3`` and ``NaN``) and can never be produced on encode; :func:`dumps`
-walks its input once more to enforce that.  Structural validation is
-:func:`validate`, a walk of the value and a JSON Schema together that
-knows the twelve keywords this module's schemas use; semantic validation
-is whatever the target constructors raise, re-wrapped as
-:class:`SchemaError`.
+walks its input once more to enforce that.  A key or string holding a
+lone surrogate, which UTF-8 cannot encode, is rejected on decode too, and
+so is a vertex name that XML 1.0 cannot carry into the SVG figures.
+Structural validation is :func:`validate`, a walk of the value and a JSON
+Schema together that knows the twelve keywords this module's schemas use;
+semantic validation is whatever the target constructors raise, re-wrapped
+as :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -226,11 +228,23 @@ def validate(obj, schema, where: str = "payload") -> None:
 # ---------------------------------------------------------------------------
 
 
+# The code points that XML 1.0 does not allow in a document, all outside
+# str.isprintable(); compiled by re on first use.
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def graph_from_json(obj):
     """-> (MetrizedGraph, CurvatureData | None); edges reference vertices
     by name, missing "w" means weight 1, missing theta entries mean 0."""
     validate(obj, GRAPH_SCHEMA, "graph")
     labels = obj["vertices"]
+    for i, name in enumerate(labels):
+        bad = None if name.isprintable() else re.search(_NOT_XML, name)
+        if bad:
+            raise SchemaError(
+                f"graph at vertices/{i}: vertex name {name!a} holds U+{ord(bad.group()):04X}, "
+                "which XML 1.0 does not allow in the SVG figures"
+            )
     index = {name: i for i, name in enumerate(labels)}
     if len(index) != len(labels):
         raise SchemaError("duplicate vertex names")
@@ -451,12 +465,34 @@ def _parse_int(text):
     return int(text)
 
 
+def _reject_surrogates(obj, keys=(), what="string") -> None:
+    """SchemaError naming the path of the first key or string value in obj
+    that holds a lone surrogate, a code point that UTF-8 cannot encode."""
+    if isinstance(obj, str):
+        try:
+            obj.encode("utf-8")
+        except UnicodeEncodeError as ex:
+            path = "/".join(map(str, keys)) or "."
+            bad = ord(obj[ex.start])
+            raise SchemaError(f"{what} at {path} holds the lone surrogate U+{bad:04X}: {obj!a}") from None
+        return
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        _reject_surrogates(key, keys, "key")
+        _reject_surrogates(value, keys + (key,))
+
+
 def loads(text: str):
+    """Parse JSON text; floats, over-long integers and lone surrogates in
+    any key or string are SchemaErrors."""
     try:
-        return json.loads(text, parse_float=_reject_float, parse_int=_parse_int,
-                          parse_constant=_reject_float)
+        obj = json.loads(text, parse_float=_reject_float, parse_int=_parse_int,
+                         parse_constant=_reject_float)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"invalid JSON: {ex}") from None
+    if "\\u" in text or not text.isascii():  # else no string can hold a surrogate
+        _reject_surrogates(obj)
+    return obj
 
 
 def assert_no_floats(obj, where: str = "$") -> None:

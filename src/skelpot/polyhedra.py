@@ -11,14 +11,18 @@ Cramer's rule decides.  Dimension is decided by cross products.  For the
 convex hull of the generators, with hull and hull-area tools, and one
 clipping kernel: a cell's counterclockwise ring of points and rays cut by
 halfplanes (Sutherland-Hodgman), which the SVG layer uses to cut its box by
-a cell and toric to intersect two cells, all over Q.  inequalities extends
-the facets to pieces of dimension 0 and 1 (both sides of their line, and
-caps at bounded ends), so the same kernel cuts the box by every piece.
+a cell and toric to intersect two cells.  The ring is homogeneous and the
+kernel divides nothing, so an integer ring stays integer; the hull scales
+its points to one common denominator and runs on int as well.
+inequalities extends the facets to pieces of dimension 0 and 1 (both sides
+of their line, and caps at bounded ends), so the same kernel cuts the box
+by every piece.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cmp_to_key
 
 from .rat import Frozen, Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
@@ -243,25 +247,28 @@ def cell_ring(poly: Polyhedron) -> list:
 
 def clip_ring(ring, hps):
     """Sutherland-Hodgman clipping (Commun. ACM 1974) of a counterclockwise
-    ring of generators (x, y, w) by each halfplane <n, x> <= c in turn: keep
-    the generators with side <n, (x, y)> - c*w <= 0 and the crossing on each
-    ring edge that changes side.  Equal w cross at (s*q - t*p) / (s - t); a
-    point a and a ray r at a - (s_a/s_r)*r, and a ray parallel to the line
-    (s_r = 0) is kept as itself, so w stays in {0, 1}.  None when no point
-    is left: two disjoint half-strips still share a ray."""
+    ring of homogeneous generators (x, y, w), the point (x/w, y/w) when
+    w > 0 and the ray (x, y) when w = 0, by each halfplane <n, x> <= c in
+    turn: keep the generators with side c.den*<n, (x, y)> - c.num*w <= 0
+    and the crossing on each ring edge that changes side.  Nothing is
+    divided.  Two points, or two rays, with sides s and t cross at
+    sign(s - t)*(s*q - t*p), so w > 0 or the ray keeps its direction; a
+    point a and a ray r at sign(s_r)*(s_r*a - s_a*r), and a ray parallel to
+    the line (s_r = 0) is kept as itself.  On int data every crossing is
+    divided by its gcd, so ints stay small ints.  None when no point is
+    left: two disjoint half-strips still share a ray."""
     for n, c in hps:
-        side = [n[0] * g[0] + n[1] * g[1] - c if g[2] else n[0] * g[0] + n[1] * g[1] for g in ring]
+        cn, cd = c.numerator, c.denominator
+        side = [cd * (n[0] * g[0] + n[1] * g[1]) - cn * g[2] for g in ring]
         cut = []
         for k, (q, t) in enumerate(zip(ring, side)):
             p, s = ring[k - 1], side[k - 1]
             if (s <= 0) != (t <= 0):
-                if p[2] == q[2]:
-                    cut.append(((s * q[0] - t * p[0]) / (s - t), (s * q[1] - t * p[1]) / (s - t), q[2]))
-                else:
-                    (a, sa), (r, sr) = ((p, s), (q, t)) if p[2] else ((q, t), (p, s))
-                    if sr != 0:  # else the crossing is r, kept as a generator
-                        f = sa / sr
-                        cut.append((a[0] - f * r[0], a[1] - f * r[1], 1))
+                # the crossing u*a - v*b; for a point and a ray, u is the ray's side
+                u, a, v, b = (t, p, s, q) if p[2] and not q[2] else (s, q, t, p)
+                if u != 0:  # else the crossing is b, which is kept
+                    u, v = (u, v) if u > 0 else (-u, -v)
+                    cut.append(_reduced(*(u * x - v * y for x, y in zip(a, b))))
             if t <= 0:
                 cut.append(q)
         if not any(g[2] for g in cut):
@@ -270,23 +277,47 @@ def clip_ring(ring, hps):
     return ring
 
 
+def _reduced(x, y, w):
+    """(x, y, w) divided by its gcd when all three are int."""
+    if type(x) is type(y) is type(w) is int:
+        g = math.gcd(x, y, w)
+        return (x // g, y // g, w // g)
+    return (x, y, w)
+
+
+def over_common_denominator(points):
+    """(L, [(X, Y), ...]): the least common denominator L of the
+    coordinates of the rational points, and each point as int numerators
+    over it, in order."""
+    L = math.lcm(*(x.denominator for p in points for x in p))
+    return L, [(int(x.numerator) * (L // int(x.denominator)),
+                int(y.numerator) * (L // int(y.denominator))) for x, y in points]
+
+
+def _chain(keyed) -> list:
+    """One monotone chain of Andrew's algorithm over (int key, point)
+    pairs: pop while the last two kept and the new key fail to turn left."""
+    out = []
+    for k, p in keyed:
+        while len(out) >= 2:
+            (a, _), (b, _) = out[-2], out[-1]
+            if (b[0] - a[0]) * (k[1] - a[1]) - (b[1] - a[1]) * (k[0] - a[0]) > 0:
+                break
+            out.pop()
+        out.append((k, p))
+    return out
+
+
 def convex_hull_2d(points) -> list:
-    """Andrew's monotone chain on exact rationals; returns hull vertices in
-    counterclockwise order (collinear points pruned)."""
-    pts = sorted({(rat(p[0]), rat(p[1])) for p in points})
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross2(vec_sub(lower[-1], lower[-2]), vec_sub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross2(vec_sub(upper[-1], upper[-2]), vec_sub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    """Andrew's monotone chain; returns hull vertices in counterclockwise
+    order (collinear points pruned), as Rat pairs.  The points are scaled
+    to one common denominator, so sorting and cross products run on int."""
+    pts = list({(rat(p[0]), rat(p[1])) for p in points})
+    keyed = sorted(zip(over_common_denominator(pts)[1], pts))
+    if len(keyed) <= 2:
+        return [p for _, p in keyed]
+    lower, upper = _chain(keyed), _chain(reversed(keyed))
+    return [p for _, p in lower[:-1] + upper[:-1]]
 
 
 def hull_area_2d(points) -> Rat:

@@ -1,9 +1,11 @@
 """Deterministic SVG 1.1 rendering of 2-D objects.
 
-Raster rule: every emitted coordinate is an exact rational snapped to a
-1/8-px grid (round-half-up), printed as a decimal with at most three
-places (1/8 = 0.125 is exact).  No floating point is involved anywhere,
-so equal input yields byte-identical output.
+Raster rule: every emitted coordinate is an exact rational, held as a
+homogeneous integer point (x, y, w), w > 0, and snapped to a 1/8-px grid
+(round-half-up) by one int floor division; it is printed as a decimal
+with at most three places (1/8 = 0.125 is exact).  No floating point is
+involved anywhere, and no Fraction arithmetic runs per coordinate, so
+equal input yields byte-identical output.
 
 Renderable objects: a metrized graph (optionally with a PL overlay), a
 polyhedral complex (cells clipped to the bounding box and labeled), a
@@ -12,7 +14,7 @@ single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
 
 Every piece is clipped to the box by polyhedra.clip_ring, the
 Sutherland-Hodgman kernel that toric also uses for cell ∩ cell: the box's
-corner ring is cut by each inequality of the piece in turn (the facets of
+integer corner ring is cut by each inequality of the piece in turn (the facets of
 a cell; both sides of its line and its bounded ends for a segment, ray or
 line; the x- and y-lines through a point), so an unbounded piece needs no
 special handling of its rays, and each cut costs O(ring).
@@ -23,8 +25,8 @@ from __future__ import annotations
 from functools import partial
 
 from .graphs import MetrizedGraph, PLFunction
-from .polyhedra import Polyhedron, clip_ring, convex_hull_2d, inequalities
-from .rat import Rat, rat, rat_str, rfloor, vec_add, vec_scale, vec_sub
+from .polyhedra import Polyhedron, clip_ring, convex_hull_2d, inequalities, over_common_denominator
+from .rat import Rat, rat, rat_str
 from .toric import PolyComplex
 
 _SIZE = 640
@@ -49,12 +51,11 @@ _HEADER = (
 _BACKGROUND = f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>'
 
 
-def _snap(q) -> str:
-    """Exact rational -> decimal string on the 1/8-px raster.
+def _snap(x, w=1) -> str:
+    """The rational x/w, w > 0 -> decimal string on the 1/8-px raster.
 
-    floor(8q + 1/2) for q = a/b is (16a + b) // (2b), all in int."""
-    a, b = int(q.numerator), int(q.denominator)
-    eighths = (2 * _RASTER * a + b) // (2 * b)
+    floor(8x/w + 1/2) is (16x + w) // (2w), all in int on int data."""
+    eighths = (2 * _RASTER * x + w) // (2 * w)
     thousandths = eighths * 125
     sign = "-" if thousandths < 0 else ""
     whole, frac = divmod(abs(thousandths), 1000)
@@ -63,26 +64,27 @@ def _snap(q) -> str:
     return f"{sign}{whole}." + f"{frac:03d}".rstrip("0")
 
 
-def _xy(p) -> str:
-    return f"{_snap(p[0])},{_snap(p[1])}"
+def _pt(x, y, w):
+    """The homogeneous point (x, y, w), w > 0, as its snapped coordinates."""
+    return _snap(x, w), _snap(y, w)
 
 
 def _line(p, q, color: str, width: str = "2") -> str:
     return (
-        f'<line x1="{_snap(p[0])}" y1="{_snap(p[1])}" x2="{_snap(q[0])}" '
-        f'y2="{_snap(q[1])}" stroke="{color}" stroke-width="{width}"/>'
+        f'<line x1="{p[0]}" y1="{p[1]}" x2="{q[0]}" '
+        f'y2="{q[1]}" stroke="{color}" stroke-width="{width}"/>'
     )
 
 
 def _circle(p, r: str, fill: str) -> str:
-    return f'<circle cx="{_snap(p[0])}" cy="{_snap(p[1])}" r="{r}" fill="{fill}"/>'
+    return f'<circle cx="{p[0]}" cy="{p[1]}" r="{r}" fill="{fill}"/>'
 
 
 def _text(p, s: str, size: str = "14", anchor: str = "start") -> str:
     # what xml.sax.saxutils.escape does, without importing urllib with it
     s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
-        f'<text x="{_snap(p[0])}" y="{_snap(p[1])}" font-family="monospace" '
+        f'<text x="{p[0]}" y="{p[1]}" font-family="monospace" '
         f'font-size="{size}" text-anchor="{anchor}" fill="#111111">{s}</text>'
     )
 
@@ -97,21 +99,22 @@ def _document(body) -> str:
 
 
 class _Plane:
-    """Maps the box [-b, b]^2 to the canvas, y pointing up; holds the ring
-    of the box's corners, counterclockwise, for clipping."""
+    """Maps the box [-b, b]^2, b = B/D, to the canvas, y pointing up; holds
+    the ring of the box's corners, counterclockwise, for clipping."""
 
     def __init__(self, b):
         b = rat(b)
         if b <= 0:
             raise ValueError("bounding box half-width must be positive")
         self.b = b
-        self.scale = Rat(_SIZE - 2 * _MARGIN) / (2 * b)
-        self.ring = [(-b, -b, 1), (b, -b, 1), (b, b, 1), (-b, b, 1)]
+        self.B, self.D = B, D = int(b.numerator), int(b.denominator)
+        self.ring = [(-B, -B, D), (B, -B, D), (B, B, D), (-B, B, D)]
 
-    def to_px(self, p):
-        x = _MARGIN + (rat(p[0]) + self.b) * self.scale
-        y = _SIZE - _MARGIN - (rat(p[1]) + self.b) * self.scale
-        return (x, y)
+    def to_px(self, x, y, w):
+        """The model point (x/w, y/w) on the canvas, snapped: the centre
+        plus (x, -y) times the scale (_SIZE/2 - _MARGIN) / b."""
+        c, k = _SIZE // 2 * w * self.B, (_SIZE // 2 - _MARGIN) * self.D
+        return _pt(c + k * x, c - k * y, w * self.B)
 
 
 def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
@@ -123,7 +126,7 @@ def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
     drops the repeated and collinear points the cuts leave and puts the
     vertices in canonical order."""
     ring = clip_ring(plane.ring, facets() if facets is not None else inequalities(poly))
-    return None if ring is None else convex_hull_2d(ring)
+    return None if ring is None else convex_hull_2d([(Rat(x, w), Rat(y, w)) for x, y, w in ring])
 
 
 def _render_complex(pc: PolyComplex, bbox, labels) -> str:
@@ -138,9 +141,10 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         if hull is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        px = [plane.to_px(p) for p in hull]
+        L, keys = over_common_denominator(hull)
+        px = [plane.to_px(x, y, L) for x, y in keys]
         if len(px) >= 3:
-            pts = " ".join(_xy(p) for p in px)
+            pts = " ".join(map(",".join, px))
             fills.append(
                 f'<polygon points="{pts}" fill="{color}" fill-opacity="0.3" '
                 'stroke="#222222" stroke-width="1.5"/>'
@@ -149,9 +153,8 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
             edges.append(_line(px[0], px[1], "#222222", "1.5"))
         else:
             edges.append(_circle(px[0], "2.5", "#222222"))
-        cx = sum((p[0] for p in hull), start=Rat(0)) / len(hull)
-        cy = sum((p[1] for p in hull), start=Rat(0)) / len(hull)
-        texts.append(_text(plane.to_px((cx, cy)), labels[i], anchor="middle"))
+        centroid = plane.to_px(sum(x for x, _ in keys), sum(y for _, y in keys), L * len(keys))
+        texts.append(_text(centroid, labels[i], anchor="middle"))
     return _document(fills + edges + texts)
 
 
@@ -164,7 +167,8 @@ def _render_skeleton(polys, bbox) -> str:
         hull = _clipped_hull(poly, plane)
         if hull is None:
             continue
-        px = [plane.to_px(p) for p in hull]
+        L, keys = over_common_denominator(hull)
+        px = [plane.to_px(x, y, L) for x, y in keys]
         if len(px) == 1:
             dots.append(_circle(px[0], "3", "#111111"))
         elif len(px) == 2:
@@ -181,52 +185,44 @@ def _render_skeleton(polys, bbox) -> str:
 
 
 def _vertex_positions(n: int):
-    """Evenly spaced (by perimeter) positions on a square outline."""
-    side = Rat(_SIZE - 2 * _MARGIN)
-    m = Rat(_MARGIN)
+    """Evenly spaced (by perimeter) positions on a square outline, as
+    homogeneous points of weight n."""
+    side, m = (_SIZE - 2 * _MARGIN) * n, _MARGIN * n
     out = []
     for k in range(n):
-        d = 4 * side * k / n
-        s = rfloor(d / side)
-        r = d - s * side
+        s, r = divmod(4 * (_SIZE - 2 * _MARGIN) * k, side)
         out.append(
-            (m + r, m) if s == 0 else (m + side, m + r) if s == 1
-            else (m + side - r, m + side) if s == 2 else (m, m + side - r)
+            (m + r, m, n) if s == 0 else (m + side, m + r, n) if s == 1
+            else (m + side - r, m + side, n) if s == 2 else (m, m + side - r, n)
         )
     return out
 
 
 def _edge_polyline(pa, pb, copy_index: int, loop_index: int | None):
-    """Polyline vertices for one drawn edge; parallel copies bow out."""
+    """Polyline vertices for one drawn edge, homogeneous; pa and pb have
+    the same weight.  Parallel copies bow out."""
+    x, y, w = pa
     if loop_index is not None:
-        d = Rat(18 * (loop_index + 1))
-        return [
-            pa,
-            vec_add(pa, (d, -d)),
-            vec_add(pa, (Rat(0), -2 * d)),
-            vec_add(pa, (-d, -d)),
-            pa,
-        ]
-    mid = vec_scale(Rat(1, 2), vec_add(pa, pb))
+        d = 18 * (loop_index + 1) * w
+        return [pa, (x + d, y - d, w), (x, y - 2 * d, w), (x - d, y - d, w), pa]
     j = copy_index
-    off = Rat(16 * ((j + 1) // 2) * (1 if j % 2 else -1))
+    off = 16 * ((j + 1) // 2) * (1 if j % 2 else -1)
     if off == 0:
         return [pa, pb]
-    dx, dy = vec_sub(pb, pa)
-    denom = max(abs(dx), abs(dy))
-    perp = (-dy * off / denom, dx * off / denom)
-    return [pa, vec_add(mid, perp), pb]
+    dx, dy = pb[0] - x, pb[1] - y
+    m = max(abs(dx), abs(dy))
+    # the midpoint plus (-dy, dx) * off / m
+    return [pa, ((x + pb[0]) * m - 2 * w * dy * off, (y + pb[1]) * m + 2 * w * dx * off, 2 * w * m), pb]
 
 
 def _along(polyline, frac):
     """Point at parameter frac in [0, 1], linear in segment count."""
+    a, b = int(frac.numerator), int(frac.denominator)
     segs = len(polyline) - 1
-    t = rat(frac) * segs
-    i = min(rfloor(t), segs - 1)
-    local = t - i
-    return vec_add(
-        polyline[i], vec_scale(local, vec_sub(polyline[i + 1], polyline[i]))
-    )
+    i = min(segs * a // b, segs - 1)
+    u = segs * a - i * b  # the offset u/b into segment i
+    (x0, y0, w0), (x1, y1, w1) = polyline[i], polyline[i + 1]
+    return ((b - u) * x0 * w1 + u * x1 * w0, (b - u) * y0 * w1 + u * y1 * w0, b * w0 * w1)
 
 
 def _render_graph(g: MetrizedGraph, overlay: PLFunction | None) -> str:
@@ -247,24 +243,22 @@ def _render_graph(g: MetrizedGraph, overlay: PLFunction | None) -> str:
             j = pair_seen.get(key, 0)
             pair_seen[key] = j + 1
             line = _edge_polyline(pos[a], pos[b], j, None)
-        pts = " ".join(_xy(p) for p in line)
+        pts = " ".join(",".join(_pt(*p)) for p in line)
         edge_elems.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         if overlay is not None:
             for t, val in overlay.breaks[e]:
-                p = _along(line, t / length)
-                marker_elems.append(_circle(p, "3", color))
-                marker_elems.append(
-                    _text(vec_add(p, (Rat(5), Rat(-5))), rat_str(val), size="11")
-                )
+                x, y, w = _along(line, t / length)
+                marker_elems.append(_circle(_pt(x, y, w), "3", color))
+                marker_elems.append(_text(_pt(x + 5 * w, y - 5 * w, w), rat_str(val), size="11"))
     dots, labels = [], []
-    for v, p in enumerate(pos):
-        dots.append(_circle(p, "4", "#111111"))
+    for v, (x, y, w) in enumerate(pos):
+        dots.append(_circle(_pt(x, y, w), "4", "#111111"))
         name = g.labels[v]
         if overlay is not None:
             name = f"{name}={rat_str(overlay.vertex_values[v])}"
-        labels.append(_text(vec_add(p, (Rat(6), Rat(-8))), name))
+        labels.append(_text(_pt(x + 6 * w, y - 8 * w, w), name))
     return _document(edge_elems + marker_elems + dots + labels)
 
 

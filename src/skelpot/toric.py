@@ -37,6 +37,7 @@ from .polyhedra import (
     interior_point,
     is_pointed,
     minimalize,
+    over_common_denominator,
     poly_dim,
     poly_is_subset,
     recession,
@@ -623,13 +624,19 @@ def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
 
 def _overlaps(a: PolyComplex, b: PolyComplex):
     """(i, j, a.cells[i] ∩ b.cells[j]) for each pair of cells overlapping in
-    dimension 2: the ring of cell i clipped by the facets of cell j."""
+    dimension 2: the ring of cell i, over one common denominator so that
+    clip_ring runs on int, clipped by the facets of cell j."""
     for i, cell in enumerate(a.cells):
         ring = cell_ring(cell)
+        den, keys = over_common_denominator([g[:2] for g in ring])
+        ring = [(x, y, den * g[2]) for (x, y), g in zip(keys, ring)]
         for j in range(len(b.cells)):
             cut = clip_ring(ring, b.cell_halfplanes(j))
             if cut is not None:
-                inter = Polyhedron([g[:2] for g in cut if g[2]], [g[:2] for g in cut if not g[2]])
+                inter = Polyhedron(
+                    [(Rat(g[0], g[2]), Rat(g[1], g[2])) for g in cut if g[2]],
+                    [g[:2] for g in cut if not g[2]],
+                )
                 if poly_dim(inter) == 2:
                     yield i, j, inter
 

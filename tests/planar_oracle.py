@@ -7,6 +7,9 @@ the older, general route: rank by Gaussian elimination, facets by trying
 every normal that a pair of generators suggests, and the generators of a
 set of halfplanes by trying every pair of lines.  A point, segment or ray
 is clipped to a box parametrically, by shrinking an interval of its line.
+The convex hull here runs Andrew's chain on Fraction keys and cross
+products; skelpot scales the points to one common denominator and runs it
+on int.
 
 skelpot validates a complex from local data (paired facets, vertex links,
 one sheet), walks only the paired facets for continuity and concavity, and
@@ -155,6 +158,25 @@ def vrep_from_halfplanes(hps) -> Polyhedron | None:
             return None
         raise ValueError("region is not pointed (no vertex)")
     return Polyhedron(tuple(sorted(verts)), tuple(sorted(rays)))
+
+
+def convex_hull_2d(points) -> list:
+    """Andrew's monotone chain on exact rationals; returns hull vertices in
+    counterclockwise order (collinear points pruned)."""
+    pts = sorted({(rat(p[0]), rat(p[1])) for p in points})
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross2(vec_sub(lower[-1], lower[-2]), vec_sub(p, lower[-2])) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross2(vec_sub(upper[-1], upper[-2]), vec_sub(p, upper[-2])) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
 
 
 def box(b) -> Polyhedron:

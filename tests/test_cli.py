@@ -393,3 +393,52 @@ def test_result_json_has_no_floats(tmp_path):
         assert r.returncode == 0, r.stderr
         text = (out / "result.json").read_text()
         jsonio.assert_no_floats(jsonio.loads(text))  # loads itself rejects floats
+
+
+def _envelope_edge_named(label):
+    """ENVELOPE_EDGE with vertex "a" renamed to label, as JSON text whose
+    non-ASCII characters (lone surrogates too) are escapes."""
+    s = json.loads(json.dumps(ENVELOPE_EDGE))
+    s["graph"]["vertices"][0] = s["graph"]["edges"][0]["a"] = label
+    s["graph"]["theta"] = {label: "1", "b": "0"}
+    s["f"]["vertex_values"] = {label: "0", "b": "-2"}
+    return json.dumps(s)
+
+
+@pytest.mark.parametrize("label", ["a\ud800", "\udfff", "a\udbff\udbff"])
+def test_lone_surrogate_exit_2(tmp_path, capsys, label):
+    """A lone surrogate in a vertex name, a theta key or a breakpoint value
+    is a validation error naming its path; UTF-8 cannot write it to
+    result.json, which used to end the run in exit 1."""
+    from skelpot import cli as cli_mod
+
+    path = tmp_path / "s.json"
+    path.write_text(_envelope_edge_named(label), encoding="utf-8")
+    assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "validation"
+    assert "string at graph/vertices/0 holds the lone surrogate" in err["message"]
+    s = json.loads(json.dumps(ENVELOPE_EDGE))
+    s["graph"]["theta"]["b\ud800"] = "0"
+    path.write_text(json.dumps(s), encoding="utf-8")
+    assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "key at graph/theta holds the lone surrogate U+D800" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", ["a\u0001", "\u0000", "a\u001f", "a\ufffe", "a\uffff", "\u000b"])
+def test_vertex_name_outside_xml_exit_2(tmp_path, capsys, label):
+    """A vertex name with a character that XML 1.0 forbids would make the
+    SVG figures malformed; it is a validation error.  Tab, LF and CR are
+    allowed."""
+    from skelpot import cli as cli_mod
+
+    path = tmp_path / "s.json"
+    path.write_text(_envelope_edge_named(label), encoding="utf-8")
+    assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "validation"
+    assert err["message"].startswith("graph at vertices/0: vertex name")
+    assert f"U+{ord(label[-1]):04X}" in err["message"]
+    path.write_text(_envelope_edge_named("a\t\n\r"), encoding="utf-8")
+    assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "ok")]) == 0

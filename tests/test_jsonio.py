@@ -5,6 +5,7 @@ import functools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,24 @@ def test_loads_rejects_floats():
     assert jsonio.loads('{"x": "1/2", "n": 3}') == {"x": "1/2", "n": 3}
     with pytest.raises(SchemaError):
         jsonio.loads("{not json")
+
+
+def test_loads_rejects_lone_surrogates():
+    """A surrogate pair escape is one code point and passes; a lone
+    surrogate, escaped or already in the str, is a SchemaError naming
+    where it sits."""
+    assert jsonio.loads('{"a": "\\ud83d\\ude00"}') == {"a": "\U0001F600"}
+    assert jsonio.loads('["\\\\ud800"]') == ["\\ud800"]  # a backslash, then "ud800"
+    assert jsonio.loads('{"é": ["ü"]}') == {"é": ["ü"]}
+    cases = (
+        ('{"a": ["x", "\\ud800"]}', "string at a/1 holds the lone surrogate U+D800"),
+        ('{"a": {"\\udc00": "1"}}', "key at a holds the lone surrogate U+DC00"),
+        ('["\\ud83d\\ud83d"]', "string at 0 holds the lone surrogate U+D83D"),
+        ('"\udfff"', "string at . holds the lone surrogate U+DFFF"),
+    )
+    for text, message in cases:
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            jsonio.loads(text)
 
 
 def test_dumps_canonical():

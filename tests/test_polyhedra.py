@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 
@@ -33,6 +34,7 @@ from skelpot.toric import PolyComplex, ToricError, decompose, refine
 from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
 from planar_oracle import (
+    convex_hull_2d as fraction_convex_hull_2d,
     halfplanes_by_normals,
     intersect2,
     matrix_rank,
@@ -309,7 +311,9 @@ def _cut(a, facets):
     ring = clip_ring(cell_ring(a), facets)
     if ring is None:
         return None
-    return minimalize(Polyhedron([g[:2] for g in ring if g[2]], [g[:2] for g in ring if not g[2]]))
+    return minimalize(
+        Polyhedron([(g[0] / g[2], g[1] / g[2]) for g in ring if g[2]], [g[:2] for g in ring if not g[2]])
+    )
 
 
 def _cut_by_vrep(a, b):
@@ -367,6 +371,63 @@ def test_cell_cut_pinned_cases():
             assert _cut(x, halfplanes(y)) == want == _cut_by_vrep(x, y)
         if want is None or poly_dim(want) < 2:
             assert list(toric_mod._overlaps(PolyComplex([a]), PolyComplex([b]))) == []
+
+
+def _int_ring(ring):
+    """A ring of Rat generators scaled to coprime int triples."""
+    out = []
+    for x, y, w in ring:
+        den = math.lcm(x.denominator, y.denominator)
+        out.append((int(x * den), int(y * den), w * den))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pointed_cells(), _pointed_cells())
+def test_clip_ring_stays_in_int(a, b):
+    """On an int ring, by rows with a Rat or an int right-hand side, every
+    generator clip_ring returns is a triple of Python ints with gcd 1, and
+    read as (x/w, y/w) it is the cut of the Rat ring."""
+    ring = _int_ring(cell_ring(a))
+    facets = halfplanes(b)
+    int_rows = [((n[0] * c.denominator, n[1] * c.denominator), int(c.numerator)) for n, c in facets]
+    want = _cut(a, facets)
+    for rows in (facets, int_rows):
+        cut = clip_ring(ring, rows)
+        if cut is None:
+            assert want is None
+            continue
+        assert all(type(x) is int for g in cut for x in g)
+        assert all(math.gcd(*g) == 1 for g in cut)
+        pts = [(Rat(x, w), Rat(y, w)) for x, y, w in cut if w]
+        assert minimalize(Polyhedron(pts, [g[:2] for g in cut if not g[2]])) == want
+
+
+_hull_coord = st.builds(Rat, st.integers(-12, 12), st.sampled_from((1, 1, 2, 3, 4, 6, 7)))
+
+
+@st.composite
+def _hull_points(draw):
+    """Points with mixed denominators, some given as ints, with runs of
+    collinear points and repeated points."""
+    pts = draw(st.lists(st.tuples(_hull_coord, _hull_coord), max_size=10))
+    if pts and draw(st.booleans()):
+        p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        for k in draw(st.lists(st.integers(-3, 6), min_size=1, max_size=5)):
+            pts.append((p[0] + Rat(k, 3) * (q[0] - p[0]), p[1] + Rat(k, 3) * (q[1] - p[1])))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return [tuple(int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in p) for p in pts]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_hull_points())
+def test_convex_hull_matches_fraction_oracle(pts):
+    """The int-keyed chain returns the Fraction chain's Rat points, in its
+    order."""
+    got = convex_hull_2d(pts)
+    assert got == fraction_convex_hull_2d(pts)
+    assert all(type(x) is Rat for p in got for x in p)
 
 
 def test_package_has_one_clipping_kernel(monkeypatch):

@@ -2,28 +2,35 @@
 
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
+from functools import cmp_to_key
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelpot import svg as svg_mod
+from skelpot import jsonio, svg as svg_mod
 from skelpot.fixtures import CELL_LABELS, counterexample_fixture
-from skelpot.graphs import MetrizedGraph, PLFunction
+from skelpot.graphs import CurvatureData, MetrizedGraph, PLFunction
 from skelpot.polyhedra import (
     Polyhedron,
+    angle_order,
     convex_hull_2d,
     halfplanes,
     is_pointed,
     minimalize,
     poly_dim,
 )
-from skelpot.rat import Rat, rfloor
+from skelpot.rat import Rat, cross2, rfloor
+from skelpot.scenarios import builtin_names, execute, load_builtin
 from skelpot.svg import render_svg
-from skelpot.toric import skeleton
+from skelpot.toric import PolyComplex, skeleton
 
+import svg_oracle
+from helpers import rand_graph, rand_len, rand_plf
 from planar_oracle import box, clip_thin, intersect2
 
 
@@ -288,3 +295,104 @@ def test_svg_escapes_text_without_saxutils():
         timeout=120,
     )
     assert proc.stdout == "False\nTrue\n", proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Two routes: the integer raster against the Fraction renderers
+# ---------------------------------------------------------------------------
+
+
+def _rand_graph_case(rng):
+    """A seeded graph of 1-40 vertices with loops and parallel edges, and
+    an overlay summed from three rand_plf functions, so an edge carries up
+    to six breakpoints."""
+    g = rand_graph(rng, max_v=40, max_e=60)
+    a, b = g.edges[0][:2] if g.edges else (0, 0)
+    extra = [(b, b, rand_len(rng), 1) for _ in range(rng.randint(0, 2))]
+    extra += [(a, b, rand_len(rng), 2) for _ in range(rng.randint(0, 4))]
+    g = MetrizedGraph(g.labels, g.edges + tuple(extra))
+    return g, rand_plf(rng, g) + rand_plf(rng, g) + rand_plf(rng, g)
+
+
+def test_graph_renderer_matches_fraction_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        g, f = _rand_graph_case(rng)
+        assert render_svg(g) == svg_oracle.render_svg(g)
+        assert render_svg(g, overlay=f) == svg_oracle.render_svg(g, overlay=f)
+
+
+def _rand_cell(rng, b):
+    """A 2-dimensional pointed cell, bounded or not, with its points on the
+    grid of step b/12 or b/36, often reaching past the box [-b, b]^2."""
+    step = b / rng.choice((12, 36))
+    while True:
+        pts = [(rng.randint(-30, 30) * step, rng.randint(-30, 30) * step) for _ in range(rng.randint(1, 4))]
+        cell = Polyhedron(pts, rng.sample(_RAYS, rng.randint(0, 2)))
+        if poly_dim(cell) == 2 and is_pointed(cell):
+            return cell
+
+
+def _rand_thin(rng, b):
+    """A point, segment, collinear set, half-line or line on the grid of
+    step b/12 along a direction from _DIRS."""
+    step = b / 12
+    base = (rng.randint(-30, 30) * step, rng.randint(-30, 30) * step)
+    d = rng.choice(_DIRS)
+    ks = rng.sample(range(-12, 13), rng.randint(1, 4))
+    pts = [(base[0] + k * step * d[0], base[1] + k * step * d[1]) for k in ks]
+    return Polyhedron(pts, rng.choice(([], [d], [d, (-d[0], -d[1])])))
+
+
+def test_complex_and_skeleton_renderers_match_fraction_oracle():
+    rng = random.Random(23)
+    fx = counterexample_fixture()
+    for b in (Rat(1, 2), Rat(7, 3), Rat(3), Rat(10)):
+        for pc in (fx.pi, fx.pi_prime, fx.refined()):
+            assert render_svg(pc, bbox=b) == svg_oracle.render_svg(pc, bbox=b)
+            pieces = list(skeleton(pc))
+            assert render_svg(pieces, bbox=b) == svg_oracle.render_svg(pieces, bbox=b)
+        for _ in range(15):
+            cells = [_rand_cell(rng, b) for _ in range(rng.randint(1, 4))]
+            pc = PolyComplex(cells)
+            assert render_svg(pc, bbox=b) == svg_oracle.render_svg(pc, bbox=b)
+            pieces = [_rand_thin(rng, b) for _ in range(rng.randint(1, 4))] + cells
+            assert render_svg(pieces, bbox=b) == svg_oracle.render_svg(pieces, bbox=b)
+
+
+# ---------------------------------------------------------------------------
+# Well-formed XML
+# ---------------------------------------------------------------------------
+
+
+def _rand_fan(rng):
+    """A complete simplicial fan at a random rational apex: rays from _DIRS
+    and their negatives, sorted by angle, each turn less than pi."""
+    dirs = sorted({d for r in _DIRS for d in (r, (-r[0], -r[1]))}, key=cmp_to_key(angle_order))
+    while True:
+        rays = sorted(rng.sample(dirs, rng.randint(3, 6)), key=cmp_to_key(angle_order))
+        if all(cross2(r, s) > 0 for r, s in zip(rays, rays[1:] + rays[:1])):
+            break
+    apex = (Rat(rng.randint(-9, 9), rng.randint(1, 4)), Rat(rng.randint(-9, 9), rng.randint(1, 4)))
+    return PolyComplex([Polyhedron([apex], [r, s]) for r, s in zip(rays, rays[1:] + rays[:1])])
+
+
+def test_every_figure_is_well_formed_xml():
+    """Every SVG of the built-ins, and of generated envelope scenarios whose
+    vertex names hold XML's special characters and of generated fans, parses
+    with xml.dom.minidom."""
+    outs = [execute(load_builtin(name)) for name in builtin_names()]
+    rng = random.Random(5)
+    names = ("a&b", "<v>", 'q"t', "x'y", "tab\there", "é", "\U0001F600", "]]>")
+    for _ in range(3):
+        g, f = _rand_graph_case(rng)
+        g = MetrizedGraph([f"{names[v % len(names)]}{v}" for v in range(g.n_vertices)], g.edges)
+        f = PLFunction(g, f.vertex_values, f.breaks)
+        graph = jsonio.graph_to_json(g, CurvatureData(g, [1] * g.n_vertices))
+        outs.append(execute({"kind": "curve-envelope", "graph": graph, "f": jsonio.plf_to_json(f)}))
+    for _ in range(3):
+        outs.append(execute({"kind": "toric-skeleton", "complex": jsonio.complex_to_json(_rand_fan(rng))}))
+    figures = [svg for out in outs for svg in out.figures.values()]
+    assert len(figures) == 8 + 3 * 2 + 3 * 2
+    for svg in figures:
+        assert minidom.parseString(svg.encode("utf-8")).documentElement.tagName == "svg"
