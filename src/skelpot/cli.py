@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation error, 3 mathematical infeasibility,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pathlib
 import sys
@@ -95,7 +96,10 @@ def _cmd_list(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: every parse_args call returns a
+    fresh namespace, so in-process main calls can share it."""
     parser = _Parser(prog="skelpot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a scenario file or built-in")

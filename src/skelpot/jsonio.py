@@ -27,6 +27,7 @@ from .graphs import (
 )
 from .polyhedra import Polyhedron
 from .rat import Rat, rat, rat_str
+from .svg import xml_name
 from .testideals import MonomialIdeal, TestIdealError
 from .toric import PolyComplex, ToricAtomicMeasure, ToricError, ToricPLFunction
 
@@ -228,23 +229,16 @@ def validate(obj, schema, where: str = "payload") -> None:
 # ---------------------------------------------------------------------------
 
 
-# The code points that XML 1.0 does not allow in a document, all outside
-# str.isprintable(); compiled by re on first use.
-_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
-
-
 def graph_from_json(obj):
     """-> (MetrizedGraph, CurvatureData | None); edges reference vertices
     by name, missing "w" means weight 1, missing theta entries mean 0."""
     validate(obj, GRAPH_SCHEMA, "graph")
     labels = obj["vertices"]
     for i, name in enumerate(labels):
-        bad = None if name.isprintable() else re.search(_NOT_XML, name)
-        if bad:
-            raise SchemaError(
-                f"graph at vertices/{i}: vertex name {name!a} holds U+{ord(bad.group()):04X}, "
-                "which XML 1.0 does not allow in the SVG figures"
-            )
+        try:
+            xml_name("vertex name", name)
+        except ValueError as ex:
+            raise SchemaError(f"graph at vertices/{i}: {ex}") from None
     index = {name: i for i, name in enumerate(labels)}
     if len(index) != len(labels):
         raise SchemaError("duplicate vertex names")

@@ -2,11 +2,14 @@
 
 A polyhedron is conv(points) + cone(rays) with at least one point.  That is
 the natural form for polyhedral complexes built from fans and skeletons.
-Membership and redundancy are decided by exact determinant predicates: a
-point u lies in the polyhedron when (u, 1) lies in the cone over the
-homogenised generators (p, 1) and (r, 0), and by Caratheodory's theorem some
-linearly independent subset of at most three of them then carries it, which
-Cramer's rule decides.  Dimension is decided by cross products.  For the
+The predicates run on the int generators of the cone over the polyhedron,
+cone_gens, kept on the object: a point p becomes (X, Y, W), its numerators
+over their least common denominator W, and a ray its primitive int vector
+with 0 appended.  A point u lies in the polyhedron when its own (X, Y, W)
+lies in that cone, and by Caratheodory's theorem some linearly independent
+subset of at most three generators then carries it, which Cramer's rule
+decides.  Dimension is decided by cross products.  Rat appears only at the
+boundary: in the generators and in each facet's right-hand side.  For the
 2-dimensional case there is a full facet (H-) representation, read off the
 convex hull of the generators, with hull and hull-area tools, and one
 clipping kernel: a cell's counterclockwise ring of points and rays cut by
@@ -25,10 +28,9 @@ import itertools
 import math
 from functools import cmp_to_key
 
-from .rat import Frozen, Rat, rat, dot, vec_add, vec_sub, primitive, cramer, cross2
+from .rat import Frozen, Rat, rat, dot, vec_sub, primitive, cramer, cross2
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 
 class Polyhedron(Frozen):
@@ -61,22 +63,47 @@ class Polyhedron(Frozen):
         )
 
 
+def homogeneous(p) -> tuple:
+    """(X, Y, W) for a rational point p: its numerators over their least
+    common denominator W > 0, a primitive int vector (in any dimension)."""
+    w = math.lcm(*(int(x.denominator) for x in p))
+    return tuple(int(x.numerator) * (w // int(x.denominator)) for x in p) + (w,)
+
+
+def cone_gens(poly: Polyhedron) -> tuple:
+    """The int generators of the cone over poly: homogeneous(p) for each
+    point and the primitive int vector of each ray with 0 appended, in
+    generator order.  Computed once and kept on poly, outside its fields."""
+    gens = poly.__dict__.get("_cone")
+    if gens is None:
+        gens = tuple(map(homogeneous, poly.gen_points))
+        gens += tuple(primitive(r) + (0,) for r in poly.gen_rays)
+        poly.__dict__["_cone"] = gens
+    return gens
+
+
+def _split(poly: Polyhedron):
+    """cone_gens(poly) as its point generators and its primitive rays."""
+    gens = cone_gens(poly)
+    k = len(poly.gen_points)
+    return gens[:k], [g[:-1] for g in gens[k:]]
+
+
 def _cone_contains(r, gens) -> bool:
     """Is r a nonnegative combination of gens?  Vectors have at most 3
     coordinates.  By Caratheodory's theorem some linearly independent
     subset of gens carries r if any combination does; each subset is solved
     by Cramer's rule on a nonsingular minor, then checked on every
     coordinate.  Coefficients are kept as numerators over the minor, so
-    nothing is divided."""
+    nothing is divided, and int vectors stay in int."""
     k = len(r)
-    if all(x == 0 for x in r):
+    if not any(r):
         return True
     for size in range(1, min(k, len(gens)) + 1):
         for sub in itertools.combinations(gens, size):
             det, nums = cramer(sub, r)
             if det != 0 and all(a * det >= 0 for a in nums) and all(
-                sum((a * g[i] for a, g in zip(nums, sub)), start=ZERO) == det * r[i]
-                for i in range(k)
+                sum(a * g[i] for a, g in zip(nums, sub)) == det * r[i] for i in range(k)
             ):
                 return True
     return False
@@ -84,15 +111,15 @@ def _cone_contains(r, gens) -> bool:
 
 def poly_contains(poly: Polyhedron, u) -> bool:
     """Exact membership: is u = sum a_i p_i + sum t_j r_j with a in the
-    simplex and t >= 0?  Ambient dimension at most 2."""
+    simplex and t >= 0?  Ambient dimension at most 2.  Decided as
+    homogeneous(u) in the cone of cone_gens(poly)."""
     u = tuple(rat(x) for x in u)
     d = poly.ambient_dim
     if len(u) != d:
         raise ValueError("point dimension mismatch")
     if d > 2:
         raise ValueError("membership is decided in ambient dimension at most 2")
-    gens = [p + (ONE,) for p in poly.gen_points] + [r + (ZERO,) for r in poly.gen_rays]
-    return _cone_contains(u + (ONE,), gens)
+    return _cone_contains(homogeneous(u), cone_gens(poly))
 
 
 def recession(poly: Polyhedron) -> Polyhedron:
@@ -103,13 +130,14 @@ def recession(poly: Polyhedron) -> Polyhedron:
 
 def poly_dim(poly: Polyhedron) -> int:
     """Dimension of the affine hull, in ambient dimension at most 2: the
-    number of independent directions among those from the first point to
-    the other points and the rays, decided by cross2."""
+    number of independent directions among the rays and W0*p - W*p0 from
+    the first point to the others, on their (X, W), decided by cross2."""
     if poly.ambient_dim > 2:
         raise ValueError("dimension is decided in ambient dimension at most 2")
-    p0 = poly.gen_points[0]
-    dirs = [vec_sub(p, p0) for p in poly.gen_points[1:]] + list(poly.gen_rays)
-    dirs = [v for v in dirs if any(x != 0 for x in v)]
+    pts, rays = _split(poly)
+    *p0, w0 = pts[0]
+    dirs = [tuple(w0 * x - g[-1] * x0 for x, x0 in zip(g, p0)) for g in pts[1:]] + rays
+    dirs = [v for v in dirs if any(v)]
     if not dirs:
         return 0
     if poly.ambient_dim == 2 and any(cross2(dirs[0], v) != 0 for v in dirs[1:]):
@@ -137,26 +165,33 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     yet visited, never against one already dropped, so the polyhedron never
     changes.  (Against all the others, two points of a polyhedron that
     contains a line could each lie in the other plus the line, and both
-    would go.)"""
-    pts = sorted(set(poly.gen_points))
-    rays = sorted({primitive(r) for r in poly.gen_rays})
+    would go.)  Redundancy is decided on cone_gens, and the result keeps
+    the generators kept as its own."""
+    gens, rays = _split(poly)
+    pts = sorted((p, g) for g, p in dict(zip(gens, poly.gen_points)).items())
+    rays = sorted(set(rays))
     keep_r = []
     for i, r in enumerate(rays):
         others = keep_r + rays[i + 1 :]
         if not others or not _cone_contains(r, others):
             keep_r.append(r)
+    lifted = [r + (0,) for r in keep_r]
     keep_p = []
-    for i, p in enumerate(pts):
-        others = keep_p + pts[i + 1 :]
-        if not others or not poly_contains(Polyhedron(tuple(others), tuple(keep_r)), p):
-            keep_p.append(p)
-    return Polyhedron(tuple(keep_p), tuple(keep_r))
+    for i, (p, g) in enumerate(pts):
+        others = [h for _, h in keep_p + pts[i + 1 :]]
+        if others and poly.ambient_dim > 2:
+            raise ValueError("membership is decided in ambient dimension at most 2")
+        if not others or not _cone_contains(g, others + lifted):
+            keep_p.append((p, g))
+    out = Polyhedron(tuple(p for p, _ in keep_p), tuple(keep_r))
+    out.__dict__["_cone"] = tuple(g for _, g in keep_p) + tuple(lifted)
+    return out
 
 
 def is_pointed(poly: Polyhedron) -> bool:
     """True when poly contains no line: no ray r has -r in the cone of the
     rays."""
-    rays = poly.gen_rays
+    rays = _split(poly)[1]
     return not any(_cone_contains(tuple(-x for x in r), rays) for r in rays)
 
 
@@ -172,20 +207,23 @@ def halfplanes(poly: Polyhedron) -> tuple:
     The facets are read off the convex hull of the points and of each point
     moved along each ray: a hull edge is a facet exactly when no ray
     increases its outward normal.  (A facet spanned by a point p and a ray r
-    shows up as the hull edge from p to p + r.)
+    shows up as the hull edge from p to p + r.)  The hull runs on L*p and
+    L*(p + r), L the points' common denominator; c = <n, a>/L at vertex a.
     """
     if poly.ambient_dim != 2:
         raise ValueError("halfplanes is 2-dimensional only")
     if poly_dim(poly) != 2:
         raise ValueError("halfplanes needs a full-dimensional cell")
-    pts, rays = poly.gen_points, poly.gen_rays
-    hull = convex_hull_2d(pts + tuple(vec_add(p, r) for p in pts for r in rays))
+    gens, rays = _split(poly)
+    L = math.lcm(*(g[2] for g in gens))
+    pts = [(x * (L // w), y * (L // w)) for x, y, w in gens]
+    hull = _hull_keys(set(pts) | {(x + L * r[0], y + L * r[1]) for x, y in pts for r in rays})
     out = []
     for a, b in zip(hull, hull[1:] + hull[:1]):
         # the hull runs counterclockwise, so the outward normal points right
         n = primitive((b[1] - a[1], a[0] - b[0]))
-        if all(dot(n, r) <= 0 for r in rays):
-            out.append((n, dot(n, a)))
+        if all(n[0] * r[0] + n[1] * r[1] <= 0 for r in rays):
+            out.append((n, Rat(n[0] * a[0] + n[1] * a[1], L)))
     return tuple(sorted(out))
 
 
@@ -217,7 +255,14 @@ def inequalities(poly: Polyhedron) -> tuple:
 
 
 def halfplane_contains(hps, u) -> bool:
-    return all(dot(n, u) <= c for n, c in hps)
+    return holds_at(hps, homogeneous(u))
+
+
+def holds_at(hps, g) -> bool:
+    """Does every <n, x> <= c of hps hold at the point g = (X, Y, W),
+    W > 0?  Tested as c.den*<n, (X, Y)> <= c.num*W, in int on int rows."""
+    x, y, w = g
+    return all(c.denominator * (n[0] * x + n[1] * y) <= c.numerator * w for n, c in hps)
 
 
 def interior_point(poly: Polyhedron):
@@ -294,18 +339,27 @@ def over_common_denominator(points):
                 int(y.numerator) * (L // int(y.denominator))) for x, y in points]
 
 
-def _chain(keyed) -> list:
-    """One monotone chain of Andrew's algorithm over (int key, point)
-    pairs: pop while the last two kept and the new key fail to turn left."""
+def _chain(keys) -> list:
+    """One monotone chain of Andrew's algorithm over int points: pop while
+    the last two kept and the new point fail to turn left."""
     out = []
-    for k, p in keyed:
+    for k in keys:
         while len(out) >= 2:
-            (a, _), (b, _) = out[-2], out[-1]
+            a, b = out[-2], out[-1]
             if (b[0] - a[0]) * (k[1] - a[1]) - (b[1] - a[1]) * (k[0] - a[0]) > 0:
                 break
             out.pop()
-        out.append((k, p))
+        out.append(k)
     return out
+
+
+def _hull_keys(keys) -> list:
+    """Andrew's monotone chain on a set of int points: the hull vertices in
+    counterclockwise order, collinear points pruned."""
+    keys = sorted(keys)
+    if len(keys) <= 2:
+        return keys
+    return _chain(keys)[:-1] + _chain(reversed(keys))[:-1]
 
 
 def convex_hull_2d(points) -> list:
@@ -313,11 +367,8 @@ def convex_hull_2d(points) -> list:
     order (collinear points pruned), as Rat pairs.  The points are scaled
     to one common denominator, so sorting and cross products run on int."""
     pts = list({(rat(p[0]), rat(p[1])) for p in points})
-    keyed = sorted(zip(over_common_denominator(pts)[1], pts))
-    if len(keyed) <= 2:
-        return [p for _, p in keyed]
-    lower, upper = _chain(keyed), _chain(reversed(keyed))
-    return [p for _, p in lower[:-1] + upper[:-1]]
+    point_of = dict(zip(over_common_denominator(pts)[1], pts))
+    return [point_of[k] for k in _hull_keys(point_of)]
 
 
 def hull_area_2d(points) -> Rat:

@@ -24,7 +24,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rat
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -101,17 +100,8 @@ def vec(*entries) -> tuple:
     return tuple(rat(e) for e in entries)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(t, u):
-    t = Rat(t)
-    return tuple(t * a for a in u)
 
 
 def dot(u, v):
@@ -119,18 +109,15 @@ def dot(u, v):
 
 
 def primitive(v) -> tuple:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0
-    not enforced; direction is preserved exactly."""
-    v = tuple(Rat(x) for x in v)
-    if all(x == 0 for x in v):
+    """Scale a nonzero vector of ints and Rats to coprime ints, keeping its
+    direction (first nonzero > 0 not enforced): the numerators over the
+    least common denominator, divided by their gcd.  Nothing is converted
+    to Rat, so an int vector runs on int alone."""
+    if not any(v):
         raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, int(x.denominator))
+    den = math.lcm(*(int(x.denominator) for x in v))
     ints = [int(x.numerator) * (den // int(x.denominator)) for x in v]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
+    g = math.gcd(*ints)
     return tuple(n // g for n in ints)
 
 

@@ -10,7 +10,9 @@ equal input yields byte-identical output.
 Renderable objects: a metrized graph (optionally with a PL overlay), a
 polyhedral complex (cells clipped to the bounding box and labeled), a
 single polyhedron, or a sequence of polyhedra (drawn as a skeleton:
-1-dimensional pieces and polygon boundaries become line segments).
+1-dimensional pieces and polygon boundaries become line segments).  A
+vertex name or cell label holding a character that XML 1.0 does not allow
+is refused with ValueError, since no escape can write it.
 
 Every piece is clipped to the box by polyhedra.clip_ring, the
 Sutherland-Hodgman kernel that toric also uses for cell ∩ cell: the box's
@@ -22,6 +24,7 @@ special handling of its rays, and each cut costs O(ring).
 
 from __future__ import annotations
 
+import re
 from functools import partial
 
 from .graphs import MetrizedGraph, PLFunction
@@ -80,6 +83,23 @@ def _circle(p, r: str, fill: str) -> str:
     return f'<circle cx="{p[0]}" cy="{p[1]}" r="{r}" fill="{fill}"/>'
 
 
+# The code points that XML 1.0 does not allow in a document, all outside
+# str.isprintable(); compiled by re on first use.
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
+def xml_name(kind: str, name: str) -> str:
+    """name, or ValueError naming it when it holds a character that XML 1.0
+    does not allow, which would leave the figure malformed."""
+    bad = None if name.isprintable() else re.search(_NOT_XML, name)
+    if bad:
+        raise ValueError(
+            f"{kind} {name!a} holds U+{ord(bad.group()):04X}, "
+            "which XML 1.0 does not allow in the SVG figures"
+        )
+    return name
+
+
 def _text(p, s: str, size: str = "14", anchor: str = "start") -> str:
     # what xml.sax.saxutils.escape does, without importing urllib with it
     s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -135,6 +155,8 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         labels = [f"c{i}" for i in range(len(pc.cells))]
     if len(labels) != len(pc.cells):
         raise ValueError("one label per cell required")
+    for label in labels:
+        xml_name("cell label", label)
     fills, edges, texts = [], [], []
     for i, cell in enumerate(pc.cells):
         hull = _clipped_hull(cell, plane, partial(pc.cell_halfplanes, i))
@@ -255,7 +277,7 @@ def _render_graph(g: MetrizedGraph, overlay: PLFunction | None) -> str:
     dots, labels = [], []
     for v, (x, y, w) in enumerate(pos):
         dots.append(_circle(_pt(x, y, w), "4", "#111111"))
-        name = g.labels[v]
+        name = xml_name("vertex name", g.labels[v])
         if overlay is not None:
             name = f"{name}={rat_str(overlay.vertex_values[v])}"
         labels.append(_text(_pt(x + 6 * w, y - 8 * w, w), name))

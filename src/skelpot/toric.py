@@ -6,7 +6,10 @@ fan.  Validity is decided from local data: each facet is shared by two
 cells, the cells around each vertex wind once, and there is one sheet.
 The bounded cells make up the skeleton, and every point of the plane
 retracts onto it by dropping the recession part of its barycentric-plus-ray
-decomposition inside any containing cell.
+decomposition inside any containing cell.  Facet keys, cell flags,
+containment, decompositions and retractions are decided on the int cone
+generators of the cells (polyhedra.cone_gens) and of the query point, and
+turned into Rat only in what they return.
 
 PL functions are stored as one affine piece per maximal cell.  Concavity is
 a facet-local condition (the affine piece of one side must dominate the
@@ -30,9 +33,11 @@ from .polyhedra import (
     angle_order,
     cell_ring,
     clip_ring,
+    cone_gens,
     convex_hull_2d,
-    halfplane_contains,
     halfplanes,
+    holds_at,
+    homogeneous,
     hull_area_2d,
     interior_point,
     is_pointed,
@@ -119,12 +124,8 @@ class PolyComplex:
         return self._pairs
 
     def cells_containing(self, u) -> list:
-        u = tuple(rat(x) for x in u)
-        return [
-            i
-            for i in range(len(self.cells))
-            if halfplane_contains(self.cell_halfplanes(i), u)
-        ]
+        g = homogeneous(tuple(rat(x) for x in u))
+        return [i for i in range(len(self.cells)) if holds_at(self.cell_halfplanes(i), g)]
 
     def vertices(self) -> tuple:
         out = set()
@@ -138,13 +139,9 @@ class SimplicialFlag(NamedTuple):
     unimodular: tuple
 
 
-def _lift_primitive(p, height):
-    return primitive((p[0], p[1], rat(height)))
-
-
 def _cell_flags(cell: Polyhedron):
-    gens = [_lift_primitive(p, 1) for p in cell.gen_points]
-    gens += [_lift_primitive(r, 0) for r in cell.gen_rays]
+    """(simplicial, unimodular) from the primitive lifts, cone_gens(cell)."""
+    gens = cone_gens(cell)
     if len(gens) != 3:
         return False, False
     d = det3(*gens)
@@ -152,12 +149,16 @@ def _cell_flags(cell: Polyhedron):
 
 
 def _facets(pc: PolyComplex, i: int):
-    """Facets of cell i as canonical keys with their V-data."""
+    """Facets of cell i as canonical keys with their V-data: the points
+    with c.den*<n, (X, Y)> == c.num*W and the int rays orthogonal to n."""
     cell = pc.cells[i]
+    gens = cone_gens(cell)
+    k = len(cell.gen_points)
     out = []
     for n, c in pc.cell_halfplanes(i):
-        pts = tuple(sorted(p for p in cell.gen_points if dot(n, p) == c))
-        rays = tuple(sorted(primitive(r) for r in cell.gen_rays if dot(n, r) == 0))
+        on = [c.denominator * (n[0] * x + n[1] * y) == c.numerator * w for x, y, w in gens[:k]]
+        pts = tuple(sorted(p for p, yes in zip(cell.gen_points, on) if yes))
+        rays = tuple(sorted(g[:2] for g in gens[k:] if n[0] * g[0] + n[1] * g[1] == 0))
         out.append(((pts, rays), (n, c)))
     return out
 
@@ -221,9 +222,9 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
                 f"cells around vertex ({rat_str(v[0])}, {rat_str(v[1])}) "
                 "do not tile the plane"
             )
-    inner = interior_point(cells[0])
+    inner = homogeneous(interior_point(cells[0]))
     for j in range(1, len(cells)):
-        if halfplane_contains(pc.cell_halfplanes(j), inner):
+        if holds_at(pc.cell_halfplanes(j), inner):
             raise ComplexInvalid(f"cells 0 and {j} overlap in dimension 2")
     # The recession cones of a complete complex form a complete fan: every
     # direction recedes in some cell, and two cells whose cones share an
@@ -286,44 +287,44 @@ def decompose(cell: Polyhedron, u):
 
 
 def _minimal_decompose(cell: Polyhedron, u):
-    pts, rays = cell.gen_points, cell.gen_rays
-    cols = [(p[0], p[1], ONE) for p in pts] + [(r[0], r[1], ZERO) for r in rays]
-    if len(cols) > 3:
+    q, nums, pts = _solve(cell, u)
+    a = tuple(Rat(x * g[2], q) for x, g in zip(nums, pts))
+    return a, tuple(Rat(x, q) for x in nums[len(pts) :])  # the rays are primitive
+
+
+def _solve(cell: Polyhedron, u):
+    """(q, nums, point generators) with D*(u, 1) = homogeneous(u) = sum
+    nums_i*G_i/d over cone_gens(cell) by int cramer, q = d*D > 0: a_i =
+    nums_i*W_i/q, a_i*p_i = nums_i*(X_i, Y_i)/q, lam_j = nums_j/q."""
+    gens = cone_gens(cell)
+    if len(gens) > 3:
         raise ToricError("cell is not simplicial")
-    target = (u[0], u[1], ONE)
+    target = homogeneous(u)
     # after minimalize, fewer than 3 columns are always independent
-    d, nums = cramer(cols, target)
+    d, nums = cramer(gens, target)
     if d == 0:
         raise ToricError("cell is not simplicial: singular system")
-    if any(
-        sum((x * col[i] for x, col in zip(nums, cols)), start=ZERO) != d * target[i]
-        for i in range(3)
-    ):
+    if any(sum(x * g[i] for x, g in zip(nums, gens)) != d * target[i] for i in range(3)):
         raise ToricError("point is outside the cell")
-    sol = [x / d for x in nums]
-    a = tuple(sol[: len(pts)])
-    lam = tuple(sol[len(pts):])
-    if any(x < 0 for x in a) or any(x < 0 for x in lam):
+    if d < 0:
+        d, nums = -d, [-x for x in nums]
+    if any(x < 0 for x in nums):
         raise ToricError("point is outside the cell")
-    return a, lam
+    return d * target[2], nums, gens[: len(cell.gen_points)]
 
 
 def retraction(pc: PolyComplex, u) -> tuple:
     """p(u): the point part of the decomposition of u in any containing
-    cell; checked to agree across all containing cells."""
+    cell, sum nums_i*(X_i, Y_i)/q in the terms of _solve; checked to agree
+    across all containing cells."""
     u = tuple(rat(x) for x in u)
     owners = pc.cells_containing(u)
     if not owners:
         raise ToricError(f"no cell contains {u}; the complex is not complete")
     results = []
     for i in owners:
-        cell = pc.cells[i]
-        a, _ = _minimal_decompose(cell, u)
-        pt = (
-            sum((ai * p[0] for ai, p in zip(a, cell.gen_points)), start=ZERO),
-            sum((ai * p[1] for ai, p in zip(a, cell.gen_points)), start=ZERO),
-        )
-        results.append(pt)
+        q, nums, pts = _solve(pc.cells[i], u)
+        results.append(tuple(Rat(sum(x * g[j] for x, g in zip(nums, pts)), q) for j in (0, 1)))
     first = results[0]
     if any(r != first for r in results[1:]):
         raise ToricError(f"retraction of {u} differs between containing cells")

@@ -9,7 +9,11 @@ set of halfplanes by trying every pair of lines.  A point, segment or ray
 is clipped to a box parametrically, by shrinking an interval of its line.
 The convex hull here runs Andrew's chain on Fraction keys and cross
 products; skelpot scales the points to one common denominator and runs it
-on int.
+on int.  The fraction_* routines are the former bodies of the planar
+predicates (membership, dimension, pointedness, minimalize, facets and
+their keys, the simplicial flags, decompose and retraction), which summed
+and divided Fractions; skelpot now decides them on the int generators of
+the cone over each polyhedron.
 
 skelpot validates a complex from local data (paired facets, vertex links,
 one sheet), walks only the paired facets for continuity and concavity, and
@@ -24,6 +28,7 @@ inclusion.  The tests check the fitted routines against them.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 
 from skelpot.polyhedra import (
@@ -37,7 +42,7 @@ from skelpot.polyhedra import (
     poly_is_subset,
     recession,
 )
-from skelpot.rat import Rat, cross2, dot, primitive, rfloor, vec_add, vec_scale, vec_sub
+from skelpot.rat import Rat, cramer, cross2, det3, dot, primitive, rfloor, vec_sub
 from skelpot.rat import rat
 from skelpot.toric import (
     ComplexInvalid,
@@ -45,10 +50,20 @@ from skelpot.toric import (
     SimplicialFlag,
     ToricError,
     ToricPLFunction,
-    _cell_flags,
-    _facets,
     retraction_affine,
 )
+
+ZERO = Rat(0)
+ONE = Rat(1)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(t, u):
+    t = Rat(t)
+    return tuple(t * a for a in u)
 
 
 def matrix_rank(rows) -> int:
@@ -179,6 +194,185 @@ def convex_hull_2d(points) -> list:
     return lower[:-1] + upper[:-1]
 
 
+# ---------------------------------------------------------------------------
+# The Fraction bodies of the planar predicates
+# ---------------------------------------------------------------------------
+
+
+def fraction_primitive(v) -> tuple:
+    """Scale a nonzero rational vector to coprime integers, first nonzero > 0
+    not enforced; direction is preserved exactly."""
+    v = tuple(Rat(x) for x in v)
+    if all(x == 0 for x in v):
+        raise ValueError("zero vector has no primitive representative")
+    den = 1
+    for x in v:
+        den = den * x.denominator // math.gcd(den, int(x.denominator))
+    ints = [int(x.numerator) * (den // int(x.denominator)) for x in v]
+    g = 0
+    for n in ints:
+        g = math.gcd(g, n)
+    return tuple(n // g for n in ints)
+
+
+def fraction_cone_contains(r, gens) -> bool:
+    """Is r a nonnegative combination of gens?  Cramer's rule on every
+    linearly independent subset of at most len(r) of them, summed from Rat
+    zero."""
+    k = len(r)
+    if all(x == 0 for x in r):
+        return True
+    for size in range(1, min(k, len(gens)) + 1):
+        for sub in itertools.combinations(gens, size):
+            det, nums = cramer(sub, r)
+            if det != 0 and all(a * det >= 0 for a in nums) and all(
+                sum((a * g[i] for a, g in zip(nums, sub)), start=ZERO) == det * r[i]
+                for i in range(k)
+            ):
+                return True
+    return False
+
+
+def fraction_poly_contains(poly: Polyhedron, u) -> bool:
+    """(u, 1) in the cone over the Rat generators (p, 1) and (r, 0)."""
+    u = tuple(rat(x) for x in u)
+    d = poly.ambient_dim
+    if len(u) != d:
+        raise ValueError("point dimension mismatch")
+    if d > 2:
+        raise ValueError("membership is decided in ambient dimension at most 2")
+    gens = [p + (ONE,) for p in poly.gen_points] + [r + (ZERO,) for r in poly.gen_rays]
+    return fraction_cone_contains(u + (ONE,), gens)
+
+
+def fraction_poly_dim(poly: Polyhedron) -> int:
+    """Cross products of the Rat directions p - p0 and of the rays."""
+    if poly.ambient_dim > 2:
+        raise ValueError("dimension is decided in ambient dimension at most 2")
+    p0 = poly.gen_points[0]
+    dirs = [vec_sub(p, p0) for p in poly.gen_points[1:]] + list(poly.gen_rays)
+    dirs = [v for v in dirs if any(x != 0 for x in v)]
+    if not dirs:
+        return 0
+    if poly.ambient_dim == 2 and any(cross2(dirs[0], v) != 0 for v in dirs[1:]):
+        return 2
+    return 1
+
+
+def fraction_minimalize(poly: Polyhedron) -> Polyhedron:
+    """Each generator against the kept ones and the ones not yet visited,
+    a point through a new Polyhedron of the others."""
+    pts = sorted(set(poly.gen_points))
+    rays = sorted({fraction_primitive(r) for r in poly.gen_rays})
+    keep_r = []
+    for i, r in enumerate(rays):
+        others = keep_r + rays[i + 1 :]
+        if not others or not fraction_cone_contains(r, others):
+            keep_r.append(r)
+    keep_p = []
+    for i, p in enumerate(pts):
+        others = keep_p + pts[i + 1 :]
+        if not others or not fraction_poly_contains(Polyhedron(tuple(others), tuple(keep_r)), p):
+            keep_p.append(p)
+    return Polyhedron(tuple(keep_p), tuple(keep_r))
+
+
+def fraction_is_pointed(poly: Polyhedron) -> bool:
+    rays = poly.gen_rays
+    return not any(fraction_cone_contains(tuple(-x for x in r), rays) for r in rays)
+
+
+def fraction_halfplanes(poly: Polyhedron) -> tuple:
+    """The facets off the Fraction hull of the points and of each p + r."""
+    if poly.ambient_dim != 2:
+        raise ValueError("halfplanes is 2-dimensional only")
+    if fraction_poly_dim(poly) != 2:
+        raise ValueError("halfplanes needs a full-dimensional cell")
+    pts, rays = poly.gen_points, poly.gen_rays
+    hull = convex_hull_2d(pts + tuple(vec_add(p, r) for p in pts for r in rays))
+    out = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        n = fraction_primitive((b[1] - a[1], a[0] - b[0]))
+        if all(dot(n, r) <= 0 for r in rays):
+            out.append((n, dot(n, a)))
+    return tuple(sorted(out))
+
+
+def fraction_halfplane_contains(hps, u) -> bool:
+    return all(dot(n, u) <= c for n, c in hps)
+
+
+def fraction_cell_flags(cell: Polyhedron):
+    gens = [fraction_primitive((p[0], p[1], ONE)) for p in cell.gen_points]
+    gens += [fraction_primitive((r[0], r[1], ZERO)) for r in cell.gen_rays]
+    if len(gens) != 3:
+        return False, False
+    d = det3(*gens)
+    return d != 0, abs(d) == 1
+
+
+def fraction_facets(pc: PolyComplex, i: int):
+    """Facets of cell i as canonical keys with their V-data, by Rat dot
+    products against the Fraction facets."""
+    cell = pc.cells[i]
+    out = []
+    for n, c in fraction_halfplanes(cell):
+        pts = tuple(sorted(p for p in cell.gen_points if dot(n, p) == c))
+        rays = tuple(sorted(fraction_primitive(r) for r in cell.gen_rays if dot(n, r) == 0))
+        out.append(((pts, rays), (n, c)))
+    return out
+
+
+def fraction_minimal_decompose(cell: Polyhedron, u):
+    pts, rays = cell.gen_points, cell.gen_rays
+    cols = [(p[0], p[1], ONE) for p in pts] + [(r[0], r[1], ZERO) for r in rays]
+    if len(cols) > 3:
+        raise ToricError("cell is not simplicial")
+    target = (u[0], u[1], ONE)
+    d, nums = cramer(cols, target)
+    if d == 0:
+        raise ToricError("cell is not simplicial: singular system")
+    if any(
+        sum((x * col[i] for x, col in zip(nums, cols)), start=ZERO) != d * target[i]
+        for i in range(3)
+    ):
+        raise ToricError("point is outside the cell")
+    sol = [x / d for x in nums]
+    a = tuple(sol[: len(pts)])
+    lam = tuple(sol[len(pts):])
+    if any(x < 0 for x in a) or any(x < 0 for x in lam):
+        raise ToricError("point is outside the cell")
+    return a, lam
+
+
+def fraction_decompose(cell: Polyhedron, u):
+    return fraction_minimal_decompose(fraction_minimalize(cell), tuple(rat(x) for x in u))
+
+
+def fraction_retraction(pc: PolyComplex, u) -> tuple:
+    """The point part of the Fraction decomposition in every cell whose
+    Fraction facets hold at u."""
+    u = tuple(rat(x) for x in u)
+    owners = [
+        i for i in range(len(pc.cells)) if fraction_halfplane_contains(fraction_halfplanes(pc.cells[i]), u)
+    ]
+    if not owners:
+        raise ToricError(f"no cell contains {u}; the complex is not complete")
+    results = []
+    for i in owners:
+        cell = pc.cells[i]
+        a, _ = fraction_minimal_decompose(cell, u)
+        pt = (
+            sum((ai * p[0] for ai, p in zip(a, cell.gen_points)), start=ZERO),
+            sum((ai * p[1] for ai, p in zip(a, cell.gen_points)), start=ZERO),
+        )
+        results.append(pt)
+    first = results[0]
+    if any(r != first for r in results[1:]):
+        raise ToricError(f"retraction of {u} differs between containing cells")
+    return first
+
+
 def box(b) -> Polyhedron:
     """The box [-b, b]^2."""
     return Polyhedron(((-b, -b), (b, -b), (b, b), (-b, b)))
@@ -278,7 +472,7 @@ def vertex_link_ok(pc: PolyComplex, v) -> bool:
     for i, cell in enumerate(pc.cells):
         if v not in cell.gen_points:
             continue
-        for (pts, rays), _ in _facets(pc, i):
+        for (pts, rays), _ in fraction_facets(pc, i):
             if v not in pts:
                 continue
             d = None
@@ -325,7 +519,7 @@ def validate_complex_pairwise(pc: PolyComplex, fan) -> SimplicialFlag:
             )
     seen = {}
     for i in range(len(cells)):
-        for key, _ in _facets(pc, i):
+        for key, _ in fraction_facets(pc, i):
             seen.setdefault(key, []).append(i)
     for key, owners in seen.items():
         if len(owners) != 2:
@@ -354,7 +548,7 @@ def validate_complex_pairwise(pc: PolyComplex, fan) -> SimplicialFlag:
     for m in fan_max:
         if not any(poly_equal(k, m) for k in maximal):
             raise ComplexInvalid("expected fan has a cone the complex misses")
-    flags = [_cell_flags(c) for c in cells]
+    flags = [fraction_cell_flags(c) for c in cells]
     return SimplicialFlag(
         simplicial=tuple(s for s, _ in flags),
         unimodular=tuple(u for _, u in flags),
@@ -419,7 +613,7 @@ def skeleton_pairwise(pc: PolyComplex) -> tuple:
         if not cell.gen_rays:
             found.append(cell)
             continue
-        for (pts, rays), _ in _facets(pc, i):
+        for (pts, rays), _ in fraction_facets(pc, i):
             if not rays:
                 found.append(Polyhedron(pts))
         for p in cell.gen_points:

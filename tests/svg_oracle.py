@@ -14,11 +14,11 @@ from functools import partial
 
 from skelpot.graphs import MetrizedGraph, PLFunction
 from skelpot.polyhedra import Polyhedron, inequalities
-from skelpot.rat import Rat, rat, rat_str, rfloor, vec_add, vec_scale, vec_sub
+from skelpot.rat import Rat, rat, rat_str, rfloor, vec_sub
 from skelpot.svg import _BACKGROUND, _HEADER, _MARGIN, _PALETTE, _RASTER, _SIZE
 from skelpot.toric import PolyComplex
 
-from planar_oracle import convex_hull_2d
+from planar_oracle import convex_hull_2d, vec_add, vec_scale
 
 
 def clip_ring(ring, hps):

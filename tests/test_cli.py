@@ -442,3 +442,27 @@ def test_vertex_name_outside_xml_exit_2(tmp_path, capsys, label):
     assert f"U+{ord(label[-1]):04X}" in err["message"]
     path.write_text(_envelope_edge_named("a\t\n\r"), encoding="utf-8")
     assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_main_keeps_its_contract_across_calls(tmp_path, capsys):
+    """The parser is built once per process; in-process calls still get
+    their own exit codes and error JSON: a good run, then a bad --format,
+    then an unknown built-in."""
+    from skelpot import cli as cli_mod
+
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    out = tmp_path / "out"
+    assert cli_mod.main(["run", "envelope_edge.json", "--out", str(out), "--format", "json"]) == 0
+    assert (out / "result.json").exists() and not list(out.glob("*.svg"))
+    capsys.readouterr()
+    assert cli_mod.main(["run", "envelope_edge.json", "--out", str(out), "--format", "pdf"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "validation" and "--format" in err["message"]
+    assert cli_mod.main(["run", "no_such_builtin.json", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {
+        "exit_code": 2,
+        "kind": "validation",
+        "message": "'no_such_builtin.json' is neither a file nor a built-in scenario",
+    }
+    assert cli_mod.main(["run", "envelope_edge.json", "--out", str(out / "again")]) == 0

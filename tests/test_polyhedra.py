@@ -3,6 +3,7 @@ import itertools
 import math
 import pkgutil
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from skelpot.polyhedra import (
     Polyhedron,
     cell_ring,
     clip_ring,
+    cone_gens,
     convex_hull_2d,
     halfplane_contains,
     halfplanes,
@@ -29,12 +31,23 @@ from skelpot.polyhedra import (
     recession,
 )
 from skelpot.rat import Rat, adjugate, cramer, primitive
-from skelpot.toric import PolyComplex, ToricError, decompose, refine
+from skelpot.toric import PolyComplex, ToricError, _cell_flags, _facets, decompose, refine, retraction
 
 from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
 from planar_oracle import (
     convex_hull_2d as fraction_convex_hull_2d,
+    fraction_cell_flags,
+    fraction_decompose,
+    fraction_facets,
+    fraction_halfplane_contains,
+    fraction_halfplanes,
+    fraction_is_pointed,
+    fraction_minimalize,
+    fraction_poly_contains,
+    fraction_poly_dim,
+    fraction_primitive,
+    fraction_retraction,
     halfplanes_by_normals,
     intersect2,
     matrix_rank,
@@ -430,6 +443,119 @@ def test_convex_hull_matches_fraction_oracle(pts):
     assert all(type(x) is Rat for p in got for x in p)
 
 
+# ---------------------------------------------------------------------------
+# Two routes: the int cone generators against the Fraction bodies
+# ---------------------------------------------------------------------------
+
+_q12 = st.builds(Rat, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _rational_polyhedra(draw):
+    """Points with denominators up to 12, with repeated points and runs of
+    collinear ones, and rays with parallel and non-primitive copies and
+    sometimes an opposite pair; each coordinate that is an integer is
+    given as int or as Rat."""
+    pts = draw(st.lists(st.tuples(_q12, _q12), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        (a, b), (c, d) = pts[0], pts[-1]
+        for k in draw(st.lists(st.integers(-3, 6), min_size=1, max_size=3)):
+            pts.append((a + Rat(k, 3) * (c - a), b + Rat(k, 3) * (d - b)))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    rays = draw(st.lists(st.tuples(_q12, _q12).filter(any), max_size=3))
+    if rays and draw(st.booleans()):
+        t = draw(st.sampled_from((Rat(1, 2), Rat(7, 3), 2, 6)))
+        rays.append((t * rays[0][0], t * rays[0][1]))
+    if rays and draw(st.booleans()):
+        rays.append((-rays[-1][0], -rays[-1][1]))
+
+    def given_as(v):
+        return tuple(int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in v)
+
+    return Polyhedron([given_as(p) for p in pts], [given_as(r) for r in rays])
+
+
+@settings(max_examples=700, deadline=None, derandomize=True)
+@given(_rational_polyhedra(), st.lists(st.tuples(_q12, _q12), max_size=4))
+def test_cone_generator_predicates_match_fraction_bodies(poly, queries):
+    """Membership, dimension, pointedness, facets, minimalize, primitive,
+    the simplicial flags and decompose give the Fraction bodies' values, or
+    raise their exceptions with their messages, at generic points and at
+    points of the polyhedron."""
+    assert all(type(x) is int for g in cone_gens(poly) for x in g)
+    assert cone_gens(poly) is cone_gens(poly)
+    assert poly_dim(poly) == fraction_poly_dim(poly)
+    assert is_pointed(poly) == fraction_is_pointed(poly)
+    assert _outcome(halfplanes, poly) == _outcome(fraction_halfplanes, poly)
+    assert [primitive(r) for r in poly.gen_rays] == [fraction_primitive(r) for r in poly.gen_rays]
+    slim = minimalize(poly)
+    assert slim == fraction_minimalize(poly)
+    # the generators minimalize keeps on its result are the result's own
+    assert cone_gens(slim) == cone_gens(Polyhedron(slim.gen_points, slim.gen_rays))
+    if poly_dim(poly) == 2 and is_pointed(poly):
+        assert _cell_flags(slim) == fraction_cell_flags(slim)
+    (a, b), (c, d) = poly.gen_points[0], poly.gen_points[-1]
+    inside = (Rat(a + c) / 2, Rat(b + d) / 2)
+    if poly.gen_rays:
+        inside = (inside[0] + poly.gen_rays[-1][0], inside[1] + poly.gen_rays[-1][1])
+    for u in queries + [inside, poly.gen_points[-1]]:
+        assert poly_contains(poly, u) == fraction_poly_contains(poly, u)
+        assert _outcome(decompose, poly, u) == _outcome(fraction_decompose, poly, u)
+        for hps in (inequalities(poly),) + ((halfplanes(poly),) if poly_dim(poly) == 2 else ()):
+            assert halfplane_contains(hps, u) == fraction_halfplane_contains(hps, u)
+
+
+def test_cone_gens_leave_equality_hash_and_repr_alone():
+    a = Polyhedron(((Rat(1, 2), Rat(-1, 3)), (1, 0)), ((2, 4),))
+    b = Polyhedron(a.gen_points, a.gen_rays)
+    assert cone_gens(a) == ((3, -2, 6), (1, 0, 1), (1, 2, 0))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_cone" not in repr(a)
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_planar_predicates_stay_in_int(monkeypatch):
+    """With Fraction's arithmetic made to raise, membership, minimalize,
+    is_pointed, poly_dim and the facet keys still run on an integer
+    complex (the counterexample's Pi, with doubled rays and repeated and
+    redundant points), and give the Fraction bodies' values; so do
+    decompose and retraction, at int and Rat points, which only build
+    their Rat results."""
+    cells = [
+        Polyhedron(c.gen_points + c.gen_points[:1], [(2 * r[0], 2 * r[1]) for r in c.gen_rays])
+        for c in counterexample_fixture().pi.cells
+    ]
+    cells[0] = Polyhedron(cells[0].gen_points + ((0, 0),), ())
+    cells.append(Polyhedron(((0, 0), (1, 0), (2, 0), (1, 1), (0, 2))))
+    queries = [(0, 0), (1, 1), (-3, 2), (5, -7), (1, 0), (Rat(1, 3), Rat(-5, 2)), (Rat(7, 4), Rat(1, 6))]
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic on an integer complex")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    got = [
+        (poly_dim(c), is_pointed(c), minimalize(c), [poly_contains(c, u) for u in queries])
+        for c in cells
+    ]
+    pc = PolyComplex(cells[:-1])
+    facets = [_facets(pc, i) for i in range(len(pc.cells))]
+    images = [retraction(pc, u) for u in queries]
+    parts = [[_outcome(decompose, c, u) for u in queries] for c in pc.cells]
+    assert all(type(x) is int for c in cells for g in cone_gens(c) for x in g)
+    monkeypatch.undo()
+    assert images == [fraction_retraction(pc, u) for u in queries]
+    assert parts == [[_outcome(fraction_decompose, c, u) for u in queries] for c in pc.cells]
+    assert got == [
+        (fraction_poly_dim(c), fraction_is_pointed(c), fraction_minimalize(c),
+         [fraction_poly_contains(c, u) for u in queries])
+        for c in cells
+    ]
+    assert facets == [fraction_facets(pc, i) for i in range(len(pc.cells))]
+
+
 def test_package_has_one_clipping_kernel(monkeypatch):
     """vrep_from_halfplanes and the parametric clip_thin live in the tests
     only: the SVG box cut, for cells, segments and points alike, and
@@ -550,7 +676,7 @@ def test_planar_kernels_match_general_routes(case):
     except ValueError:
         assert d == 0
         return
-    assert d != 0 and tuple(x / d for x in nums) == sol
+    assert d != 0 and tuple(Rat(x) / d for x in nums) == sol
     adj = adjugate(matrix)
     assert all(
         sum(matrix[i][m] * adj[m][j] for m in range(k)) == (d if i == j else 0)

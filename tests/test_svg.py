@@ -396,3 +396,22 @@ def test_every_figure_is_well_formed_xml():
     assert len(figures) == 8 + 3 * 2 + 3 * 2
     for svg in figures:
         assert minidom.parseString(svg.encode("utf-8")).documentElement.tagName == "svg"
+
+
+@pytest.mark.parametrize("bad", ["\x01", "\x00", "\x1f", "\ufffe", "\ud800", "\x0b"])
+def test_names_outside_xml_are_refused_by_the_renderer(bad):
+    """A vertex name or cell label built in Python with a character that
+    XML 1.0 forbids raises ValueError naming it, instead of a malformed
+    figure; tab, LF and CR pass, and the figure parses."""
+    g = MetrizedGraph([f"a{bad}", "b"], [(0, 1, 1, 1)])
+    with pytest.raises(ValueError, match=re.escape(f"vertex name {f'a{bad}'!a} holds U+{ord(bad):04X}")):
+        render_svg(g)
+    pi = counterexample_fixture().pi
+    labels = [f"c{bad}"] + list(CELL_LABELS[1:])
+    with pytest.raises(ValueError, match=re.escape(f"cell label {f'c{bad}'!a} holds U+{ord(bad):04X}")):
+        render_svg(pi, labels=labels)
+    for svg in (
+        render_svg(MetrizedGraph(["a\t\n\r", "b"], [(0, 1, 1, 1)])),
+        render_svg(pi, labels=["d\te\nf\r"] + list(CELL_LABELS[1:])),
+    ):
+        assert minidom.parseString(svg.encode("utf-8")).documentElement.tagName == "svg"

@@ -38,6 +38,7 @@ from skelpot import (
 )
 from skelpot import polyhedra as polyhedra_mod
 from skelpot import toric as toric_mod
+from skelpot.toric import _facets
 from skelpot.polyhedra import halfplanes, poly_dim
 from skelpot.rat import Rat
 
@@ -45,6 +46,11 @@ from linear_oracle import solve_linear
 from planar_oracle import (
     check_continuity_by_meets,
     compose_with_retraction_by_subsets,
+    fraction_cell_flags,
+    fraction_decompose,
+    fraction_facets,
+    fraction_halfplanes,
+    fraction_retraction,
     intersect2,
     is_concave_by_meets,
     meet,
@@ -295,6 +301,46 @@ def _complex_pairs():
     for k, move in enumerate(_MOVES):
         pairs.append((_moved(fx.pi, move, 2 * k), _moved(fx.pi_prime, move, 2 * k + 1)))
     return pairs
+
+
+_UNIMODULAR = (((1, 0), (0, 1)), ((1, 0), (0, -1)), ((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((3, 2), (-2, -1)))
+_q12 = st.builds(Rat, st.integers(-48, 48), st.integers(1, 12))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToricError as ex:
+        return type(ex).__name__, str(ex)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("pi", "pi_prime")),
+    st.sampled_from(_UNIMODULAR),
+    st.tuples(_q12, _q12),
+    st.integers(0, 2**16),
+    st.lists(st.tuples(_q12, _q12), max_size=6),
+)
+def test_cone_generator_routes_match_fraction_bodies_on_moved_complexes(which, m, shift, seed, queries):
+    """On Pi and Pi' moved by a unimodular map and a rational shift, with
+    their cells shuffled, the facets, their keys, the simplicial flags,
+    decompose and retraction give the Fraction bodies' values or raise
+    their errors with their messages: at random points, at the vertices and
+    at the midpoints of the bounded facets, which lie in several cells."""
+    pc = _moved(getattr(counterexample_fixture(), which), (m, shift), seed)
+    points = list(queries) + list(pc.vertices())
+    for i, cell in enumerate(pc.cells):
+        assert pc.cell_halfplanes(i) == fraction_halfplanes(cell)
+        assert _facets(pc, i) == fraction_facets(pc, i)
+        assert toric_mod._cell_flags(cell) == fraction_cell_flags(cell)
+        for (pts, _), _ in _facets(pc, i):
+            if len(pts) == 2:
+                points.append(((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2))
+    for u in points:
+        assert _outcome(retraction, pc, u) == _outcome(fraction_retraction, pc, u)
+        for cell in pc.cells:
+            assert _outcome(decompose, cell, u) == _outcome(fraction_decompose, cell, u)
 
 
 def test_meet_matches_intersect2():
