@@ -30,11 +30,14 @@ minimum-degree order, `_eliminate`, which differs only in the vertices it
 may pivot on: those with negative reduced slack for the envelope, every
 vertex but the anchor for solve_ma, whose samples are the vertices and
 the interior atoms of the measure.  No pivoting for stability is needed,
-because every Schur complement of a Laplacian is again a Laplacian.
+because every Schur complement of a Laplacian is again a Laplacian.  It
+is fraction-free: rows are kept as coprime ints, positive multiples of the
+rational rows, and only back-substitution builds Rats.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .graphs import (
@@ -164,48 +167,66 @@ def _from_samples(g: MetrizedGraph, values, cuts) -> PLFunction:
     return PLFunction(g, values[: g.n_vertices], breaks).prune()
 
 
+def _common(xs):
+    """The lcm m of the Rats' denominators, and the ints x m."""
+    m = math.lcm(*(x.denominator for x in xs))
+    return m, [x.numerator * (m // x.denominator) for x in xs]
+
+
+def _integer_rows(nbrs, d):
+    """Each row of Delta x + d = 0 as coprime ints, a positive multiple of
+    it: per sample, its conductances to its neighbours, and its d_v."""
+    a, e = [], []
+    for nb, dv in zip(nbrs, d):
+        _, (ev, *cs) = _common([dv, *nb.values()])
+        k = math.gcd(ev, *cs) or 1
+        a.append({u: c // k for u, c in zip(nb, cs)})
+        e.append(ev // k)
+    return a, e
+
+
 def _eliminate(nbrs, d, eligible):
     """Gaussian elimination on the Laplacian in minimum-degree order.
 
     Solves (Delta x)_v + d_v = 0 at every vertex v that it eliminates, with
     x = 0 at the vertices it never eliminates.  The Schur complement is kept
-    as a dict of dicts of its off-diagonal entries, together with the
-    reduced d'.  Each step eliminates, among the remaining vertices that
-    eligible(v, d'_v) admits, one with the fewest remaining neighbours (the
-    least index on ties), so the interior sample points, which have at most
-    two neighbours, go first and cause no fill.  A Schur complement of a
-    Laplacian is again a Laplacian, so a pivot is the total conductance from
-    its vertex to the remaining ones; a vertex with no neighbour left has
-    pivot 0, which raises ValueError.  Eliminating v changes d' and the
-    degree only at v's neighbours, so only they are tested again; a vertex
-    once admitted stays admitted, as both callers' tests do.  Returns x as
-    a list."""
+    as _integer_rows: row u holds positive multiples of its off-diagonal
+    entries, negated (their sum is the diagonal), and of the reduced d'_u,
+    as e_u.  Each step eliminates, among the remaining vertices that
+    eligible(v, e_v) admits, one with the fewest remaining neighbours (the
+    least index on ties), so the interior sample points go first and cause
+    no fill.  The pivot p_v is the sum of row v, since a Schur complement
+    of a Laplacian is a Laplacian; p_v = 0 raises ValueError.  Row u
+    becomes p_v row_u + a_uv row_v over its content: sums of positive
+    terms, so nothing cancels.  Only v's neighbours change, so only they
+    are tested again; a vertex once admitted stays admitted, as both
+    callers' tests do.  Returns x as a list, one Rat per unknown."""
     n = len(d)
-    a = [{u: -c for u, c in nb.items()} for nb in nbrs]
-    d = list(d)
-    ready = {v for v in range(n) if eligible(v, d[v])}
+    a, e = _integer_rows(nbrs, d)
+    ready = {v for v in range(n) if eligible(v, e[v])}
     steps = []
     while ready:
         v = min(ready, key=lambda u: (len(a[u]), u))
         ready.remove(v)
-        row = a[v]
-        pivot = -sum(row.values(), start=ZERO)
+        row, ev = a[v], e[v]
+        pivot = sum(row.values())
         if not pivot:
             raise ValueError("zero pivot: the Laplacian block is singular")
-        steps.append((v, pivot, row, d[v]))
-        items = list(row.items())
-        for u, _ in items:
-            del a[u][v]
-        for i, (u, au) in enumerate(items):
-            f = au / pivot
-            d[u] -= f * d[v]
-            for w, aw in items[i + 1 :]:
-                a[u][w] = a[w][u] = a[u].get(w, ZERO) - f * aw
-            if eligible(u, d[u]):
+        steps.append((v, pivot, row, ev))
+        for u in row:
+            old, auv = a[u], a[u].pop(v)
+            new = {w: pivot * old.get(w, 0) + auv * row.get(w, 0)
+                   for w in old.keys() | row.keys() - {u}}
+            eu = pivot * e[u] + auv * ev
+            k = math.gcd(eu, *new.values()) or 1
+            a[u] = {w: c // k for w, c in new.items()}
+            e[u] = eu // k
+            if eligible(u, e[u]):
                 ready.add(u)
     x = [ZERO] * n
-    for v, pivot, row, dv in reversed(steps):
-        x[v] = -(dv + sum(au * x[u] for u, au in row.items())) / pivot
+    for v, pivot, row, ev in reversed(steps):
+        m, xs = _common([x[u] for u in row])
+        x[v] = Rat(sum(c * t for c, t in zip(row.values(), xs)) - ev * m, pivot * m)
     return x
 
 
@@ -215,6 +236,15 @@ def _slack(nbrs, y, d):
         d[v] + sum((c * (y[v] - y[u]) for u, c in nb.items()), start=ZERO)
         for v, nb in enumerate(nbrs)
     ]
+
+
+def _integer_slack(nbrs, y, d):
+    """Delta y + d on _integer_rows, each row times the lcm of its y's
+    denominators: a positive multiple of _slack, with its signs and zeros."""
+    a, e = _integer_rows(nbrs, d)
+    scaled = [_common([y[v], *(y[u] for u in row)]) for v, row in enumerate(a)]
+    return [ev * m + sum(c * (yv - t) for c, t in zip(row.values(), ys))
+            for row, ev, (m, (yv, *ys)) in zip(a, e, scaled)]
 
 
 def _least_feasible(nbrs, d):
@@ -231,12 +261,12 @@ def _least_feasible(nbrs, d):
     eligible.  When no remaining d' is negative, y = 0 there is feasible and
     least.  If every vertex is eliminated, the last pivot is the Schur
     complement of a connected Laplacian onto one vertex, which is 0: no
-    feasible point exists.  Returns (y, slack)."""
+    feasible point exists.  Returns (y, _integer_slack)."""
     try:
         y = _eliminate(nbrs, d, lambda v, dv: dv < 0)
     except ValueError:
         raise EnvelopeInfeasible("no theta-psh function exists") from None
-    return y, _slack(nbrs, y, d)
+    return y, _integer_slack(nbrs, y, d)
 
 
 def _check_least(y, s) -> None:

@@ -7,7 +7,9 @@ with positive denominator, interoperate with int, and hash consistently.
 The planar and test-ideal systems have at most 3 unknowns; `det`,
 `adjugate` and `cramer` solve those by cofactor expansion, without
 dividing, so they stay in int on integer data.  The graph-Laplacian
-systems, of any size, are solved in `potential` by sparse elimination.
+systems, of any size, are solved in `potential` by sparse fraction-free
+elimination: each row is scaled to ints, and Rats are built only for the
+solution, one per unknown.  `rat_str` writes numbers of any length.
 
 `Frozen` is the base of the package's immutable value classes.
 """
@@ -81,11 +83,31 @@ class Frozen:
 
 
 def rat_str(q) -> str:
-    """Serialize to 'p' or 'p/q' (q > 1), the wire format used everywhere."""
+    """Serialize to 'p' or 'p/q' (q > 1), the wire format used everywhere,
+    at any length."""
     q = Rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    n, d = q.numerator, q.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        n, d = _int_str(n), _int_str(d)
+        return n if d == "1" else f"{n}/{d}"
+
+
+def _int_str(n: int) -> str:
+    """str(n), split on powers of 10 into pieces of fewer than 640 digits,
+    the least limit the interpreter allows, so no process-wide setting is
+    read or changed."""
+    if -_SPLIT < n < _SPLIT:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+_SPLIT = 10**600
 
 
 def rfloor(q) -> int:

@@ -230,9 +230,12 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
     # direction recedes in some cell, and two cells whose cones share an
     # interior direction d would share interior points far out along d.  So
     # only the match with the given fan is left to check.
-    maximal = [k for k in recession_fan(pc) if poly_dim(k) == 2]
+    # A cone of the complex's own fan is minimal already, and minimalize
+    # is canonical, so it is not minimalized again.
+    own = recession_fan(pc)
+    maximal = [k for k in own if poly_dim(k) == 2]
     fan_cells = list(fan.cells) if isinstance(fan, PolyComplex) else list(fan)
-    fan_max = {minimalize(k) for k in fan_cells if poly_dim(k) == 2}
+    fan_max = {k if k in own else minimalize(k) for k in fan_cells if poly_dim(k) == 2}
     if any(k not in fan_max for k in maximal):
         raise ComplexInvalid("recession fan does not match the expected fan")
     if not fan_max <= set(maximal):

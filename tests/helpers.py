@@ -110,3 +110,14 @@ def rand_proper_ideal(rng: random.Random, n: int, max_gens: int = 4, max_exp: in
 
 def rand_lambda(rng: random.Random, den_max: int = 6, num_max: int = 12) -> Rat:
     return Rat(rng.randint(0, num_max), rng.randint(1, den_max))
+
+
+def int_from_digits(s: str) -> int:
+    """The int a decimal string spells, read in pieces of 500 digits, under
+    the interpreter's limit on str-to-int conversion."""
+    sign, s = (-1, s[1:]) if s.startswith("-") else (1, s)
+    value = 0
+    for i in range(0, len(s), 500):
+        piece = s[i : i + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value

@@ -1,14 +1,15 @@
 """Dense Gauss-Jordan elimination and Chandrasekaran's rounds, kept as
 test oracles.
 
-skelpot solves its graph-Laplacian systems by one sparse elimination in
-minimum-degree order (`potential._eliminate`), which finds the envelope's
-least feasible point by pivoting only on negative reduced slack, and its
-systems of at most 3 unknowns by cofactor expansion.  `solve_linear` takes
-the general route: dense elimination with row pivoting on any square
-system.  `least_feasible_rounds` finds the least feasible point the way
-skelpot once did, in rounds that each solve one dense system.  The tests
-check the fitted solvers against both.
+skelpot solves its graph-Laplacian systems by one sparse fraction-free
+elimination in minimum-degree order (`potential._eliminate`), on rows
+scaled to ints, which finds the envelope's least feasible point by
+pivoting only on negative reduced slack, and its systems of at most 3
+unknowns by cofactor expansion.  The oracles here compute in Rat.
+`solve_linear` takes the general route: dense elimination with row
+pivoting on any square system.  `least_feasible_rounds` finds the least
+feasible point the way skelpot once did, in rounds that each solve one
+dense system.  The tests check the fitted solvers against both.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ import pytest
 
 from skelpot import jsonio
 
+from helpers import int_from_digits
+
 RUN = [sys.executable, "-m", "skelpot.cli"]
 
 
@@ -340,6 +342,26 @@ def test_integer_with_too_many_digits_exit_2(tmp_path):
     assert err["kind"] == "validation"
     assert "too many digits" in err["message"] and str(jsonio.MAX_RAT_DIGITS) in err["message"]
     assert "sys.set_int_max_str_digits" not in r.stderr
+
+
+def test_answer_past_the_int_digit_limit_exit_0(tmp_path):
+    """Every input number is under MAX_RAT_DIGITS, but the envelope's value
+    F(a) = u(b) + len = 1/d2 + 1/d1 has a 4,401-digit denominator: in
+    process, result.json is written and the run exits 0.  Serializing the
+    answer once ended in exit 1 (ValueError: Exceeds the limit (4300
+    digits) for integer string conversion)."""
+    from skelpot import cli as cli_mod
+
+    d1, d2 = 10**2200 + 1, 10**2200 + 3
+    s = json.loads(json.dumps(ENVELOPE_EDGE))
+    s["graph"]["edges"][0]["len"] = f"1/{d1}"
+    s["f"]["vertex_values"] = {"a": "1", "b": f"1/{d2}"}
+    path = write_scenario(tmp_path, "big.json", s)
+    assert cli_mod.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    num, den = result["envelope"]["vertex_values"]["a"].split("/")
+    assert len(den) == 4401
+    assert (int_from_digits(num), int_from_digits(den)) == (d1 + d2, d1 * d2)
 
 
 def test_testideal_rejects_four_variables(tmp_path):

@@ -25,12 +25,21 @@ from skelpot import (
 )
 from hypothesis import given, settings, strategies as st
 
-from skelpot.potential import _eliminate, _least_feasible, _sample_laplacian
+from skelpot.potential import (
+    PotentialError,
+    _check_least,
+    _eliminate,
+    _integer_slack,
+    _least_feasible,
+    _sample_laplacian,
+    _slack,
+)
 from skelpot.rat import Rat
 
 import random
+from fractions import Fraction
 
-from helpers import rand_graph, rand_nef_theta, rand_plf, rand_psh
+from helpers import rand_graph, rand_nef_theta, rand_plf, rand_psh, rand_value
 from linear_oracle import least_feasible_rounds, solve_linear
 from lp_oracle import LinearProgram, lp_solve
 
@@ -323,3 +332,81 @@ def test_least_feasible_matches_rounds(instance):
             _least_feasible(nbrs, d)
         return
     assert _least_feasible(nbrs, d)[0] == expect
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_laplacian_elimination_stays_in_int(monkeypatch):
+    """With Fraction's arithmetic made to raise, _eliminate and
+    _least_feasible still run on random graphs with rational lengths,
+    sampled at the vertices and at breakpoints: the elimination and the
+    slack compute in int, and only the results are built as Rats.  Checked
+    afterwards with Fraction arithmetic: the grounded solve leaves zero
+    slack off the anchor, and the least point agrees with the rounds."""
+    rng = random.Random(251)
+    cases = []
+    for _ in range(60):
+        g = rand_graph(rng)
+        nbrs = _sample_laplacian(g, rand_plf(rng, g).breakpoints())[0]
+        cases.append((nbrs, [rand_value(rng) for _ in nbrs], rng.randrange(g.n_vertices)))
+
+    def least(nbrs, d):
+        try:
+            return _least_feasible(nbrs, d)
+        except EnvelopeInfeasible:
+            return None
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in the Laplacian kernel")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    got = [
+        (_eliminate(nbrs, d, lambda v, dv: v != anchor), least(nbrs, d))
+        for nbrs, d, anchor in cases
+    ]
+    monkeypatch.undo()
+    assert sum(lf is not None for _, lf in got) >= 10
+    for (nbrs, d, anchor), (x, lf) in zip(cases, got):
+        assert all(type(t) is Rat for t in x)
+        slack = _slack(nbrs, x, d)
+        assert all(s == 0 for v, s in enumerate(slack) if v != anchor) and x[anchor] == 0
+        try:
+            expect = least_feasible_rounds(nbrs, d)
+        except EnvelopeInfeasible:
+            expect = None
+        assert (None if lf is None else lf[0]) == expect
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laplacian_instances(), st.data())
+def test_integer_slack_matches_rational_signs(instance, data):
+    """The certificate's slack on the integer rows has the sign and the
+    zeros of the rational Delta y + d, at a random y and at the least
+    point; _check_least accepts the least point and rejects it with any
+    one entry moved up or down."""
+    g, d, _, _, _ = instance
+    n = g.n_vertices
+    nbrs = _sample_laplacian(g, ())[0]
+    q = lambda: Rat(data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 6)))  # noqa: E731
+    y = [q() for _ in range(n)]
+    assert list(map(_sign, _integer_slack(nbrs, y, d))) == list(map(_sign, _slack(nbrs, y, d)))
+    try:
+        y, s = _least_feasible(nbrs, d)
+    except EnvelopeInfeasible:
+        return
+    assert list(map(_sign, s)) == list(map(_sign, _slack(nbrs, y, d)))
+    _check_least(y, s)
+    v = data.draw(st.integers(0, n - 1))
+    step = Rat(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    for moved in (y[v] + step, y[v] - step):
+        z = y[:v] + [moved] + y[v + 1 :]
+        s = _integer_slack(nbrs, z, d)
+        assert list(map(_sign, s)) == list(map(_sign, _slack(nbrs, z, d)))
+        with pytest.raises(PotentialError, match="least-point certificate"):
+            _check_least(z, s)

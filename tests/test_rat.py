@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from skelpot.rat import (
     vec,
 )
 
+from helpers import int_from_digits
 from linear_oracle import solve_linear
 
 
@@ -80,6 +83,24 @@ def test_rat_str_roundtrip():
     for q in (Rat(0), Rat(-3), Rat(22, 7), Rat(-1, 2)):
         assert rat(rat_str(q)) == q
     assert rat_str(Rat(4, 2)) == "2"
+
+
+def test_rat_str_past_the_int_digit_limit():
+    """rat_str writes numerators and denominators past the interpreter's
+    4300-digit limit on int-to-str conversion, and leaves the limit as it
+    was."""
+    limit = sys.get_int_max_str_digits()
+    assert rat_str(Rat(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    rng = random.Random(7)
+    ints = [10**600 - 1, 10**600, 10**4300, 10**5000 + 10**2400, 7**20000]
+    ints += [rng.getrandbits(rng.randint(1, 60_000)) | 1 for _ in range(40)]
+    for n in ints:
+        for k in (n, -n):
+            s = rat_str(k)
+            assert int_from_digits(s) == k and s.lstrip("-")[0] != "0"
+        num, _, den = rat_str(Rat(n + 1, 3 * n + 2)).partition("/")
+        assert Rat(int_from_digits(num), int_from_digits(den or "1")) == Rat(n + 1, 3 * n + 2)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_floor_ceil_are_ints():

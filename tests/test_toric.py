@@ -83,6 +83,42 @@ def test_validate_rejects_wrong_fan(fx):
         validate_complex(fx.pi, quadrant_fan)
 
 
+def test_own_fan_is_not_minimalized_again(fx, monkeypatch):
+    """validate_complex minimalizes no cone of the complex's own recession
+    fan, which is minimal already: building and validating Pi calls
+    minimalize once per cell and once per recession cone.  Other fans'
+    cones are still minimalized, and every verdict and ComplexInvalid
+    message is the one given for the same fan with its rays doubled, whose
+    cones are all minimalized."""
+    calls = []
+    real = toric_mod.minimalize
+    monkeypatch.setattr(toric_mod, "minimalize", lambda k: calls.append(k) or real(k))
+    pc = PolyComplex(fx.pi.cells)
+    validate_complex(pc, recession_fan(pc))
+    assert len(pc.cells) == 7 and len(calls) == 14
+
+    def outcome(pc, fan):
+        try:
+            return validate_complex(pc, fan)
+        except ComplexInvalid as ex:
+            return str(ex)
+
+    quadrant_fan = (Polyhedron(((0, 0),), ((1, 0), (0, 1))),)
+    cells = list(fx.pi.cells)
+    complexes = [fx.pi, fx.pi_prime, PolyComplex(cells[1:]), PolyComplex(cells + cells[:1])]
+    complexes.append(PolyComplex(_DOUBLE_COVER))
+    messages = set()
+    for pc in complexes:
+        for fan in (recession_fan(pc), fan_of_p2(), quadrant_fan, recession_fan(fx.pi)):
+            doubled = [Polyhedron(k.gen_points, [(2 * x, 2 * y) for x, y in k.gen_rays]) for k in fan]
+            calls.clear()
+            got = outcome(pc, fan)
+            assert not any(k in recession_fan(pc) for k in calls)
+            assert got == outcome(pc, doubled)
+            messages.add(got if isinstance(got, str) else "valid")
+    assert len(messages) == 5
+
+
 def test_validate_rejects_overlap():
     cells = (
         Polyhedron(((0, 0),), ((1, 0), (0, 1))),
