@@ -185,7 +185,7 @@ def _integer_rows(nbrs, d):
     return a, e
 
 
-def _eliminate(nbrs, d, eligible):
+def _eliminate(nbrs, d, eligible, rows=None):
     """Gaussian elimination on the Laplacian in minimum-degree order.
 
     Solves (Delta x)_v + d_v = 0 at every vertex v that it eliminates, with
@@ -200,9 +200,10 @@ def _eliminate(nbrs, d, eligible):
     becomes p_v row_u + a_uv row_v over its content: sums of positive
     terms, so nothing cancels.  Only v's neighbours change, so only they
     are tested again; a vertex once admitted stays admitted, as both
-    callers' tests do.  Returns x as a list, one Rat per unknown."""
+    callers' tests do.  The rows, _integer_rows(nbrs, d) unless given, are
+    reduced in place.  Returns x as a list, one Rat per unknown."""
     n = len(d)
-    a, e = _integer_rows(nbrs, d)
+    a, e = rows or _integer_rows(nbrs, d)
     ready = {v for v in range(n) if eligible(v, e[v])}
     steps = []
     while ready:
@@ -238,10 +239,11 @@ def _slack(nbrs, y, d):
     ]
 
 
-def _integer_slack(nbrs, y, d):
-    """Delta y + d on _integer_rows, each row times the lcm of its y's
-    denominators: a positive multiple of _slack, with its signs and zeros."""
-    a, e = _integer_rows(nbrs, d)
+def _integer_slack(nbrs, y, d, rows=None):
+    """Delta y + d on _integer_rows (given, or built), each row times the
+    lcm of its y's denominators: a positive multiple of _slack, with its
+    signs and zeros."""
+    a, e = rows or _integer_rows(nbrs, d)
     scaled = [_common([y[v], *(y[u] for u in row)]) for v, row in enumerate(a)]
     return [ev * m + sum(c * (yv - t) for c, t in zip(row.values(), ys))
             for row, ev, (m, (yv, *ys)) in zip(a, e, scaled)]
@@ -261,12 +263,14 @@ def _least_feasible(nbrs, d):
     eligible.  When no remaining d' is negative, y = 0 there is feasible and
     least.  If every vertex is eliminated, the last pivot is the Schur
     complement of a connected Laplacian onto one vertex, which is 0: no
-    feasible point exists.  Returns (y, _integer_slack)."""
+    feasible point exists.  Returns (y, _integer_slack).  The integer rows
+    are built once; the elimination reduces a copy of them."""
+    a, e = rows = _integer_rows(nbrs, d)
     try:
-        y = _eliminate(nbrs, d, lambda v, dv: dv < 0)
+        y = _eliminate(nbrs, d, lambda v, dv: dv < 0, ([dict(r) for r in a], list(e)))
     except ValueError:
         raise EnvelopeInfeasible("no theta-psh function exists") from None
-    return y, _integer_slack(nbrs, y, d)
+    return y, _integer_slack(nbrs, y, d, rows)
 
 
 def _check_least(y, s) -> None:

@@ -118,10 +118,6 @@ def rceil(q) -> int:
     return int(math.ceil(Rat(q)))
 
 
-def vec(*entries) -> tuple:
-    return tuple(rat(e) for e in entries)
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

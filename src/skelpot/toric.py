@@ -13,10 +13,14 @@ turned into Rat only in what they return.
 
 PL functions are stored as one affine piece per maximal cell.  Concavity is
 a facet-local condition (the affine piece of one side must dominate the
-function on the other side), and for concave functions with recession equal
-to the support function of a lattice polytope P the Monge-Ampere measure is
-atomic: each complex vertex carries 2! times the area of the polygon spanned
-by the gradients of its incident cells, and the masses add up to 2 * area(P).
+function on the other side).  Continuity, concavity and the active piece
+of a support function are decided on int rows of the pieces, over one
+common denominator, against the same cone generators; only a failed
+concavity test builds its Rat witness.  For concave functions with
+recession equal to the support function of a lattice polytope P the
+Monge-Ampere measure is atomic: each complex vertex carries 2! times the
+area of the polygon spanned by the gradients of its incident cells, and the
+masses add up to 2 * area(P).
 
 Everything is exact; ambient dimension is capped at 2, which covers all the
 geometry this package models.
@@ -91,6 +95,7 @@ class PolyComplex:
         self._hps = {}
         self._owners = None
         self._pairs = None
+        self._pair_gens = None
         self._fan = None
         self._skeleton = None
 
@@ -122,6 +127,16 @@ class PolyComplex:
             own = self.facet_owners().items()
             self._pairs = tuple(sorted((o[0][0], o[1][0], k) for k, o in own if len(o) == 2))
         return self._pairs
+
+    def facet_pair_gens(self) -> tuple:
+        """(i, j, the int cone generators of their facet) in facet_pairs
+        order: homogeneous(p) for each point and (r, 0) for each ray."""
+        if self._pair_gens is None:
+            self._pair_gens = tuple(
+                (i, j, tuple(map(homogeneous, pts)) + tuple(r + (0,) for r in rays))
+                for i, j, (pts, rays) in self.facet_pairs()
+            )
+        return self._pair_gens
 
     def cells_containing(self, u) -> list:
         g = homogeneous(tuple(rat(x) for x in u))
@@ -414,16 +429,10 @@ class ToricPLFunction:
         )
 
     def _check_continuity(self):
-        for i, j, (pts, rays) in self.complex.facet_pairs():
-            (gi, ci), (gj, cj) = self.pieces[i], self.pieces[j]
-            dg = (gi[0] - gj[0], gi[1] - gj[1])
-            dc = ci - cj
-            if any(dot(dg, p) + dc != 0 for p in pts) or any(
-                dot(dg, r) != 0 for r in rays
-            ):
-                raise ToricError(
-                    f"pieces of cells {i} and {j} disagree on their shared face"
-                )
+        rows = _int_rows(self)
+        for i, j, gens in self.complex.facet_pair_gens():
+            if any(_diffs(rows[i], rows[j], gens)):
+                raise ToricError(f"pieces of cells {i} and {j} disagree on their shared face")
 
     def value(self, u):
         u = tuple(rat(x) for x in u)
@@ -458,20 +467,32 @@ class ToricPLFunction:
 
 
 def _active_piece(psi: SupportFn, cell: Polyhedron):
-    """The piece of psi equal to psi on all of cell, if one exists."""
-    for m, c in psi.pieces:
-        ok = True
-        for m2, c2 in psi.pieces:
-            dg = (m2[0] - m[0], m2[1] - m[1])
-            dc = c2 - c
-            if any(dot(dg, p) + dc < 0 for p in cell.gen_points) or any(
-                dot(dg, r) < 0 for r in cell.gen_rays
-            ):
-                ok = False
-                break
-        if ok:
-            return (m, c)
+    """The piece of psi equal to psi on all of cell, if one exists: one
+    that no other piece undercuts at any cone generator of the cell."""
+    rows, gens = _int_rows(psi), cone_gens(cell)
+    for piece, row in zip(psi.pieces, rows):
+        if all(x >= 0 for other in rows for x in _diffs(other, row, gens)):
+            return piece
     return None
+
+
+def _int_rows(f) -> tuple:
+    """The pieces <g, u> + c of f as int rows (L*g_x, L*g_y, L*c) over one
+    common denominator L > 0, kept on f outside its fields.  Row i at the
+    cone generator (X, Y, W) is L*W times piece i at (X, Y)/W, or L times
+    its slope along (X, Y) when W = 0: differences of rows keep signs."""
+    rows = f.__dict__.get("_rows")
+    if rows is None:
+        *xs, _ = homogeneous([x for (gx, gy), c in f.pieces for x in (gx, gy, c)])
+        rows = tuple(zip(xs[0::3], xs[1::3], xs[2::3]))
+        f.__dict__["_rows"] = rows
+    return rows
+
+
+def _diffs(a, b, gens):
+    """(row a - row b) . G for each int cone generator G, lazily."""
+    dx, dy, dc = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return (dx * x + dy * y + dc * w for x, y, w in gens)
 
 
 def support_on_complex(psi: SupportFn, pc: PolyComplex) -> ToricPLFunction:
@@ -543,24 +564,24 @@ def is_concave(h: ToricPLFunction):
     Each pair is tested once.  The difference of the two pieces is affine
     and, h being continuous, vanishes on the line through their facet, so
     it has opposite signs on the two sides: the piece of j dominates h on i
-    exactly when the piece of i dominates h on j."""
-    cells = h.complex.cells
+    exactly when the piece of i dominates h on j.  Tested on the int rows at
+    the cone generators of cell j; the witness is the first failing point,
+    or the first point plus the least whole multiple of the first failing
+    ray at which the test fails."""
+    cells, rows = h.complex.cells, _int_rows(h)
     for i, j, _ in h.complex.facet_pairs():
+        gens = cone_gens(cells[j])
+        bad = next((k for k, x in enumerate(_diffs(rows[i], rows[j], gens)) if x < 0), None)
+        if bad is None:
+            continue
+        pts = cells[j].gen_points
+        if bad < len(pts):
+            return False, {"facet": (i, j), "point": pts[bad]}
         (gi, ci), (gj, cj) = h.pieces[i], h.pieces[j]
         dg = (gi[0] - gj[0], gi[1] - gj[1])
-        dc = ci - cj
-        # need dg.x + dc >= 0 on all of cell j
-        for p in cells[j].gen_points:
-            if dot(dg, p) + dc < 0:
-                return False, {"facet": (i, j), "point": p}
-        p0 = cells[j].gen_points[0]
-        base = dot(dg, p0) + dc
-        for r in cells[j].gen_rays:
-            slope = dot(dg, r)
-            if slope < 0:
-                k = rfloor(base / (-slope)) + 1
-                witness = (p0[0] + k * r[0], p0[1] + k * r[1])
-                return False, {"facet": (i, j), "point": witness}
+        p0, r = pts[0], cells[j].gen_rays[bad - len(pts)]
+        k = rfloor((dot(dg, p0) + ci - cj) / -dot(dg, r)) + 1
+        return False, {"facet": (i, j), "point": (p0[0] + k * r[0], p0[1] + k * r[1])}
     return True, None
 
 
@@ -593,7 +614,11 @@ def toric_ma(h: ToricPLFunction) -> ToricAtomicMeasure:
     2 * area(P) exactly."""
     ok, witness = is_concave(h)
     if not ok:
-        raise ToricError(f"function is not concave: {witness}")
+        (i, j), (x, y) = witness["facet"], witness["point"]
+        raise ToricError(
+            f"function is not concave: the piece of cell {i} lies below it "
+            f"at ({rat_str(x)}, {rat_str(y)}), in cell {j}"
+        )
     grads = [g for g, _ in h.pieces]
     pvertices = convex_hull_2d(grads)
     for v in pvertices:

@@ -4,6 +4,7 @@ explicit random.Random so suites stay reproducible run to run."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from skelpot import (
     CurvatureData,
@@ -121,3 +122,14 @@ def int_from_digits(s: str) -> int:
         piece = s[i : i + 500]
         value = value * 10 ** len(piece) + int(piece)
     return sign * value
+
+
+def forbid_fraction_arithmetic(monkeypatch, where: str) -> None:
+    """Make Fraction's +, -, * and / raise AssertionError, saying where,
+    until monkeypatch.undo(): a kernel that computes in int runs on."""
+
+    def no_arithmetic(*args):
+        raise AssertionError(f"Fraction arithmetic {where}")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, no_arithmetic)

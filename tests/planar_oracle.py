@@ -11,9 +11,11 @@ The convex hull here runs Andrew's chain on Fraction keys and cross
 products; skelpot scales the points to one common denominator and runs it
 on int.  The fraction_* routines are the former bodies of the planar
 predicates (membership, dimension, pointedness, minimalize, facets and
-their keys, the simplicial flags, decompose and retraction), which summed
+their keys, the simplicial flags, decompose and retraction) and of the
+PL-function checks (continuity across paired facets, the active piece of
+a support function on a cell, concavity with its witness), which summed
 and divided Fractions; skelpot now decides them on the int generators of
-the cone over each polyhedron.
+the cone over each polyhedron, against int rows of the pieces.
 
 skelpot validates a complex from local data (paired facets, vertex links,
 one sheet), walks only the paired facets for continuity and concavity, and
@@ -371,6 +373,62 @@ def fraction_retraction(pc: PolyComplex, u) -> tuple:
     if any(r != first for r in results[1:]):
         raise ToricError(f"retraction of {u} differs between containing cells")
     return first
+
+
+def fraction_check_continuity(f) -> None:
+    """Rat dot products of each paired facet's points and rays with the
+    difference of the two pieces."""
+    for i, j, (pts, rays) in f.complex.facet_pairs():
+        (gi, ci), (gj, cj) = f.pieces[i], f.pieces[j]
+        dg = (gi[0] - gj[0], gi[1] - gj[1])
+        dc = ci - cj
+        if any(dot(dg, p) + dc != 0 for p in pts) or any(
+            dot(dg, r) != 0 for r in rays
+        ):
+            raise ToricError(
+                f"pieces of cells {i} and {j} disagree on their shared face"
+            )
+
+
+def fraction_active_piece(psi, cell):
+    """The first piece of psi that every piece dominates at the cell's Rat
+    points and along its Rat rays."""
+    for m, c in psi.pieces:
+        ok = True
+        for m2, c2 in psi.pieces:
+            dg = (m2[0] - m[0], m2[1] - m[1])
+            dc = c2 - c
+            if any(dot(dg, p) + dc < 0 for p in cell.gen_points) or any(
+                dot(dg, r) < 0 for r in cell.gen_rays
+            ):
+                ok = False
+                break
+        if ok:
+            return (m, c)
+    return None
+
+
+def fraction_is_concave(h):
+    """is_concave over the paired facets, by Rat dot products on the points
+    and rays of cell j."""
+    cells = h.complex.cells
+    for i, j, _ in h.complex.facet_pairs():
+        (gi, ci), (gj, cj) = h.pieces[i], h.pieces[j]
+        dg = (gi[0] - gj[0], gi[1] - gj[1])
+        dc = ci - cj
+        # need dg.x + dc >= 0 on all of cell j
+        for p in cells[j].gen_points:
+            if dot(dg, p) + dc < 0:
+                return False, {"facet": (i, j), "point": p}
+        p0 = cells[j].gen_points[0]
+        base = dot(dg, p0) + dc
+        for r in cells[j].gen_rays:
+            slope = dot(dg, r)
+            if slope < 0:
+                k = rfloor(base / (-slope)) + 1
+                witness = (p0[0] + k * r[0], p0[1] + k * r[1])
+                return False, {"facet": (i, j), "point": witness}
+    return True, None
 
 
 def box(b) -> Polyhedron:

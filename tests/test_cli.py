@@ -147,6 +147,42 @@ def test_infeasible_exit_3(tmp_path):
     assert r.returncode == 3
 
 
+def test_nonconcave_toric_ma_exit_3(tmp_path):
+    """The benchmark generator's first toric-concavity file (seed 0), a
+    moved Pi with a scaled f + psi, run as toric-ma: the message names the
+    cells and the witness point in the wire format."""
+    cells = [
+        ([["-1", "1"], ["-1", "0"], ["-2", "0"]], []),
+        ([["-1", "1"], ["-1", "0"]], [["1", "-1"]]),
+        ([["-2", "0"], ["-1", "1"]], [["0", "1"]]),
+        ([["-1", "1"]], [["0", "1"], ["1", "-1"]]),
+        ([["-2", "0"], ["-1", "0"]], [["1", "-1"]]),
+        ([["-2", "0"]], [["0", "1"], ["-1", "0"]]),
+        ([["-2", "0"]], [["-1", "0"], ["1", "-1"]]),
+    ]
+    pieces = [
+        (["1/3", "10/3"], "7/3"),
+        (["1/3", "10/3"], "7/3"),
+        (["16/3", "-5/3"], "37/3"),
+        (["-14/3", "-5/3"], "7/3"),
+        (["1/3", "10/3"], "7/3"),
+        (["1/3", "-5/3"], "7/3"),
+        (["1/3", "10/3"], "7/3"),
+    ]
+    scenario = {
+        "kind": "toric-ma",
+        "complex": {"dim": 2, "cells": [{"points": p, "rays": r} for p, r in cells]},
+        "function": {"pieces": [{"grad": g, "const": c} for g, c in pieces]},
+    }
+    r = cli("run", write_scenario(tmp_path, "ma.json", scenario), "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert _stderr_error(r) == {
+        "exit_code": 3,
+        "kind": "infeasible",
+        "message": "function is not concave: the piece of cell 2 lies below it at (-3, 0), in cell 5",
+    }
+
+
 def test_lp_cap_env_var(tmp_path):
     import os
 

@@ -3,7 +3,6 @@ import itertools
 import math
 import pkgutil
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +32,7 @@ from skelpot.polyhedra import (
 from skelpot.rat import Rat, adjugate, cramer, primitive
 from skelpot.toric import PolyComplex, ToricError, _cell_flags, _facets, decompose, refine, retraction
 
+from helpers import forbid_fraction_arithmetic
 from linear_oracle import solve_linear
 from lp_oracle import LinearProgram, lp_solve
 from planar_oracle import (
@@ -513,9 +513,6 @@ def test_cone_gens_leave_equality_hash_and_repr_alone():
     assert "_cone" not in repr(a)
 
 
-_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-
-
 def test_planar_predicates_stay_in_int(monkeypatch):
     """With Fraction's arithmetic made to raise, membership, minimalize,
     is_pointed, poly_dim and the facet keys still run on an integer
@@ -531,11 +528,7 @@ def test_planar_predicates_stay_in_int(monkeypatch):
     cells.append(Polyhedron(((0, 0), (1, 0), (2, 0), (1, 1), (0, 2))))
     queries = [(0, 0), (1, 1), (-3, 2), (5, -7), (1, 0), (Rat(1, 3), Rat(-5, 2)), (Rat(7, 4), Rat(1, 6))]
 
-    def no_arithmetic(*args):
-        raise AssertionError("Fraction arithmetic on an integer complex")
-
-    for name in _ARITHMETIC:
-        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    forbid_fraction_arithmetic(monkeypatch, "on an integer complex")
     got = [
         (poly_dim(c), is_pointed(c), minimalize(c), [poly_contains(c, u) for u in queries])
         for c in cells

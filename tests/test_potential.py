@@ -25,6 +25,7 @@ from skelpot import (
 )
 from hypothesis import given, settings, strategies as st
 
+from skelpot import potential as potential_mod
 from skelpot.potential import (
     PotentialError,
     _check_least,
@@ -377,6 +378,34 @@ def test_laplacian_elimination_stays_in_int(monkeypatch):
         except EnvelopeInfeasible:
             expect = None
         assert (None if lf is None else lf[0]) == expect
+
+
+def test_least_feasible_builds_the_integer_rows_once(monkeypatch):
+    """_least_feasible builds _integer_rows once and eliminates on a copy:
+    its certificate is the slack on the unreduced rows, as _integer_slack
+    computes it from scratch."""
+    rng = random.Random(252)
+    cases = []
+    for _ in range(30):
+        g = rand_graph(rng)
+        nbrs = _sample_laplacian(g, rand_plf(rng, g).breakpoints())[0]
+        cases.append((nbrs, [rand_value(rng) for _ in nbrs]))
+    built = []
+    real = potential_mod._integer_rows
+    monkeypatch.setattr(potential_mod, "_integer_rows", lambda nbrs, d: built.append(d) or real(nbrs, d))
+    feasible = 0
+    for nbrs, d in cases:
+        built.clear()
+        try:
+            y, s = _least_feasible(nbrs, d)
+        except EnvelopeInfeasible:
+            assert len(built) == 1
+            continue
+        assert len(built) == 1
+        assert s == _integer_slack(nbrs, y, d)
+        _check_least(y, s)
+        feasible += 1
+    assert feasible >= 5
 
 
 def _sign(x):

@@ -20,7 +20,6 @@ from skelpot.rat import (
     rat_str,
     rceil,
     rfloor,
-    vec,
 )
 
 from helpers import int_from_digits
@@ -112,11 +111,11 @@ def test_floor_ceil_are_ints():
 
 
 def test_vector_helpers():
-    u, v = vec(1, "1/2"), vec("1/3", 2)
+    u, v = (rat(1), rat("1/2")), (rat("1/3"), rat(2))
     assert dot(u, v) == Rat(1, 3) + 1
-    assert cross2(vec(1, 0), vec(0, 1)) == 1
+    assert cross2((Rat(1), Rat(0)), (Rat(0), Rat(1))) == 1
     assert primitive((Rat(4, 6), Rat(-2, 3))) == (1, -1)
-    assert det3(vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)) == 1
+    assert det3((Rat(1), 0, 0), (0, Rat(1), 0), (0, 0, Rat(1))) == 1
 
 
 def test_solve_linear():

@@ -40,16 +40,20 @@ from skelpot import polyhedra as polyhedra_mod
 from skelpot import toric as toric_mod
 from skelpot.toric import _facets
 from skelpot.polyhedra import halfplanes, poly_dim
-from skelpot.rat import Rat
+from skelpot.rat import Rat, rat_str
 
+from helpers import forbid_fraction_arithmetic
 from linear_oracle import solve_linear
 from planar_oracle import (
     check_continuity_by_meets,
     compose_with_retraction_by_subsets,
+    fraction_active_piece,
     fraction_cell_flags,
+    fraction_check_continuity,
     fraction_decompose,
     fraction_facets,
     fraction_halfplanes,
+    fraction_is_concave,
     fraction_retraction,
     intersect2,
     is_concave_by_meets,
@@ -266,8 +270,15 @@ def test_ma_unit_mass_at_corner(fx):
 
 def test_ma_rejects_nonconcave(fx):
     h = fx.f.add_support(fx.psi)
-    with pytest.raises(ToricError):
+    with pytest.raises(ToricError) as err:
         toric_ma(h)
+    assert str(err.value) == _not_concave_message(is_concave(h)[1])
+    assert str(err.value) == "function is not concave: the piece of cell 1 lies below it at (0, 2), in cell 3"
+
+
+def _not_concave_message(witness):
+    (i, j), (x, y) = witness["facet"], witness["point"]
+    return f"function is not concave: the piece of cell {i} lies below it at ({rat_str(x)}, {rat_str(y)}), in cell {j}"
 
 
 def test_common_refinement(fx):
@@ -450,15 +461,15 @@ def _moved_function(f, move, seed):
     """f on _moved(f.complex, move, seed): the cells are shuffled the same
     way, and each piece x -> <g, x> + c becomes y -> <g', y> + c' with
     y = m x + shift, so g' solves m^T g' = g and c' = c - <g', shift>."""
-    (m, shift) = move
     order = list(range(len(f.complex.cells)))
     random.Random(seed).shuffle(order)
-    pieces = []
-    for k in order:
-        g, c = f.pieces[k]
-        gp = solve_linear([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], g)
-        pieces.append((gp, c - gp[0] * shift[0] - gp[1] * shift[1]))
-    return ToricPLFunction(_moved(f.complex, move, seed), pieces)
+    return ToricPLFunction(_moved(f.complex, move, seed), [_moved_piece(f.pieces[k], move) for k in order])
+
+
+def _moved_piece(piece, move):
+    (m, shift), (g, c) = move, piece
+    gp = solve_linear([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], g)
+    return gp, c - gp[0] * shift[0] - gp[1] * shift[1]
 
 
 def _function_pairs():
@@ -625,6 +636,112 @@ def test_concave_interpolant_on_dilated_triangles():
     g = _interpolant(pc, lambda p: p[0] ** 2, lambda r: 0)
     ok, witness = is_concave(g)
     assert not ok and (ok, witness) == is_concave_by_meets(g)
+
+
+# ---------------------------------------------------------------------------
+# Continuity, active pieces and concavity on int rows against Fraction bodies
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _function_cases(draw):
+    """(f, psi): f on a triangulated dilated triangle with its fan at
+    infinity (an interpolant) or on Pi or Pi' (the fixture's functions and
+    their sums with psi), moved by a unimodular map with its cells
+    shuffled; at times one piece is turned about its cell's first point and
+    shifted, and f is built unchecked.  psi is a support function of a few
+    random pieces, or the fixture's psi, moved along."""
+    move = draw(st.sampled_from(_MOVES + (_IDENTITY,)))
+    seed = draw(st.integers(0, 2**16))
+    rng = random.Random(seed)
+    k = draw(st.integers(0, 3))
+    if k:
+        pc = PolyComplex(_dilated_triangle(k))
+        if draw(st.booleans()):
+            f = _interpolant(pc, lambda p: -(p[0] ** 2 + p[0] * p[1] + p[1] ** 2), lambda r: -100)
+        else:
+            values = {v: rng.randint(-3, 3) for v in pc.vertices()}
+            slopes = {r: rng.randint(-3, 3) for c in pc.cells for r in c.gen_rays}
+            f = _interpolant(pc, values.__getitem__, slopes.__getitem__)
+        psi = [((rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-2, 2)) for _ in range(rng.randint(1, 4))]
+    else:
+        fx = counterexample_fixture()
+        f = draw(st.sampled_from((fx.f, fx.f_prime)))
+        if draw(st.booleans()):
+            f = f.add_support(fx.psi)
+        psi = fx.psi.pieces
+    f = _moved_function(f, move, seed)
+    psi = SupportFn([_moved_piece(piece, move) for piece in psi])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(f.pieces) - 1))
+        (gx, gy), c = f.pieces[i]
+        dx, dy, dc = draw(st.tuples(_q12, _q12, st.sampled_from((0, 0, Rat(1, 7), -1))))
+        p = f.complex.cells[i].gen_points[0]
+        pieces = list(f.pieces)
+        pieces[i] = ((gx + dx, gy + dy), c - dx * p[0] - dy * p[1] + dc)
+        f = ToricPLFunction(f.complex, pieces, check=False)
+    return f, psi
+
+
+def test_int_row_checks_match_fraction_bodies():
+    """Continuity, the active piece of psi on each cell and concavity on
+    the int rows give the Fraction bodies' verdicts, witnesses and
+    ToricError messages, on continuous and on perturbed functions; toric_ma
+    names the oracle's witness when it rejects a function.  The cases
+    reach broken and kept continuity, concave functions, concavity failing
+    at a point and along a ray, and psi active and not affine on a cell."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_function_cases())
+    def check(case):
+        f, psi = case
+        broken = _outcome(f._check_continuity)
+        assert broken == _outcome(fraction_check_continuity, f)
+        active = [toric_mod._active_piece(psi, cell) for cell in f.complex.cells]
+        assert active == [fraction_active_piece(psi, cell) for cell in f.complex.cells]
+        ok, witness = fraction_is_concave(f)
+        assert is_concave(f) == (ok, witness)
+        if not ok:
+            assert _outcome(toric_ma, f) == ("ToricError", _not_concave_message(witness))
+            j = witness["facet"][1]
+            seen.add("point" if witness["point"] in f.complex.cells[j].gen_points else "ray")
+        seen.update((("continuous", broken is None), ("concave", ok)))
+        seen.update(("active", piece is not None) for piece in active)
+
+    check()
+    assert seen == {"point", "ray"} | {(k, v) for k in ("continuous", "concave", "active") for v in (True, False)}
+
+
+def test_pl_function_checks_stay_in_int(monkeypatch):
+    """With Fraction's arithmetic made to raise, continuity, _active_piece
+    and a passing is_concave still run on the fixture's functions and
+    psi, built anew so that their int rows are computed then; afterwards,
+    with Fraction arithmetic, they agree with the Fraction bodies."""
+    fx = counterexample_fixture()
+    h_prime = fx.f_prime.add_support(fx.psi)
+    cells = fx.pi.cells + fx.pi_prime.cells
+    forbid_fraction_arithmetic(monkeypatch, "in a PL-function check")
+    fs = [ToricPLFunction(f.complex, f.pieces) for f in (fx.f, fx.f_prime, h_prime)]
+    psi = SupportFn(fx.psi.pieces)
+    active = [toric_mod._active_piece(psi, c) for c in cells]
+    concave = is_concave(fs[2])
+    monkeypatch.undo()
+    assert all(type(x) is int for f in fs for row in toric_mod._int_rows(f) for x in row)
+    for f in fs:
+        fraction_check_continuity(f)
+    assert concave == fraction_is_concave(h_prime) == (True, None)
+    assert active == [fraction_active_piece(fx.psi, c) for c in cells]
+    assert None not in active
+
+
+def test_int_rows_leave_equality_hash_and_repr_alone(fx):
+    psi = SupportFn(fx.psi.pieces)
+    toric_mod._int_rows(psi)
+    assert psi == fx.psi and hash(psi) == hash(fx.psi) and repr(psi) == repr(fx.psi)
+    assert "_rows" not in repr(psi)
+    f = ToricPLFunction(fx.pi, fx.f.pieces)
+    assert f == fx.f and toric_mod._int_rows(f) is toric_mod._int_rows(f)
 
 
 def test_double_cover_around_a_vertex_is_rejected():
