@@ -11,6 +11,7 @@ it is not rebuilt from any blow-up combinatorics at runtime.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron
@@ -91,7 +92,11 @@ class CounterexampleFixture(NamedTuple):
         return refine(self.pi, self.pi_prime)
 
 
+@cache
 def counterexample_fixture() -> CounterexampleFixture:
+    """The pinned pair of complexes and their functions, built once per
+    process: every call returns the same objects, so callers share them
+    and must not mutate them."""
     pi = PolyComplex(_PI_CELLS)
     pi_prime = PolyComplex(_PI_PRIME_CELLS)
     f = ToricPLFunction(pi, _F_PIECES)

@@ -13,7 +13,9 @@ walk along each edge's two sample lists, and point queries bisect.
 
 Retraction onto a subgraph collapses hanging trees to their attachment
 points; it is only defined when every complement component is a tree meeting
-the subgraph in exactly one point, and validation enforces that.
+the subgraph in exactly one point, and validation enforces that.  One
+walk, `_reach`, crossing only the edges its caller admits, serves graph
+and subgraph connectivity and the complement components.
 """
 
 from __future__ import annotations
@@ -79,20 +81,8 @@ class MetrizedGraph(Frozen):
             ends[a].append((e, 0))
             ends[b].append((e, 1))
         object.__setattr__(self, "_ends", tuple(tuple(x) for x in ends))
-        if not self._connected():
+        if len(_reach(self, 0, lambda e, w: True)) != len(labels):
             raise GraphError("graph must be connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e, end in self._ends[v]:
-                w = self.edges[e][1 - end]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.labels)
 
     @property
     def n_vertices(self) -> int:
@@ -385,6 +375,20 @@ class Subgraph(Frozen):
         object.__setattr__(self, "edges", frozenset(int(e) for e in edges))
 
 
+def _reach(g: MetrizedGraph, start: int, step) -> set:
+    """The vertices reachable from start along the edges e, to far ends w,
+    that step(e, w) admits."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for e, end in g._ends[stack.pop()]:
+            w = g.edges[e][1 - end]
+            if w not in seen and step(e, w):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _validate_subgraph(g: MetrizedGraph, sub: Subgraph):
     if not sub.vertices:
         raise RetractionError("subgraph needs at least one vertex")
@@ -396,80 +400,38 @@ def _validate_subgraph(g: MetrizedGraph, sub: Subgraph):
         a, b, _, _ = g.edges[e]
         if a not in sub.vertices or b not in sub.vertices:
             raise RetractionError("subgraph edge endpoints must be subgraph vertices")
-    # induced connectivity
-    seen = {min(sub.vertices)}
-    stack = [min(sub.vertices)]
-    while stack:
-        v = stack.pop()
-        for e in sub.edges:
-            a, b, _, _ = g.edges[e]
-            for x, y in ((a, b), (b, a)):
-                if x == v and y in sub.vertices and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    if seen != sub.vertices:
+    if _reach(g, min(sub.vertices), lambda e, w: e in sub.edges) != sub.vertices:
         raise RetractionError("subgraph must be connected")
 
 
 def complement_components(g: MetrizedGraph, sub: Subgraph) -> list:
     """Components of (graph minus subgraph): each is (edges, vertices,
-    attachments) with attachments the subgraph vertices its edges touch.
-    Raises unless every component is a tree attached at exactly one point."""
+    attachment) with attachment the one subgraph vertex its edges touch.
+    Components with vertices come first, by least vertex; then each edge
+    joining two subgraph vertices outside sub.edges, by index.  Raises
+    unless every component is a tree attached at exactly one point."""
     _validate_subgraph(g, sub)
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    inside = sub.vertices
+    comps, seen = [], set()
     for v in range(g.n_vertices):
-        if v not in sub.vertices:
-            parent[("v", v)] = ("v", v)
-    for e in range(len(g.edges)):
-        if e not in sub.edges:
-            parent[("e", e)] = ("e", e)
-    for e in range(len(g.edges)):
-        if e in sub.edges:
-            continue
-        a, b, _, _ = g.edges[e]
-        if a not in sub.vertices:
-            union(("e", e), ("v", a))
-        if b not in sub.vertices:
-            union(("e", e), ("v", b))
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
-    comps = []
-    for members in groups.values():
-        edges = sorted(i for k, i in members if k == "e")
-        verts = sorted(i for k, i in members if k == "v")
-        if not edges and not verts:
-            continue
-        attach = set()
-        for e in edges:
-            a, b, _, _ = g.edges[e]
-            for x in (a, b):
-                if x in sub.vertices:
-                    attach.add(x)
-        if not edges:
-            # an isolated non-subgraph vertex cannot happen in a connected
-            # graph whose subgraph edges stay inside the subgraph
-            raise RetractionError("complement component with no edges")
+        if v not in inside and v not in seen:
+            verts = _reach(g, v, lambda e, w: w not in inside)
+            seen |= verts
+            comps.append(({e for x in verts for e, _ in g._ends[x]}, verts))
+    for e, (a, b, _, _) in enumerate(g.edges):
+        if e not in sub.edges and a in inside and b in inside:
+            comps.append(({e}, set()))
+    out = []
+    for edges, verts in comps:
+        attach = {x for e in edges for x in g.edges[e][:2] if x in inside}
         if len(attach) != 1:
             raise RetractionError(
                 f"complement component touches the subgraph at {len(attach)} points, need exactly 1"
             )
         if len(edges) != len(verts):
             raise RetractionError("complement component is not a tree")
-        comps.append((tuple(edges), tuple(verts), attach.pop()))
-    return comps
+        out.append((tuple(sorted(edges)), tuple(sorted(verts)), attach.pop()))
+    return out
 
 
 def retract_point(g: MetrizedGraph, sub: Subgraph, x: GraphPoint) -> GraphPoint:
@@ -488,7 +450,7 @@ def retract_point(g: MetrizedGraph, sub: Subgraph, x: GraphPoint) -> GraphPoint:
         for edges, verts, attach in comps:
             if x.index in edges:
                 return GraphPoint("v", attach)
-    raise RetractionError("point not located")  # pragma: no cover
+    raise RetractionError("point not located")
 
 
 class SubgraphEmbedding(NamedTuple):
@@ -501,6 +463,8 @@ class SubgraphEmbedding(NamedTuple):
     edge_to_sub: dict
 
     def restrict(self, f: PLFunction) -> PLFunction:
+        if f.graph != self.big:
+            raise RetractionError("function does not live on this graph")
         vv = [ZERO] * self.graph.n_vertices
         for v, sv in self.vertex_to_sub.items():
             vv[sv] = f.vertex_values[v]

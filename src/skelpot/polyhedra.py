@@ -254,10 +254,6 @@ def inequalities(poly: Polyhedron) -> tuple:
     return tuple(out)
 
 
-def halfplane_contains(hps, u) -> bool:
-    return holds_at(hps, homogeneous(u))
-
-
 def holds_at(hps, g) -> bool:
     """Does every <n, x> <= c of hps hold at the point g = (X, Y, W),
     W > 0?  Tested as c.den*<n, (X, Y)> <= c.num*W, in int on int rows."""

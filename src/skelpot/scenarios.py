@@ -272,10 +272,14 @@ def _run_toric_counterexample(payload, opts: _Options) -> ScenarioOutput:
 
 
 def _run_testideal(payload, opts: _Options) -> ScenarioOutput:
+    p = payload["p"]
+    if p >= PRIME_LIMIT:
+        raise SchemaError(f"p must be below {PRIME_LIMIT}, where primality is exact")
+    if not is_prime(p):
+        raise SchemaError(f"p = {p} is not prime")
     a = jsonio.ideal_from_json(
         {"n": payload["n"], "gens": payload["gens"]}
     )
-    p = payload["p"]
     lam = jsonio.rat_from_str(payload["lambda"])
     if lam < 0:
         raise SchemaError("lambda must be >= 0")
@@ -339,11 +343,6 @@ def execute(scenario, *, bbox=DEFAULT_BBOX, max_lp_vars=DEFAULT_MAX_LP_VARS):
         raise SchemaError(f"unknown scenario kind {kind!r}")
     schema, runner = _KINDS[kind]
     jsonio.validate(scenario, schema, f"{kind} scenario")
-    if kind == "testideal":
-        if scenario["p"] >= PRIME_LIMIT:
-            raise SchemaError(f"p must be below {PRIME_LIMIT}, where primality is exact")
-        if not is_prime(scenario["p"]):
-            raise SchemaError(f"p = {scenario['p']} is not prime")
     out = runner(scenario, _Options(bbox=bbox, max_lp_vars=max_lp_vars))
     result = {"kind": kind, **out.result}
     jsonio.assert_no_floats(result)

@@ -35,8 +35,9 @@ import weakref
 
 from skelpot.polyhedra import (
     Polyhedron,
-    halfplane_contains,
     halfplanes,
+    holds_at,
+    homogeneous,
     minimalize,
     poly_contains,
     poly_dim,
@@ -298,6 +299,12 @@ def fraction_halfplanes(poly: Polyhedron) -> tuple:
         if all(dot(n, r) <= 0 for r in rays):
             out.append((n, dot(n, a)))
     return tuple(sorted(out))
+
+
+def halfplane_contains(hps, u) -> bool:
+    """Does the point u satisfy every <n, x> <= c of hps?  Tested in int
+    at homogeneous(u); skelpot calls holds_at on cone generators."""
+    return holds_at(hps, homogeneous(u))
 
 
 def fraction_halfplane_contains(hps, u) -> bool:

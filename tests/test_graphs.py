@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
+import graph_oracle
 import pl_oracle
-from helpers import rand_graph, rand_len, rand_value
+from helpers import rand_graph, rand_len, rand_plf, rand_value
 from skelpot import (
     AtomicMeasure,
     CurvatureData,
@@ -11,6 +13,7 @@ from skelpot import (
     GraphPoint,
     MetrizedGraph,
     PLFunction,
+    RetractionError,
     Subgraph,
     complement_components,
     compose_retraction,
@@ -274,3 +277,116 @@ def test_subgraph_validation():
         subgraph_graph(g, Subgraph({0, 1}, {1}))  # edge endpoint missing
     with pytest.raises(GraphError):
         subgraph_graph(g, Subgraph({0, 4}, set()))  # induced graph disconnected
+
+
+def test_restrict_rejects_a_function_on_another_graph():
+    """A function on a graph of the same shape but other edge lengths is
+    not a function on the big graph, so restrict refuses it."""
+    g, sub = _tree_graph()
+    emb = subgraph_graph(g, sub)
+    other = MetrizedGraph(g.labels, tuple((a, b, length + 1, w) for a, b, length, w in g.edges))
+    with pytest.raises(RetractionError, match="function does not live on this graph"):
+        emb.restrict(PLFunction(other, (0,) * 6))
+
+
+def test_retract_point_off_the_graph():
+    g, sub = _tree_graph()
+    for x in (GraphPoint("v", 6), GraphPoint("v", -1), GraphPoint("e", 6, Rat(1, 2))):
+        with pytest.raises(RetractionError, match="point not located"):
+            retract_point(g, sub, x)
+
+
+def _retraction_case(rng):
+    """A connected multigraph on at most 7 vertices, with loops and
+    parallel edges: a core with a spanning tree and extra edges, vertices
+    hanging off it, sometimes edges anywhere; vertices and edges are
+    shuffled.  The subgraph is the core with its tree and some of its
+    extra edges, then sometimes perturbed: emptied, a vertex or an edge
+    added or dropped, or an index out of range added."""
+    n = rng.randint(1, 7)
+    core = rng.randint(1, n)
+    tree = [(rng.randrange(i), i) for i in range(1, core)]
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        a = rng.randrange(core)
+        extra.append((a, rng.choice((a, rng.randrange(core)))))
+    hanging = [(rng.randrange(i), i) for i in range(core, n)]
+    anywhere = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice((0, 0, 1, 2)))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [(perm[a], perm[b], kind) for kind, part in enumerate((tree, extra, hanging, anywhere)) for a, b in part]
+    rng.shuffle(rows)
+    g = MetrizedGraph([f"v{i}" for i in range(n)], [(a, b, rng.randint(1, 3), rng.randint(1, 2)) for a, b, _ in rows])
+    verts = {perm[v] for v in range(core)}
+    edges = {e for e, (_, _, kind) in enumerate(rows) if kind == 0 or (kind == 1 and rng.random() < 0.6)}
+    m = len(rows)
+    move = rng.randrange(12)
+    if move == 0:
+        verts = set()
+    elif move == 1:
+        verts.add(rng.choice((-1, n, n + 1)))
+    elif move == 2:
+        edges.add(rng.choice((-1, m, m + 2)))
+    elif move == 3 and m:
+        edges.add(rng.randrange(m))
+    elif move == 4 and edges:
+        edges.discard(rng.choice(sorted(edges)))
+    elif move == 5:
+        verts.add(rng.randrange(n))
+    elif move == 6 and len(verts) > 1:
+        verts.discard(rng.choice(sorted(verts)))
+    return g, Subgraph(verts, edges)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _kind(outcome):
+    """The outcome's message with the number of attachment points elided,
+    or "ok"."""
+    return "ok" if outcome[0] == "ok" else re.sub(r"at \d+ points", "at k points", outcome[1])
+
+
+def test_retraction_agrees_with_the_union_find_oracle():
+    """On 5,000 seeded graphs and subgraphs, complement_components,
+    retract_point and compose_retraction return what the former
+    union-find bodies return, or raise the same class with the same
+    message; every RetractionError message and the ok case occur."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(5000):
+        g, sub = _retraction_case(rng)
+        want = _outcome(graph_oracle.complement_components, g, sub)
+        assert _outcome(complement_components, g, sub) == want
+        seen.add(_kind(want))
+        m = len(g.edges)
+        for x in (
+            GraphPoint("v", rng.randrange(-1, g.n_vertices + 1)),
+            GraphPoint("e", rng.randrange(-1, m + 1), Rat(1, 2)),
+        ):
+            got = _outcome(retract_point, g, sub, x)
+            assert got == _outcome(graph_oracle.retract_point, g, sub, x)
+            seen.add(_kind(got))
+        emb = _outcome(graph_oracle.subgraph_graph, g, sub)
+        f = rand_plf(rng, emb[1].graph) if emb[0] == "ok" and rng.random() < 0.8 else rand_plf(rng, g)
+        got = _outcome(compose_retraction, g, sub, f)
+        assert got == _outcome(graph_oracle.compose_retraction, g, sub, f)
+        seen.add(_kind(got))
+        if got[0] == "ok":
+            assert emb[1].restrict(got[1]) == f
+    assert seen == {
+        "ok",
+        "subgraph needs at least one vertex",
+        "subgraph vertex out of range",
+        "subgraph edge out of range",
+        "subgraph edge endpoints must be subgraph vertices",
+        "subgraph must be connected",
+        "complement component touches the subgraph at k points, need exactly 1",
+        "complement component is not a tree",
+        "point not located",
+        "function does not live on this subgraph",
+    }

@@ -17,7 +17,6 @@ from skelpot.polyhedra import (
     clip_ring,
     cone_gens,
     convex_hull_2d,
-    halfplane_contains,
     halfplanes,
     hull_area_2d,
     inequalities,
@@ -42,6 +41,7 @@ from planar_oracle import (
     fraction_facets,
     fraction_halfplane_contains,
     fraction_halfplanes,
+    halfplane_contains,
     fraction_is_pointed,
     fraction_minimalize,
     fraction_poly_contains,

@@ -37,6 +37,7 @@ from skelpot import (
     validate_complex,
 )
 from skelpot import polyhedra as polyhedra_mod
+from skelpot import scenarios
 from skelpot import toric as toric_mod
 from skelpot.toric import _facets
 from skelpot.polyhedra import halfplanes, poly_dim
@@ -971,3 +972,14 @@ def test_large_skeleton_is_read_off_the_facet_table(monkeypatch):
     assert len(skel) == 169 and all(poly_dim(s) == 2 for s in skel)
     bounded = [i for i, c in enumerate(pc.cells) if not c.gen_rays]
     assert [composed.pieces[i] for i in bounded] == [h.pieces[i] for i in bounded]
+
+
+def test_counterexample_fixture_is_built_once_and_left_unchanged():
+    """Every call returns the same objects, and running the scenario that
+    uses them leaves them equal to a fresh build."""
+    fx = counterexample_fixture()
+    assert counterexample_fixture() is fx
+    for _ in range(2):
+        scenarios.execute(scenarios.load_builtin("counterexample.json"))
+    assert counterexample_fixture() is fx
+    assert fx == counterexample_fixture.__wrapped__()
