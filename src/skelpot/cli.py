@@ -119,26 +119,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each failure's exit code and kind, first match wins: a subclass comes
+# before its base (ComplexInvalid before ToricError; EnvelopeInfeasible and
+# MassMismatch before PotentialError).
+_FAILURES = (
+    ((_CliValidation, SchemaError, ComplexInvalid), EXIT_VALIDATION, "validation"),
+    ((EnvelopeInfeasible, MassMismatch, ToricError, TestIdealError), EXIT_INFEASIBLE, "infeasible"),
+    ((OSError,), EXIT_VALIDATION, "validation"),
+    ((PotentialError,), EXIT_INTERNAL, "internal"),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _CliValidation as ex:
-        return _emit_error(EXIT_VALIDATION, "validation", str(ex))
-    except SchemaError as ex:
-        return _emit_error(EXIT_VALIDATION, "validation", str(ex))
-    except ComplexInvalid as ex:
-        return _emit_error(EXIT_VALIDATION, "validation", str(ex))
-    except (EnvelopeInfeasible, MassMismatch) as ex:
-        return _emit_error(EXIT_INFEASIBLE, "infeasible", str(ex))
-    except (ToricError, TestIdealError) as ex:
-        return _emit_error(EXIT_INFEASIBLE, "infeasible", str(ex))
-    except OSError as ex:
-        return _emit_error(EXIT_VALIDATION, "validation", str(ex))
-    except PotentialError as ex:
-        return _emit_error(EXIT_INTERNAL, "internal", str(ex))
     except Exception as ex:  # noqa: BLE001 - the contract wants exit 1 + JSON
+        for classes, code, kind in _FAILURES:
+            if isinstance(ex, classes):
+                return _emit_error(code, kind, str(ex))
         return _emit_error(EXIT_INTERNAL, "internal", f"{type(ex).__name__}: {ex}")
 
 

@@ -19,7 +19,6 @@ from .toric import (
     PolyComplex,
     SupportFn,
     ToricPLFunction,
-    fan_of_p2,
     refine,
 )
 
@@ -84,9 +83,6 @@ class CounterexampleFixture(NamedTuple):
     f_prime: ToricPLFunction
     psi: SupportFn
     labels: dict
-
-    def fan(self):
-        return fan_of_p2()
 
     def refined(self) -> PolyComplex:
         return refine(self.pi, self.pi_prime)

@@ -21,6 +21,7 @@ and subgraph connectivity and the complement components.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from typing import NamedTuple
 
 from .rat import Frozen, Rat, rat, rat_str
@@ -75,18 +76,21 @@ class MetrizedGraph(Frozen):
             rows.append((a, b, length, int(weight)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(rows))
-        # per vertex, its (edge, end) pairs by edge index, a-side first
-        ends = [[] for _ in labels]
-        for e, (a, b, _, _) in enumerate(rows):
-            ends[a].append((e, 0))
-            ends[b].append((e, 1))
-        object.__setattr__(self, "_ends", tuple(tuple(x) for x in ends))
         if len(_reach(self, 0, lambda e, w: True)) != len(labels):
             raise GraphError("graph must be connected")
 
     @property
     def n_vertices(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _ends(self) -> tuple:
+        """Per vertex, its (edge, end) pairs by edge index, a-side first."""
+        ends = [[] for _ in self.labels]
+        for e, (a, b, _, _) in enumerate(self.edges):
+            ends[a].append((e, 0))
+            ends[b].append((e, 1))
+        return tuple(map(tuple, ends))
 
     def index_of(self, label: str) -> int:
         try:
@@ -411,6 +415,11 @@ def complement_components(g: MetrizedGraph, sub: Subgraph) -> list:
     joining two subgraph vertices outside sub.edges, by index.  Raises
     unless every component is a tree attached at exactly one point."""
     _validate_subgraph(g, sub)
+    return _hanging_trees(g, sub)
+
+
+def _hanging_trees(g: MetrizedGraph, sub: Subgraph) -> list:
+    """complement_components on a subgraph already validated."""
     inside = sub.vertices
     comps, seen = [], set()
     for v in range(g.n_vertices):
@@ -502,7 +511,7 @@ def compose_retraction(
     emb = subgraph_graph(g, sub)
     if f_on_sub.graph != emb.graph:
         raise RetractionError("function does not live on this subgraph")
-    comps = complement_components(g, sub)
+    comps = _hanging_trees(g, sub)  # sub was validated by subgraph_graph
     vv = [None] * g.n_vertices
     for v, sv in emb.vertex_to_sub.items():
         vv[v] = f_on_sub.vertex_values[sv]

@@ -3,7 +3,7 @@
 A polyhedron is conv(points) + cone(rays) with at least one point.  That is
 the natural form for polyhedral complexes built from fans and skeletons.
 The predicates run on the int generators of the cone over the polyhedron,
-cone_gens, kept on the object: a point p becomes (X, Y, W), its numerators
+its cached property cone_gens: a point p becomes (X, Y, W), its numerators
 over their least common denominator W, and a ray its primitive int vector
 with 0 appended.  A point u lies in the polyhedron when its own (X, Y, W)
 lies in that cone, and by Caratheodory's theorem some linearly independent
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .rat import Frozen, Rat, rat, dot, vec_sub, primitive, cramer, cross2
 
@@ -55,6 +55,15 @@ class Polyhedron(Frozen):
     def ambient_dim(self) -> int:
         return len(self.gen_points[0])
 
+    @cached_property
+    def cone_gens(self) -> tuple:
+        """The int generators of the cone over the polyhedron:
+        homogeneous(p) for each point and the primitive int vector of each
+        ray with 0 appended, in generator order."""
+        return tuple(map(homogeneous, self.gen_points)) + tuple(
+            primitive(r) + (0,) for r in self.gen_rays
+        )
+
     def translate(self, v):
         v = tuple(rat(x) for x in v)
         return Polyhedron(
@@ -70,21 +79,9 @@ def homogeneous(p) -> tuple:
     return tuple(int(x.numerator) * (w // int(x.denominator)) for x in p) + (w,)
 
 
-def cone_gens(poly: Polyhedron) -> tuple:
-    """The int generators of the cone over poly: homogeneous(p) for each
-    point and the primitive int vector of each ray with 0 appended, in
-    generator order.  Computed once and kept on poly, outside its fields."""
-    gens = poly.__dict__.get("_cone")
-    if gens is None:
-        gens = tuple(map(homogeneous, poly.gen_points))
-        gens += tuple(primitive(r) + (0,) for r in poly.gen_rays)
-        poly.__dict__["_cone"] = gens
-    return gens
-
-
 def _split(poly: Polyhedron):
-    """cone_gens(poly) as its point generators and its primitive rays."""
-    gens = cone_gens(poly)
+    """poly.cone_gens as its point generators and its primitive rays."""
+    gens = poly.cone_gens
     k = len(poly.gen_points)
     return gens[:k], [g[:-1] for g in gens[k:]]
 
@@ -112,14 +109,14 @@ def _cone_contains(r, gens) -> bool:
 def poly_contains(poly: Polyhedron, u) -> bool:
     """Exact membership: is u = sum a_i p_i + sum t_j r_j with a in the
     simplex and t >= 0?  Ambient dimension at most 2.  Decided as
-    homogeneous(u) in the cone of cone_gens(poly)."""
+    homogeneous(u) in the cone of poly.cone_gens."""
     u = tuple(rat(x) for x in u)
     d = poly.ambient_dim
     if len(u) != d:
         raise ValueError("point dimension mismatch")
     if d > 2:
         raise ValueError("membership is decided in ambient dimension at most 2")
-    return _cone_contains(homogeneous(u), cone_gens(poly))
+    return _cone_contains(homogeneous(u), poly.cone_gens)
 
 
 def recession(poly: Polyhedron) -> Polyhedron:
@@ -165,8 +162,9 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     yet visited, never against one already dropped, so the polyhedron never
     changes.  (Against all the others, two points of a polyhedron that
     contains a line could each lie in the other plus the line, and both
-    would go.)  Redundancy is decided on cone_gens, and the result keeps
-    the generators kept as its own."""
+    would go.)  Redundancy is decided on cone_gens, and the generators kept
+    are seeded as the result's cone_gens, the one write to a cached
+    property from outside its class (rat.Frozen)."""
     gens, rays = _split(poly)
     pts = sorted((p, g) for g, p in dict(zip(gens, poly.gen_points)).items())
     rays = sorted(set(rays))
@@ -184,7 +182,7 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
         if not others or not _cone_contains(g, others + lifted):
             keep_p.append((p, g))
     out = Polyhedron(tuple(p for p, _ in keep_p), tuple(keep_r))
-    out.__dict__["_cone"] = tuple(g for _, g in keep_p) + tuple(lifted)
+    out.__dict__["cone_gens"] = tuple(g for _, g in keep_p) + tuple(lifted)
     return out
 
 

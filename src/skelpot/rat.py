@@ -11,7 +11,8 @@ systems, of any size, are solved in `potential` by sparse fraction-free
 elimination: each row is scaled to ints, and Rats are built only for the
 solution, one per unknown.  `rat_str` writes numbers of any length.
 
-`Frozen` is the base of the package's immutable value classes.
+`Frozen` is the base of the package's immutable value classes, whose
+derived data are functools.cached_property attributes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ class Frozen:
     """Base of the immutable value classes.  A subclass names its fields in
     `_fields` and sets them in `__init__` through `object.__setattr__`.
     Objects are equal when their classes match and their fields are equal;
-    the hash is that of the tuple of fields."""
+    the hash is that of the tuple of fields.  Derived data is kept one way,
+    as a functools.cached_property: computed from the fields on first read
+    and stored on the instance past __setattr__, so it is never stale and
+    stays out of repr, == and hash.  Only polyhedra.minimalize seeds one
+    from outside: the cone_gens of its result, which it has computed."""
 
     _fields = ()
 

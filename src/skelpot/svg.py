@@ -25,7 +25,6 @@ special handling of its rays, and each cut costs O(ring).
 from __future__ import annotations
 
 import re
-from functools import partial
 
 from .graphs import MetrizedGraph, PLFunction
 from .polyhedra import Polyhedron, clip_ring, convex_hull_2d, inequalities, over_common_denominator
@@ -141,11 +140,11 @@ def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
     """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
 
     The box's corner ring is clipped by each inequality of poly, of any
-    dimension.  They come from facets() when given (a complex passes its
-    cached cell facets) and from inequalities() otherwise.  convex_hull_2d
-    drops the repeated and collinear points the cuts leave and puts the
-    vertices in canonical order."""
-    ring = clip_ring(plane.ring, facets() if facets is not None else inequalities(poly))
+    dimension: facets when given (a complex passes its cached cell facets)
+    and inequalities(poly) otherwise.  convex_hull_2d drops the repeated
+    and collinear points the cuts leave and puts the vertices in canonical
+    order."""
+    ring = clip_ring(plane.ring, facets if facets is not None else inequalities(poly))
     return None if ring is None else convex_hull_2d([(Rat(x, w), Rat(y, w)) for x, y, w in ring])
 
 
@@ -159,7 +158,7 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         xml_name("cell label", label)
     fills, edges, texts = [], [], []
     for i, cell in enumerate(pc.cells):
-        hull = _clipped_hull(cell, plane, partial(pc.cell_halfplanes, i))
+        hull = _clipped_hull(cell, plane, pc.halfplanes[i])
         if hull is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]

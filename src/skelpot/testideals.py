@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .rat import adjugate, det as rat_det, rat, rceil
+from .rat import Frozen, adjugate, det as rat_det, rat, rceil
 
 VAR_NAMES = ("x", "y", "z", "w")
 
@@ -109,11 +109,11 @@ def _antichain(vectors):
     return tuple(out)
 
 
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Generators form a minimal antichain; () is the zero ideal and
     ((0,..,0),) the unit ideal."""
 
-    __slots__ = ("n", "gens")
+    _fields = ("n", "gens")
 
     def __init__(self, n: int, gens):
         if not isinstance(n, int) or n < 1:
@@ -135,19 +135,6 @@ class MonomialIdeal:
         object.__setattr__(ideal, "n", n)
         object.__setattr__(ideal, "gens", tuple(rows))
         return ideal
-
-    def __setattr__(self, *a):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.n == other.n
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.gens))
 
     def __repr__(self):
         if self.is_zero():

@@ -8,8 +8,10 @@ The bounded cells make up the skeleton, and every point of the plane
 retracts onto it by dropping the recession part of its barycentric-plus-ray
 decomposition inside any containing cell.  Facet keys, cell flags,
 containment, decompositions and retractions are decided on the int cone
-generators of the cells (polyhedra.cone_gens) and of the query point, and
-turned into Rat only in what they return.
+generators of the cells (Polyhedron.cone_gens) and of the query point, and
+turned into Rat only in what they return.  Complexes and PL functions are
+rat.Frozen values, and their derived data (facets, facet owners, fan,
+skeleton, int rows) are cached properties, computed at most once.
 
 PL functions are stored as one affine piece per maximal cell.  Concavity is
 a facet-local condition (the affine piece of one side must dominate the
@@ -29,7 +31,7 @@ geometry this package models.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple
 
 from .polyhedra import (
@@ -37,7 +39,6 @@ from .polyhedra import (
     angle_order,
     cell_ring,
     clip_ring,
-    cone_gens,
     convex_hull_2d,
     halfplanes,
     holds_at,
@@ -65,21 +66,20 @@ class ComplexInvalid(ToricError):
     pass
 
 
-class PolyComplex:
+class PolyComplex(Frozen):
     """Cells must be pointed (contain no line) and 2-dimensional, and are
     minimalized at construction; validity (tiling, fan of recession cones, simpliciality)
     is established by validate_complex.
 
-    A complex computes the facets of each cell (cell_halfplanes), the cells
-    owning each facet (facet_owners, facet_pairs), its recession fan and its
-    skeleton at most once and keeps them; validation, the skeleton, the
-    continuity and concavity checks of every function on the complex, and
-    polyhedra.clip_ring, when refine, pl_functions_equal or the SVG layer cut
-    another cell or the box by these facets, all read these caches."""
+    Its derived data are cached properties: the facets of each cell
+    (halfplanes), the cells owning each facet (facet_owners, facet_pairs,
+    facet_pair_gens), the recession fan and the skeleton.  Validation, the
+    checks of every function on the complex, and the cuts by its facets in
+    refine, pl_functions_equal and the SVG layer all read them."""
 
-    def __init__(self, cells, dim=2):
-        if dim != 2:
-            raise ToricError("only ambient dimension 2 is supported")
+    _fields = ("cells",)
+
+    def __init__(self, cells):
         cells = tuple(cells)
         if not cells:
             raise ToricError("a complex needs at least one cell")
@@ -90,57 +90,69 @@ class PolyComplex:
                 raise ComplexInvalid(f"cell {i} contains a line")
             if poly_dim(c) != 2:
                 raise ComplexInvalid(f"cell {i} is not 2-dimensional")
-        self.dim = 2
-        self.cells = tuple(minimalize(c) for c in cells)
-        self._hps = {}
-        self._owners = None
-        self._pairs = None
-        self._pair_gens = None
-        self._fan = None
-        self._skeleton = None
+        object.__setattr__(self, "cells", tuple(minimalize(c) for c in cells))
 
-    def __eq__(self, other):
-        return isinstance(other, PolyComplex) and self.cells == other.cells
+    @cached_property
+    def halfplanes(self) -> tuple:
+        """The facets of each cell, one tuple per cell in cell order."""
+        return tuple(map(halfplanes, self.cells))
 
-    def __hash__(self):
-        return hash(self.cells)
-
-    def cell_halfplanes(self, i: int):
-        if i not in self._hps:
-            self._hps[i] = halfplanes(self.cells[i])
-        return self._hps[i]
-
+    @cached_property
     def facet_owners(self) -> dict:
         """Each facet key of _facets -> [(cell, halfplane)] of the cells
         having it, in cell order."""
-        if self._owners is None:
-            self._owners = {}
-            for i in range(len(self.cells)):
-                for key, hp in _facets(self, i):
-                    self._owners.setdefault(key, []).append((i, hp))
-        return self._owners
+        owners = {}
+        for i in range(len(self.cells)):
+            for key, hp in _facets(self, i):
+                owners.setdefault(key, []).append((i, hp))
+        return owners
 
+    @cached_property
     def facet_pairs(self) -> tuple:
         """(i, j, facet key) for each facet of exactly two cells i < j, in
         (i, j) order: on a valid complex, the pairs meeting in dimension 1."""
-        if self._pairs is None:
-            own = self.facet_owners().items()
-            self._pairs = tuple(sorted((o[0][0], o[1][0], k) for k, o in own if len(o) == 2))
-        return self._pairs
+        own = self.facet_owners.items()
+        return tuple(sorted((o[0][0], o[1][0], k) for k, o in own if len(o) == 2))
 
+    @cached_property
     def facet_pair_gens(self) -> tuple:
         """(i, j, the int cone generators of their facet) in facet_pairs
         order: homogeneous(p) for each point and (r, 0) for each ray."""
-        if self._pair_gens is None:
-            self._pair_gens = tuple(
-                (i, j, tuple(map(homogeneous, pts)) + tuple(r + (0,) for r in rays))
-                for i, j, (pts, rays) in self.facet_pairs()
-            )
-        return self._pair_gens
+        return tuple(
+            (i, j, tuple(map(homogeneous, pts)) + tuple(r + (0,) for r in rays))
+            for i, j, (pts, rays) in self.facet_pairs
+        )
+
+    @cached_property
+    def recession_fan(self) -> tuple:
+        """Distinct recession cones of the cells (origin-pointed polyhedra),
+        in order of first occurrence.  Cells are pointed, so each
+        minimalized cone is canonical and equal cones are equal tuples."""
+        return tuple(dict.fromkeys(minimalize(recession(c)) for c in self.cells))
+
+    @cached_property
+    def skeleton(self) -> tuple:
+        """Maximal bounded faces of a complex that validate_complex accepts,
+        largest dimension first and each dimension ordered by its points:
+        the bounded cells, the bounded facets that no bounded cell owns, and
+        the vertices on no bounded facet.  (The union of these cells is the
+        combinatorial skeleton.)  Read off facet_owners.
+
+        Validity is what makes this exact: a bounded face inside another
+        one is a face of it, a bounded facet is paired only with the cells
+        owning it, and a vertex on a segment is one of its end points."""
+        cells = self.cells
+        segments = sorted((pts, own) for (pts, rays), own in self.facet_owners.items() if not rays)
+        covered = {p for pts, _ in segments for p in pts}
+        return (
+            tuple(sorted((c for c in cells if not c.gen_rays), key=lambda c: c.gen_points))
+            + tuple(Polyhedron(pts) for pts, own in segments if all(cells[i].gen_rays for i, _ in own))
+            + tuple(Polyhedron((v,)) for v in self.vertices() if v not in covered)
+        )
 
     def cells_containing(self, u) -> list:
         g = homogeneous(tuple(rat(x) for x in u))
-        return [i for i in range(len(self.cells)) if holds_at(self.cell_halfplanes(i), g)]
+        return [i for i, hps in enumerate(self.halfplanes) if holds_at(hps, g)]
 
     def vertices(self) -> tuple:
         out = set()
@@ -155,8 +167,8 @@ class SimplicialFlag(NamedTuple):
 
 
 def _cell_flags(cell: Polyhedron):
-    """(simplicial, unimodular) from the primitive lifts, cone_gens(cell)."""
-    gens = cone_gens(cell)
+    """(simplicial, unimodular) from the primitive lifts, cell.cone_gens."""
+    gens = cell.cone_gens
     if len(gens) != 3:
         return False, False
     d = det3(*gens)
@@ -167,10 +179,10 @@ def _facets(pc: PolyComplex, i: int):
     """Facets of cell i as canonical keys with their V-data: the points
     with c.den*<n, (X, Y)> == c.num*W and the int rays orthogonal to n."""
     cell = pc.cells[i]
-    gens = cone_gens(cell)
+    gens = cell.cone_gens
     k = len(cell.gen_points)
     out = []
-    for n, c in pc.cell_halfplanes(i):
+    for n, c in pc.halfplanes[i]:
         on = [c.denominator * (n[0] * x + n[1] * y) == c.numerator * w for x, y, w in gens[:k]]
         pts = tuple(sorted(p for p, yes in zip(cell.gen_points, on) if yes))
         rays = tuple(sorted(g[:2] for g in gens[k:] if n[0] * g[0] + n[1] * g[1] == 0))
@@ -193,12 +205,8 @@ def _winds_once(corner_edges) -> bool:
 
 
 def recession_fan(pc: PolyComplex) -> tuple:
-    """Distinct recession cones of the cells (origin-pointed polyhedra), in
-    order of first occurrence.  Cells are pointed, so each minimalized cone
-    is canonical and equal cones are equal tuples."""
-    if pc._fan is None:
-        pc._fan = tuple(dict.fromkeys(minimalize(recession(c)) for c in pc.cells))
-    return pc._fan
+    """The distinct recession cones of the cells: pc.recession_fan."""
+    return pc.recession_fan
 
 
 def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
@@ -214,7 +222,7 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
     sheets are copies of the plane; one point inside cell 0 lying in no
     other cell leaves exactly one sheet."""
     cells = pc.cells
-    owners = pc.facet_owners()
+    owners = pc.facet_owners
     for own in owners.values():
         for (i, hp), (j, hq) in itertools.combinations(own, 2):
             if hp == hq:
@@ -239,7 +247,7 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
             )
     inner = homogeneous(interior_point(cells[0]))
     for j in range(1, len(cells)):
-        if holds_at(pc.cell_halfplanes(j), inner):
+        if holds_at(pc.halfplanes[j], inner):
             raise ComplexInvalid(f"cells 0 and {j} overlap in dimension 2")
     # The recession cones of a complete complex form a complete fan: every
     # direction recedes in some cell, and two cells whose cones share an
@@ -275,46 +283,24 @@ def fan_of_p2() -> tuple:
 
 
 def skeleton(pc: PolyComplex) -> tuple:
-    """Maximal bounded faces of a complex that validate_complex accepts,
-    largest dimension first and each dimension ordered by its points: the
-    bounded cells, the bounded facets that no bounded cell owns, and the
-    vertices on no bounded facet.  (The union of these cells is the
-    combinatorial skeleton.)  Read off facet_owners once and kept on the
-    complex.
-
-    Validity is what makes this exact: a bounded face inside another one
-    is a face of it, a bounded facet is paired only with the cells owning
-    it, and a vertex on a segment is one of its end points."""
-    if pc._skeleton is None:
-        cells = pc.cells
-        segments = sorted((pts, own) for (pts, rays), own in pc.facet_owners().items() if not rays)
-        covered = {p for pts, _ in segments for p in pts}
-        pc._skeleton = (
-            tuple(sorted((c for c in cells if not c.gen_rays), key=lambda c: c.gen_points))
-            + tuple(Polyhedron(pts) for pts, own in segments if all(cells[i].gen_rays for i, _ in own))
-            + tuple(Polyhedron((v,)) for v in pc.vertices() if v not in covered)
-        )
-    return pc._skeleton
+    """The maximal bounded faces of a valid complex: pc.skeleton."""
+    return pc.skeleton
 
 
 def decompose(cell: Polyhedron, u):
     """Coefficients (a, lam) with u = sum a_i p_i + sum lam_j v_j, a >= 0
     summing to 1, lam >= 0.  Unique for simplicial cells; errors when the
     cell is not simplicial or u lies outside it."""
-    return _minimal_decompose(minimalize(cell), tuple(rat(x) for x in u))
-
-
-def _minimal_decompose(cell: Polyhedron, u):
-    q, nums, pts = _solve(cell, u)
+    q, nums, pts = _solve(minimalize(cell), tuple(rat(x) for x in u))
     a = tuple(Rat(x * g[2], q) for x, g in zip(nums, pts))
     return a, tuple(Rat(x, q) for x in nums[len(pts) :])  # the rays are primitive
 
 
 def _solve(cell: Polyhedron, u):
     """(q, nums, point generators) with D*(u, 1) = homogeneous(u) = sum
-    nums_i*G_i/d over cone_gens(cell) by int cramer, q = d*D > 0: a_i =
+    nums_i*G_i/d over cell.cone_gens by int cramer, q = d*D > 0: a_i =
     nums_i*W_i/q, a_i*p_i = nums_i*(X_i, Y_i)/q, lam_j = nums_j/q."""
-    gens = cone_gens(cell)
+    gens = cell.cone_gens
     if len(gens) > 3:
         raise ToricError("cell is not simplicial")
     target = homogeneous(u)
@@ -382,15 +368,32 @@ def _minimal_retraction_affine(cell: Polyhedron):
 # ---------------------------------------------------------------------------
 
 
-class SupportFn(Frozen):
+def _pieces(pieces) -> tuple:
+    """Affine pieces ((g_x, g_y), c) with every entry made a Rat."""
+    return tuple(((rat(g[0]), rat(g[1])), rat(c)) for g, c in pieces)
+
+
+class _AffinePieces(Frozen):
+    """Base of the functions held as affine pieces ((g_x, g_y), c) in the
+    field pieces."""
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """The pieces <g, u> + c as int rows (L*g_x, L*g_y, L*c) over one
+        common denominator L > 0.  Row i at the cone generator (X, Y, W) is
+        L*W times piece i at (X, Y)/W, or L times its slope along (X, Y)
+        when W = 0: differences of rows keep signs."""
+        *xs, _ = homogeneous([x for (gx, gy), c in self.pieces for x in (gx, gy, c)])
+        return tuple(zip(xs[0::3], xs[1::3], xs[2::3]))
+
+
+class SupportFn(_AffinePieces):
     """min of affine pieces <m, u> + c; concave by construction."""
 
     _fields = ("pieces",)
 
     def __init__(self, pieces):
-        rows = tuple(
-            ((rat(m[0]), rat(m[1])), rat(c)) for m, c in pieces
-        )
+        rows = _pieces(pieces)
         if not rows:
             raise ToricError("a support function needs at least one piece")
         object.__setattr__(self, "pieces", rows)
@@ -404,33 +407,26 @@ class SupportFn(Frozen):
         return min(dot(m, u) + c for m, c in self.pieces)
 
 
-class ToricPLFunction:
+class ToricPLFunction(_AffinePieces):
     """One affine piece (gradient, constant) per maximal cell, continuous
     across every shared facet (verified at construction); on a valid
     complex that is continuity everywhere, as each vertex link is joined
     by facets."""
 
+    _fields = ("complex", "pieces")
+
     def __init__(self, complex: PolyComplex, pieces, check: bool = True):
-        pieces = tuple(
-            ((rat(g[0]), rat(g[1])), rat(c)) for g, c in pieces
-        )
+        pieces = _pieces(pieces)
         if len(pieces) != len(complex.cells):
             raise ToricError("one affine piece per cell required")
-        self.complex = complex
-        self.pieces = pieces
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "pieces", pieces)
         if check:
             self._check_continuity()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ToricPLFunction)
-            and self.complex == other.complex
-            and self.pieces == other.pieces
-        )
-
     def _check_continuity(self):
-        rows = _int_rows(self)
-        for i, j, gens in self.complex.facet_pair_gens():
+        rows = self.int_rows
+        for i, j, gens in self.complex.facet_pair_gens:
             if any(_diffs(rows[i], rows[j], gens)):
                 raise ToricError(f"pieces of cells {i} and {j} disagree on their shared face")
 
@@ -469,24 +465,11 @@ class ToricPLFunction:
 def _active_piece(psi: SupportFn, cell: Polyhedron):
     """The piece of psi equal to psi on all of cell, if one exists: one
     that no other piece undercuts at any cone generator of the cell."""
-    rows, gens = _int_rows(psi), cone_gens(cell)
+    rows, gens = psi.int_rows, cell.cone_gens
     for piece, row in zip(psi.pieces, rows):
         if all(x >= 0 for other in rows for x in _diffs(other, row, gens)):
             return piece
     return None
-
-
-def _int_rows(f) -> tuple:
-    """The pieces <g, u> + c of f as int rows (L*g_x, L*g_y, L*c) over one
-    common denominator L > 0, kept on f outside its fields.  Row i at the
-    cone generator (X, Y, W) is L*W times piece i at (X, Y)/W, or L times
-    its slope along (X, Y) when W = 0: differences of rows keep signs."""
-    rows = f.__dict__.get("_rows")
-    if rows is None:
-        *xs, _ = homogeneous([x for (gx, gy), c in f.pieces for x in (gx, gy, c)])
-        rows = tuple(zip(xs[0::3], xs[1::3], xs[2::3]))
-        f.__dict__["_rows"] = rows
-    return rows
 
 
 def _diffs(a, b, gens):
@@ -518,7 +501,7 @@ def compose_with_retraction(pc: PolyComplex, g_pieces) -> ToricPLFunction:
             raise ToricError("g must live on the skeleton of this complex")
         gp = g_pieces.pieces
     else:
-        gp = tuple(((rat(g[0]), rat(g[1])), rat(c)) for g, c in g_pieces)
+        gp = _pieces(g_pieces)
         if len(gp) != len(skel):
             raise ToricError("one affine piece per skeleton cell required")
     faces = [set(s.gen_points) for s in skel]
@@ -568,9 +551,9 @@ def is_concave(h: ToricPLFunction):
     the cone generators of cell j; the witness is the first failing point,
     or the first point plus the least whole multiple of the first failing
     ray at which the test fails."""
-    cells, rows = h.complex.cells, _int_rows(h)
-    for i, j, _ in h.complex.facet_pairs():
-        gens = cone_gens(cells[j])
+    cells, rows = h.complex.cells, h.int_rows
+    for i, j, _ in h.complex.facet_pairs:
+        gens = cells[j].cone_gens
         bad = next((k for k, x in enumerate(_diffs(rows[i], rows[j], gens)) if x < 0), None)
         if bad is None:
             continue
@@ -660,7 +643,7 @@ def _overlaps(a: PolyComplex, b: PolyComplex):
         den, keys = over_common_denominator([g[:2] for g in ring])
         ring = [(x, y, den * g[2]) for (x, y), g in zip(keys, ring)]
         for j in range(len(b.cells)):
-            cut = clip_ring(ring, b.cell_halfplanes(j))
+            cut = clip_ring(ring, b.halfplanes[j])
             if cut is not None:
                 inter = Polyhedron(
                     [(Rat(g[0], g[2]), Rat(g[1], g[2])) for g in cut if g[2]],

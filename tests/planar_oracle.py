@@ -385,7 +385,7 @@ def fraction_retraction(pc: PolyComplex, u) -> tuple:
 def fraction_check_continuity(f) -> None:
     """Rat dot products of each paired facet's points and rays with the
     difference of the two pieces."""
-    for i, j, (pts, rays) in f.complex.facet_pairs():
+    for i, j, (pts, rays) in f.complex.facet_pairs:
         (gi, ci), (gj, cj) = f.pieces[i], f.pieces[j]
         dg = (gi[0] - gj[0], gi[1] - gj[1])
         dc = ci - cj
@@ -419,7 +419,7 @@ def fraction_is_concave(h):
     """is_concave over the paired facets, by Rat dot products on the points
     and rays of cell j."""
     cells = h.complex.cells
-    for i, j, _ in h.complex.facet_pairs():
+    for i, j, _ in h.complex.facet_pairs:
         (gi, ci), (gj, cj) = h.pieces[i], h.pieces[j]
         dg = (gi[0] - gj[0], gi[1] - gj[1])
         dc = ci - cj
@@ -505,7 +505,7 @@ def meet(pc: PolyComplex, i: int, j: int):
     cache = _MEETS.setdefault(pc, {})
     if key not in cache:
         cache[key] = vrep_from_halfplanes(
-            pc.cell_halfplanes(key[0]) + pc.cell_halfplanes(key[1])
+            pc.halfplanes[key[0]] + pc.halfplanes[key[1]]
         )
     return cache[key]
 
@@ -514,7 +514,7 @@ def is_face(pc: PolyComplex, i: int, face) -> bool:
     """Is `face` a face of cell i?  Computed by intersecting the cell with
     all of its halfplanes that are tight on `face`."""
     cell = pc.cells[i]
-    hps = list(pc.cell_halfplanes(i))
+    hps = list(pc.halfplanes[i])
     tight = []
     for n, c in hps:
         if all(dot(n, p) == c for p in face.gen_points) and all(

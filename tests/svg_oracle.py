@@ -10,8 +10,6 @@ convex_hull_2d on Fraction keys.  Both must print the same bytes.
 
 from __future__ import annotations
 
-from functools import partial
-
 from skelpot.graphs import MetrizedGraph, PLFunction
 from skelpot.polyhedra import Polyhedron, inequalities
 from skelpot.rat import Rat, rat, rat_str, rfloor, vec_sub
@@ -135,7 +133,7 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         raise ValueError("one label per cell required")
     fills, edges, texts = [], [], []
     for i, cell in enumerate(pc.cells):
-        hull = _clipped_hull(cell, plane, partial(pc.cell_halfplanes, i))
+        hull = _clipped_hull(cell, plane, lambda: pc.halfplanes[i])
         if hull is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]

@@ -524,3 +524,37 @@ def test_main_keeps_its_contract_across_calls(tmp_path, capsys):
         "message": "'no_such_builtin.json' is neither a file nor a built-in scenario",
     }
     assert cli_mod.main(["run", "envelope_edge.json", "--out", str(out / "again")]) == 0
+
+
+def test_main_maps_each_failure_class_to_its_exit_code(tmp_path, capsys, monkeypatch):
+    """Each class of the failure table, and a subclass listed before its
+    base, gets its own exit code and kind; anything else is internal, with
+    its class name in the message."""
+    from skelpot import cli as cli_mod, scenarios
+    from skelpot.potential import EnvelopeInfeasible, MassMismatch, PotentialError
+    from skelpot.testideals import TestIdealError
+    from skelpot.toric import ComplexInvalid, ToricError
+
+    cases = [
+        (jsonio.SchemaError("s"), 2, "validation", "s"),
+        (ComplexInvalid("c"), 2, "validation", "c"),
+        (EnvelopeInfeasible("e"), 3, "infeasible", "e"),
+        (MassMismatch("m"), 3, "infeasible", "m"),
+        (ToricError("t"), 3, "infeasible", "t"),
+        (TestIdealError("i"), 3, "infeasible", "i"),
+        (FileNotFoundError("f"), 2, "validation", "f"),
+        (PotentialError("p"), 1, "internal", "p"),
+        (KeyError("k"), 1, "internal", "KeyError: 'k'"),
+    ]
+    for ex, code, kind, message in cases:
+        def fail(*args, ex=ex, **kwargs):
+            raise ex
+
+        monkeypatch.setattr(scenarios, "execute", fail)
+        assert cli_mod.main(["run", "envelope_edge.json", "--out", str(tmp_path)]) == code
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"exit_code": code, "kind": kind, "message": message}
+    # no class in the table is shadowed by an earlier row
+    for k, (classes, _, _) in enumerate(cli_mod._FAILURES):
+        for earlier, _, _ in cli_mod._FAILURES[:k]:
+            assert not any(issubclass(c, earlier) for c in classes)

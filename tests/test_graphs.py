@@ -22,6 +22,7 @@ from skelpot import (
     retract_point,
     subgraph_graph,
 )
+import skelpot.graphs as graphs_mod
 from skelpot.rat import Rat
 
 PATH = MetrizedGraph(("a", "b", "c"), ((0, 1, 1, 1), (1, 2, "3/2", 2)))
@@ -259,6 +260,22 @@ def test_compose_retraction_values():
     F = compose_retraction(g, sub, f_sub)
     assert F.vertex_values == (Rat(3), Rat(5), Rat(7), Rat(5), Rat(5), Rat(7))
     assert F.value_at(g.point(4, Rat(1, 2))) == 5  # constant on the tree
+
+
+def test_compose_retraction_validates_the_subgraph_once(monkeypatch):
+    calls = []
+    validate = graphs_mod._validate_subgraph
+
+    def counting(g, sub):
+        calls.append(sub)
+        return validate(g, sub)
+
+    monkeypatch.setattr(graphs_mod, "_validate_subgraph", counting)
+    g, sub = _tree_graph()
+    f_sub = PLFunction(subgraph_graph(g, sub).graph, (3, 5, 7))
+    calls.clear()
+    compose_retraction(g, sub, f_sub)
+    assert calls == [sub]
 
 
 def test_restrict_inverts_composition():

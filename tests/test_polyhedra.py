@@ -15,7 +15,6 @@ from skelpot.polyhedra import (
     Polyhedron,
     cell_ring,
     clip_ring,
-    cone_gens,
     convex_hull_2d,
     halfplanes,
     hull_area_2d,
@@ -482,8 +481,8 @@ def test_cone_generator_predicates_match_fraction_bodies(poly, queries):
     the simplicial flags and decompose give the Fraction bodies' values, or
     raise their exceptions with their messages, at generic points and at
     points of the polyhedron."""
-    assert all(type(x) is int for g in cone_gens(poly) for x in g)
-    assert cone_gens(poly) is cone_gens(poly)
+    assert all(type(x) is int for g in poly.cone_gens for x in g)
+    assert poly.cone_gens is poly.cone_gens
     assert poly_dim(poly) == fraction_poly_dim(poly)
     assert is_pointed(poly) == fraction_is_pointed(poly)
     assert _outcome(halfplanes, poly) == _outcome(fraction_halfplanes, poly)
@@ -491,7 +490,7 @@ def test_cone_generator_predicates_match_fraction_bodies(poly, queries):
     slim = minimalize(poly)
     assert slim == fraction_minimalize(poly)
     # the generators minimalize keeps on its result are the result's own
-    assert cone_gens(slim) == cone_gens(Polyhedron(slim.gen_points, slim.gen_rays))
+    assert slim.cone_gens == Polyhedron(slim.gen_points, slim.gen_rays).cone_gens
     if poly_dim(poly) == 2 and is_pointed(poly):
         assert _cell_flags(slim) == fraction_cell_flags(slim)
     (a, b), (c, d) = poly.gen_points[0], poly.gen_points[-1]
@@ -508,9 +507,9 @@ def test_cone_generator_predicates_match_fraction_bodies(poly, queries):
 def test_cone_gens_leave_equality_hash_and_repr_alone():
     a = Polyhedron(((Rat(1, 2), Rat(-1, 3)), (1, 0)), ((2, 4),))
     b = Polyhedron(a.gen_points, a.gen_rays)
-    assert cone_gens(a) == ((3, -2, 6), (1, 0, 1), (1, 2, 0))
+    assert a.cone_gens == ((3, -2, 6), (1, 0, 1), (1, 2, 0))
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "_cone" not in repr(a)
+    assert "cone_gens" not in repr(a)
 
 
 def test_planar_predicates_stay_in_int(monkeypatch):
@@ -537,7 +536,7 @@ def test_planar_predicates_stay_in_int(monkeypatch):
     facets = [_facets(pc, i) for i in range(len(pc.cells))]
     images = [retraction(pc, u) for u in queries]
     parts = [[_outcome(decompose, c, u) for u in queries] for c in pc.cells]
-    assert all(type(x) is int for c in cells for g in cone_gens(c) for x in g)
+    assert all(type(x) is int for c in cells for g in c.cone_gens for x in g)
     monkeypatch.undo()
     assert images == [fraction_retraction(pc, u) for u in queries]
     assert parts == [[_outcome(fraction_decompose, c, u) for u in queries] for c in pc.cells]

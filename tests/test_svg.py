@@ -179,7 +179,7 @@ def test_box_cut_matches_halfplane_intersection(case, rnd):
     assert svg_mod._clipped_hull(cell, plane) == want
     facets = list(halfplanes(cell))
     rnd.shuffle(facets)
-    assert svg_mod._clipped_hull(cell, plane, lambda: tuple(facets)) == want
+    assert svg_mod._clipped_hull(cell, plane, tuple(facets)) == want
 
 
 def test_box_cut_degenerate_cases():

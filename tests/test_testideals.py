@@ -48,6 +48,18 @@ def I(n, *gens):
     return MonomialIdeal(n, gens)
 
 
+def test_ideals_are_frozen_values():
+    a = I(2, (3, 0), (0, 2))
+    for name, value in (("gens", ((1, 1),)), ("n", 3), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a.gens == ((0, 2), (3, 0)) and a.n == 2
+    b = I(2, (3, 0)) + I(2, (0, 2))  # built by _from_valid
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != I(3, (3, 0, 0), (0, 2, 0)) and a != I(2, (3, 0))
+    assert repr(a) == "(y^2, x^3)"
+
+
 def test_ideal_normalization():
     a = I(2, (3, 0), (3, 1), (0, 2), (1, 2))
     assert a.gens == ((0, 2), (3, 0))  # antichain, sorted

@@ -379,7 +379,7 @@ def test_cone_generator_routes_match_fraction_bodies_on_moved_complexes(which, m
     pc = _moved(getattr(counterexample_fixture(), which), (m, shift), seed)
     points = list(queries) + list(pc.vertices())
     for i, cell in enumerate(pc.cells):
-        assert pc.cell_halfplanes(i) == fraction_halfplanes(cell)
+        assert pc.halfplanes[i] == fraction_halfplanes(cell)
         assert _facets(pc, i) == fraction_facets(pc, i)
         assert toric_mod._cell_flags(cell) == fraction_cell_flags(cell)
         for (pts, _), _ in _facets(pc, i):
@@ -728,7 +728,7 @@ def test_pl_function_checks_stay_in_int(monkeypatch):
     active = [toric_mod._active_piece(psi, c) for c in cells]
     concave = is_concave(fs[2])
     monkeypatch.undo()
-    assert all(type(x) is int for f in fs for row in toric_mod._int_rows(f) for x in row)
+    assert all(type(x) is int for f in fs for row in f.int_rows for x in row)
     for f in fs:
         fraction_check_continuity(f)
     assert concave == fraction_is_concave(h_prime) == (True, None)
@@ -738,17 +738,86 @@ def test_pl_function_checks_stay_in_int(monkeypatch):
 
 def test_int_rows_leave_equality_hash_and_repr_alone(fx):
     psi = SupportFn(fx.psi.pieces)
-    toric_mod._int_rows(psi)
+    psi.int_rows
     assert psi == fx.psi and hash(psi) == hash(fx.psi) and repr(psi) == repr(fx.psi)
-    assert "_rows" not in repr(psi)
+    assert "int_rows" not in repr(psi)
     f = ToricPLFunction(fx.pi, fx.f.pieces)
-    assert f == fx.f and toric_mod._int_rows(f) is toric_mod._int_rows(f)
+    assert f == fx.f and f.int_rows is f.int_rows
+
+
+_COMPLEX_CACHES = (
+    "halfplanes", "facet_owners", "facet_pairs", "facet_pair_gens", "recession_fan", "skeleton"
+)
+
+
+def test_complex_and_function_fields_cannot_be_reassigned(fx):
+    """A complex and a PL function are values: their caches are computed
+    from their fields, so reassigning a field would leave them stale.  Both
+    former reproductions now stop at the assignment, and the objects keep
+    answering as before."""
+    h, h2 = fx.f.add_support(fx.psi), fx.f_prime.add_support(fx.psi)
+    verdict, image = is_concave(h), retraction(fx.pi, (2, 3))
+    for obj, name, value in (
+        (h, "pieces", h2.pieces),
+        (h, "complex", h2.complex),
+        (fx.pi, "cells", fx.pi_prime.cells),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert is_concave(h) == verdict and verdict[0] is False
+    assert retraction(fx.pi, (2, 3)) == image
+
+
+def test_equal_complexes_and_functions_hash_equal(fx):
+    pc = PolyComplex(fx.pi.cells)
+    f = ToricPLFunction(pc, fx.f.pieces)
+    assert pc == fx.pi and hash(pc) == hash(fx.pi)
+    assert f == fx.f and hash(f) == hash(fx.f)
+    assert len({f, fx.f, ToricPLFunction(fx.pi_prime, fx.f_prime.pieces), fx.f_prime}) == 2
+    assert f != ToricPLFunction(fx.pi_prime, fx.f.pieces, check=False)
+
+
+def test_cached_properties_are_computed_once(monkeypatch, fx):
+    """Each cached property is computed on first read and then read back:
+    the facets of the cells once each, however often they are read."""
+    hps = []
+
+    def counting_halfplanes(poly):
+        hps.append(poly)
+        return halfplanes(poly)
+
+    monkeypatch.setattr(toric_mod, "halfplanes", counting_halfplanes)
+    pc = PolyComplex(fx.pi.cells)
+    f = ToricPLFunction(pc, fx.f.pieces)
+    validate_complex(pc, recession_fan(pc))
+    is_concave(f)
+    pc.cells_containing((2, 3))
+    for name in _COMPLEX_CACHES:
+        assert getattr(pc, name) is getattr(pc, name)
+    assert recession_fan(pc) is pc.recession_fan and skeleton(pc) is skeleton(pc) is pc.skeleton
+    assert f.int_rows is f.int_rows and pc.cells[1].cone_gens is pc.cells[1].cone_gens
+    assert sorted(map(id, hps)) == sorted(map(id, pc.cells))
+
+
+def test_cached_properties_stay_out_of_repr_equality_and_hash(fx):
+    pc, fresh = PolyComplex(fx.pi.cells), PolyComplex(fx.pi.cells)
+    f, fresh_f = ToricPLFunction(pc, fx.f.pieces), ToricPLFunction(fresh, fx.f.pieces, check=False)
+    for name in _COMPLEX_CACHES:
+        getattr(pc, name)
+    f.int_rows
+    assert "facet_owners" in vars(pc) and "int_rows" in vars(f) and "int_rows" not in vars(fresh_f)
+    assert pc == fresh and hash(pc) == hash(fresh) and repr(pc) == repr(fresh)
+    assert f == fresh_f and hash(f) == hash(fresh_f) and repr(f) == repr(fresh_f)
+    for name in _COMPLEX_CACHES + ("int_rows", "cone_gens"):
+        assert name not in repr(pc) and name not in repr(f)
 
 
 def test_double_cover_around_a_vertex_is_rejected():
     pc = PolyComplex(_DOUBLE_COVER)
     # facets pair up and every boundary direction occurs twice at the origin
-    assert all(len(own) == 2 for own in pc.facet_owners().values())
+    assert all(len(own) == 2 for own in pc.facet_owners.values())
     assert vertex_link_ok(pc, (0, 0))
     with pytest.raises(ComplexInvalid, match="cells 0 and 2 overlap in dimension 2"):
         validate_complex_pairwise(pc, recession_fan_pairwise(pc))
