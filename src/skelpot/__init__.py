@@ -76,6 +76,7 @@ from .testideals import (
     asymptotic_test_ideal,
     frobenius_power,
     frobenius_root,
+    newton_certifies,
     newton_test_ideal,
     test_ideal,
     unit_ideal,

@@ -489,15 +489,26 @@ def loads(text: str):
     return obj
 
 
-def assert_no_floats(obj, where: str = "$") -> None:
+def assert_no_floats(obj) -> None:
+    """SchemaError "float at $.a[1].b" if obj's dicts, lists and tuples
+    hold a float; the walk builds the path only once it finds one."""
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, float):
+            raise SchemaError(f"float at {_float_path(obj, '$')}")
+        if isinstance(x, (dict, list, tuple)):
+            stack.extend(x.values() if isinstance(x, dict) else x)
+
+
+def _float_path(obj, where: str):
+    """The path of obj's first float, depth first, or None."""
     if isinstance(obj, float):
-        raise SchemaError(f"float at {where}")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            assert_no_floats(v, f"{where}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            assert_no_floats(v, f"{where}[{i}]")
+        return where
+    steps = (obj.items() if isinstance(obj, dict) else enumerate(obj)
+             if isinstance(obj, (list, tuple)) else ())
+    fmt = "{}.{}" if isinstance(obj, dict) else "{}[{}]"
+    return next(filter(None, (_float_path(v, fmt.format(where, k)) for k, v in steps)), None)
 
 
 def dumps(obj) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import attrgetter
 
 try:
     from gmpy2 import mpq as Rat
@@ -65,16 +66,20 @@ class Frozen:
 
     _fields = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+    def __init_subclass__(cls, **kwargs):
+        # _key(obj): the tuple of fields (attrgetter gives no 1-tuple)
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        cls._key = staticmethod(attrgetter(*fields) if len(fields) > 1 else
+                                lambda obj: tuple(getattr(obj, f) for f in fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key(self) == self._key(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -14,7 +14,7 @@ from .polyhedra import Polyhedron, poly_equal
 from .potential import energy, envelope, orthogonality_residual, solve_ma
 from .rat import Rat, rat_str
 from .svg import render_svg
-from .testideals import PRIME_LIMIT, is_prime, newton_test_ideal, test_ideal
+from .testideals import PRIME_LIMIT, is_prime, newton_certifies, test_ideal
 from .toric import (
     ToricPLFunction,
     is_concave,
@@ -286,7 +286,7 @@ def _run_testideal(payload, opts: _Options) -> ScenarioOutput:
     tau = test_ideal(a, lam, p)
     result = {
         "test_ideal": jsonio.ideal_to_json(tau),
-        "newton_agrees": newton_test_ideal(a, lam) == tau,
+        "newton_agrees": newton_certifies(a, lam, tau),
     }
     return ScenarioOutput(result, {})
 

@@ -8,17 +8,20 @@ point is a packing integer program with at most 3 rows, bounded in closed
 form by the dual vertices of its LP relaxation and decided exactly, in
 integers, only between those bounds.  A Newton-polyhedron route computes
 the same ideal from the interior condition u + (1,..,1) in
-int(lambda * Newt(a)), exact row by row in closed form; it shares only
-the corner walker with the chain route and cross-validates it.
+int(lambda * Newt(a)), exact row by row in closed form, with the same
+corner walker; the tests compare the two routes.  At runtime the chain
+route's answer is checked by newton_certifies, which walks nothing: it
+tests the answer's generators and the outer corners of its staircase
+against the interior condition, work linear in the answer's size.
 """
 
 from __future__ import annotations
 
 import bisect
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .rat import Frozen, adjugate, det as rat_det, rat, rceil
@@ -152,6 +155,25 @@ class MonomialIdeal(Frozen):
 
     def is_zero(self) -> bool:
         return not self.gens
+
+    @cached_property
+    def newton_normals(self) -> tuple:
+        """Supporting directions c >= 0 covering every facet of
+        Newt(a) = conv(gens) + R^n_{>=0}.  Axis directions plus (in
+        dimension 3) cross products of edge-direction candidates; dimension
+        <= 3 only."""
+        n = self.n
+        if n > 3:
+            raise TestIdealError("Newton-polyhedron machinery supports at most 3 variables")
+        axes = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+        if n == 1:
+            return (axes[0],)
+        diffs = [tuple(map(sub, g, h)) for g in self.gens for h in self.gens if g != h]
+        if n == 2:
+            found = (_normalize_nonneg((d[1], -d[0])) for d in diffs)
+        else:
+            found = (_normalize_nonneg(_cross3(d, e)) for d, e in combinations(diffs + axes, 2))
+        return tuple(sorted({*axes, *filter(None, found)}))
 
     def is_unit(self) -> bool:
         return self.gens == ((0,) * self.n,)
@@ -524,7 +546,7 @@ def _stop_exponent(b: MonomialIdeal, lam, p: int) -> int:
     shift = tuple(1 + (g - 1) * cap[i] for i in range(n))
     den = int(lam.denominator)
     worst = 1
-    for nu in newton_normals(b):
+    for nu in b.newton_normals:
         h = min(sum(c * x for c, x in zip(nu, u)) for u in gens)
         worst = max(worst, h + sum(c * s for c, s in zip(nu, shift)))
     qstar = den * worst
@@ -663,36 +685,8 @@ def _normalize_nonneg(c):
 
 
 def newton_normals(a: MonomialIdeal) -> tuple:
-    """Supporting directions c >= 0 covering every facet of
-    Newt(a) = conv(gens) + R^n_{>=0}.  Axis directions plus (in dimension 3)
-    cross products of edge-direction candidates; dimension <= 3 only."""
-    n = a.n
-    if n > 3:
-        raise TestIdealError("Newton-polyhedron machinery supports at most 3 variables")
-    axes = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    if n == 1:
-        return (axes[0],)
-    gens = a.gens
-    diffs = [
-        tuple(g[i] - h[i] for i in range(n))
-        for g in gens
-        for h in gens
-        if g != h
-    ]
-    out = set(axes)
-    if n == 2:
-        for d in diffs:
-            c = _normalize_nonneg((d[1], -d[0]))
-            if c is not None:
-                out.add(c)
-    else:
-        dirs = diffs + axes
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                c = _normalize_nonneg(_cross3(dirs[i], dirs[j]))
-                if c is not None:
-                    out.add(c)
-    return tuple(sorted(out))
+    """Supporting directions covering every facet of Newt(a): a.newton_normals."""
+    return a.newton_normals
 
 
 def _newton_bounds(constraints, prefix, bz: int):
@@ -712,26 +706,85 @@ def _newton_bounds(constraints, prefix, bz: int):
     return bounds
 
 
-def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
-    """tau(a^lambda) via the interior criterion: exponents u with
-    u + (1,..,1) in the interior of lambda * Newt(a), walked by _corners.
-    Independent of p.  Each facet inequality is scaled by the denominator
-    of lambda once, so the walk runs on integer data."""
-    lam = rat(lam)
+def _newton_trivial(a: MonomialIdeal, lam):
+    """tau(a^lambda) if lambda = 0 or a is the unit or zero ideal, else None."""
     if lam < 0:
         raise TestIdealError("exponent must be >= 0")
     if lam == 0 or a.is_unit():
         return unit_ideal(a.n)
     if a.is_zero():
         return zero_ideal(a.n)
+
+
+def _newton_constraints(a: MonomialIdeal, lam):
+    """(constraints, box): the interior condition as integer rows (c, r),
+    u a member iff <c, u> > r for each, with every facet inequality scaled
+    by the denominator of lambda once; and a box holding every minimal
+    member."""
     num, den = int(lam.numerator), int(lam.denominator)
     constraints = []
-    for c in newton_normals(a):
+    for c in a.newton_normals:
         h = min(sum(ci * gi for ci, gi in zip(c, g)) for g in a.gens)
         # <c, u + 1> > lam * h  <=>  <den*c, u> > num*h - den*sum(c)
         constraints.append((tuple(den * ci for ci in c), num * h - den * sum(c)))
     # a minimal u with u_i > 0 has c_i*(u_i - 1) <= r for some (c, r), c_i > 0
     box = tuple(max((r // c[i] + 1 for c, r in constraints if c[i]), default=0) for i in range(a.n))
+    return constraints, box
+
+
+def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
+    """tau(a^lambda) via the interior criterion: exponents u with
+    u + (1,..,1) in the interior of lambda * Newt(a), walked by _corners
+    on integer data.  Independent of p."""
+    if (trivial := _newton_trivial(a, rat(lam))) is not None:
+        return trivial
+    constraints, box = _newton_constraints(a, rat(lam))
     corners = [box] if a.n == 1 else _corners(  # exact rows: member is never asked
         box, None, lambda prefix: _newton_bounds(constraints, prefix, box[-1]))
     return MonomialIdeal._from_valid(a.n, corners)
+
+
+def newton_certifies(a: MonomialIdeal, lam, tau) -> bool:
+    """Whether tau == newton_test_ideal(a, lam), decided without walking:
+    tau's generators are sorted and minimal, each meets the interior
+    condition, and no outer corner of tau's staircase, capped at the
+    Newton box, does.  Padded to (t, y, z) and swept by t, the outer
+    corners are (t_0 - 1, cap, cap) and, for each distinct t_j, those of
+    the y/z staircase of the generators up to t_j, placed at t_{j+1} - 1
+    (the box's t after the last).  They dominate every monomial of the box
+    outside tau, so tau holds every minimal member.  Linear work in the
+    generators plus the slice staircases."""
+    if (trivial := _newton_trivial(a, rat(lam))) is not None:
+        return trivial == tau
+    constraints, box = _newton_constraints(a, rat(lam))
+    pad = (0,) * (3 - a.n)
+    rows = [pad + c + (r,) for c, r in constraints]
+    bt, by, bz = pad + box
+
+    def member(t, y, z) -> bool:
+        for ct, cy, cz, r in rows:
+            if ct * t + cy * y + cz * z <= r:
+                return False
+        return True
+
+    if type(tau) is not MonomialIdeal or tau.n != a.n or not tau.gens:
+        return False  # the box itself is a member, so tau is not zero
+    gens = [pad + g for g in tau.gens]
+    if not all(map(tuple.__lt__, gens, gens[1:])):
+        return False
+    outer = [(gens[0][0] - 1, by, bz)]
+    ys, zs = [], []  # the staircase so far: ys ascending, zs descending
+    for (t, y, z), nxt in zip(gens, gens[1:] + [None]):
+        i = bisect.bisect_right(ys, y)
+        if (i and zs[i - 1] <= z) or not member(t, y, z):
+            return False  # an earlier generator divides it, or no member
+        j = i
+        while j < len(ys) and zs[j] >= z:
+            j += 1
+        ys[i:j], zs[i:j] = [y], [z]
+        if nxt is None or nxt[0] > t:  # slices t to u all equal this staircase
+            u = bt if nxt is None else nxt[0] - 1
+            outer.append((u, ys[0] - 1, bz))
+            outer.extend((u, ys[k + 1] - 1, zs[k] - 1) for k in range(len(ys) - 1))
+            outer.append((u, by, zs[-1] - 1))
+    return not any(min(v) >= 0 and member(*v) for v in outer)

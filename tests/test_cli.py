@@ -324,6 +324,19 @@ def test_testideal_scenario(tmp_path):
     assert r.returncode == 2
 
 
+def test_failing_newton_certificate_reports_false_and_exits_0(tmp_path, monkeypatch):
+    """A wrong chain-route answer is reported, not raised: newton_agrees is
+    false and the run exits 0."""
+    from skelpot import cli as cli_mod, scenarios
+    from skelpot.testideals import unit_ideal
+
+    monkeypatch.setattr(scenarios, "test_ideal", lambda a, lam, p: unit_ideal(a.n))
+    assert cli_mod.main(["run", "testideal_basic.json", "--out", str(tmp_path), "--format", "json"]) == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["test_ideal"] == {"n": 2, "gens": [[0, 0]]}
+    assert result["newton_agrees"] is False
+
+
 def test_testideal_large_prime(tmp_path):
     s = {"kind": "testideal", "n": 2, "p": 2**61 - 1,
          "gens": [[2, 0], [1, 1], [0, 3]], "lambda": "5/2"}

@@ -167,6 +167,23 @@ def test_loads_rejects_floats():
         jsonio.loads("{not json")
 
 
+def test_float_message_names_its_path():
+    """A float nested in a dict, a list and a tuple is named by its path;
+    of several, the first in document order."""
+    cases = (
+        ({"a": [1, {"b": (2, 0.5)}]}, "float at $.a[1].b[1]"),
+        ({"a": 1, "b": [(0, "x"), {"c": 1.5}], "d": 2.5}, "float at $.b[1].c"),
+        ([({"k": 3.0},)], "float at $[0][0].k"),
+        (0.5, "float at $"),
+    )
+    for obj, message in cases:
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            jsonio.assert_no_floats(obj)
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            jsonio.dumps(obj)
+    jsonio.assert_no_floats({"a": [1, (2, "1/2")], "b": None, "c": True})
+
+
 def test_loads_rejects_lone_surrogates():
     """A surrogate pair escape is one code point and passes; a lone
     surrogate, escaped or already in the str, is a SchemaError naming

@@ -6,6 +6,7 @@ import pytest
 
 from skelpot.graphs import GraphPoint, MetrizedGraph
 from skelpot.polyhedra import Polyhedron
+from skelpot.toric import PolyComplex, SupportFn
 from skelpot.rat import (
     ZERO,
     Rat,
@@ -65,6 +66,21 @@ def test_value_classes_keep_frozen_dataclass_behaviour():
     with pytest.raises(AttributeError):
         poly.extra = 1
     assert pt.offset == half and poly.gen_rays == rays
+
+
+def test_frozen_key_is_the_tuple_of_fields():
+    """Each class reads its key with one attrgetter; with one field (and on
+    a subclass of a base with none) the key is still the 1-tuple, so ==,
+    hash and repr mean what they did."""
+    cells = [Polyhedron([(0, 0)], [(1, 0), (0, 1)])]
+    pc = PolyComplex(cells)
+    assert pc._key(pc) == (pc.cells,) and hash(pc) == hash((pc.cells,))
+    assert pc == PolyComplex(cells) and pc != PolyComplex([Polyhedron([(0, 0)], [(1, 0), (1, 1)])])
+    assert repr(pc) == f"PolyComplex(cells={pc.cells!r})"
+    sf = SupportFn([((0, 0), 0)])
+    assert hash(sf) == hash((sf.pieces,)) and sf == SupportFn([((0, 0), 0)])
+    pt = GraphPoint("v", 0)
+    assert pt._key(pt) == ("v", 0, ZERO) and pt != GraphPoint("v", 1)
 
 
 @pytest.mark.parametrize("bad", ["", "1.5", "3/0", "x", "1/2/3", None])

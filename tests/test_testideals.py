@@ -36,6 +36,8 @@ from skelpot.testideals import (
     _row_bounds,
     _staircase,
     is_prime,
+    newton_certifies,
+    newton_normals,
 )
 from skelpot.rat import Rat, rceil, rfloor
 
@@ -817,6 +819,112 @@ def test_newton_route_matches_slice_oracle():
         got = newton_tau(a, lam)
         assert _antichain(got.gens) == got.gens
         assert got == newton_by_slices(a, lam) == tau(a, lam, rng.choice((2, 3, 5)))
+
+
+# the pinned deep chain and the two huge-exponent inputs of the CLI tests
+_PINNED = (
+    (((4, 0, 2), (0, 4, 1), (2, 1, 3)), Rat(11, 2), 2),
+    (((2**70, 0), (1, 1), (0, 2)), Rat(1), 2),
+    (((2**40, 0, 0), (0, 3, 0), (0, 0, 3)), Rat(1), 3),
+)
+
+
+def _candidates(t):
+    """t itself; t with one generator dropped, moved down one step or moved
+    up one step; and t's generators out of order and with a non-minimal
+    one added, which no constructor would build."""
+    yield t
+    for k, g in enumerate(t.gens):
+        rest = t.gens[:k] + t.gens[k + 1 :]
+        yield MonomialIdeal(t.n, rest)
+        for i in range(t.n):
+            for d in (-1, 1):
+                if g[i] + d >= 0:
+                    yield MonomialIdeal(t.n, rest + (g[:i] + (g[i] + d,) + g[i + 1 :],))
+    yield MonomialIdeal._from_valid(t.n, t.gens[::-1])
+    yield MonomialIdeal._from_valid(t.n, t.gens + tuple((g[0] + 1,) + g[1:] for g in t.gens[-1:]))
+
+
+def _assert_certificate_verdicts(a, lam):
+    truth = newton_tau(a, lam)
+    assert newton_certifies(a, lam, truth)
+    for cand in _candidates(truth):
+        assert newton_certifies(a, lam, cand) == (cand == truth), (a, lam, cand)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_chain_instances())
+def test_newton_certificate_decides_like_the_newton_route(instance):
+    """newton_certifies(a, lam, cand) == (newton_test_ideal(a, lam) == cand)
+    for the true ideal and for every one-generator corruption of it: the
+    zero and unit ideals, lambda = 0 and n = 1 included."""
+    a, lam, _ = instance
+    _assert_certificate_verdicts(a, lam)
+
+
+@pytest.mark.parametrize("gens, lam, p", _PINNED, ids=["deep-chain", "2^70", "n3-2^40"])
+def test_newton_certificate_on_pinned_inputs(gens, lam, p):
+    a = MonomialIdeal(len(gens[0]), gens)
+    assert newton_certifies(a, lam, tau(a, lam, p))
+    _assert_certificate_verdicts(a, lam)
+
+
+def test_newton_certificate_on_trivial_inputs():
+    """lambda = 0, the zero and unit ideals and n = 1, against candidates of
+    every shape: zero, unit, proper, another variable count, not an ideal."""
+    for n in (1, 2, 3):
+        others = (zero_ideal(n), unit_ideal(n), I(n, (1,) * n), unit_ideal(n % 3 + 1), None)
+        for a in (zero_ideal(n), unit_ideal(n), I(n, (2,) * n)):
+            for lam in (Rat(0), Rat(1, 2), Rat(3)):
+                _assert_certificate_verdicts(a, lam)
+                truth = newton_tau(a, lam)
+                for cand in others:
+                    assert newton_certifies(a, lam, cand) == (truth == cand), (a, lam, cand)
+
+
+def test_newton_certificate_walks_nothing(monkeypatch):
+    """The certificate decides the pinned inputs with the corner walker, the
+    packing solver and their helpers all broken."""
+    cases = []
+    for gens, lam, p in _PINNED:
+        a = MonomialIdeal(len(gens[0]), gens)
+        t = tau(a, lam, p)
+        cases.append((a, lam, t, MonomialIdeal(a.n, t.gens[1:])))
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the certificate walked")
+
+    for name in ("_corners", "_staircase", "_least", "_row_bounds", "_BasisTable", "_count_feasible"):
+        monkeypatch.setattr(skelpot.testideals, name, broken)
+    for a, lam, t, dropped in cases:
+        assert newton_certifies(a, lam, t)
+        assert not newton_certifies(a, lam, dropped)
+
+
+def test_newton_normals_are_a_cached_property(monkeypatch):
+    """newton_normals is computed once per ideal, though both the chain
+    route's stopping rule and the certificate read it, and stays out of
+    repr, == and hash."""
+    calls = []
+    real = skelpot.testideals._normalize_nonneg
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(skelpot.testideals, "_normalize_nonneg", counting)
+    a = I(3, (4, 0, 2), (0, 4, 1), (2, 1, 3))
+    text, key = repr(a), hash(a)
+    normals = newton_normals(a)
+    computed = len(calls)
+    assert computed > 0
+    assert newton_certifies(a, Rat(11, 2), tau(a, Rat(11, 2), 2))
+    assert a.newton_normals is normals and newton_normals(a) is normals
+    assert len(calls) == computed
+    fresh = I(3, *a.gens)
+    assert "newton_normals" in vars(a) and "newton_normals" not in vars(fresh)
+    assert repr(a) == text == repr(fresh) and "newton_normals" not in text
+    assert a == fresh and hash(a) == key == hash(fresh)
 
 
 def test_testideals_does_not_use_the_simplex():
