@@ -72,12 +72,13 @@ def _cmd_run(args) -> int:
         raise _CliValidation(f"--bbox must be positive, got {args.bbox!r}")
     scenario = _load_scenario(args.scenario)
     out = scenarios.execute(scenario, bbox=bbox, max_lp_vars=_lp_cap())
+    text = jsonio.dumps(out.result)  # a float fails here, before any write
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format in ("json", "both"):
         target = outdir / "result.json"
-        target.write_text(jsonio.dumps(out.result), encoding="utf-8")
+        target.write_text(text, encoding="utf-8")
         written.append(target)
     if args.format in ("svg", "both"):
         for name in sorted(out.figures):

@@ -1,12 +1,12 @@
 """Pinned example data for the planar toric machinery.
 
-The headline fixture is a pair of complete unimodular complexes with the
-same recession fan and the same skeleton (the unit triangle), carrying the
-same boundary data g, whose induced functions differ away from the skeleton:
-composition with the retraction of the first complex even destroys
-concavity, while the second complex produces the concave function
-min(1, 1+v, u).  The data is stored literally and re-checked by the tests;
-it is not rebuilt from any blow-up combinatorics at runtime.
+The headline fixture is a pair of complete unimodular complexes Pi, Pi'
+with the same recession fan and the same skeleton (the unit triangle),
+carrying the same boundary data g(u, v) = u on that triangle.  Only the
+cells, g and the support function psi of the triangle are stored; the
+functions f = g o r_Pi and f' = g o r_Pi' are computed by
+`compose_with_retraction`.  They differ away from the skeleton:
+psi + f is not concave, while psi + f' is the concave min(u, 1, 1+v).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron
-from .toric import (
-    PolyComplex,
-    SupportFn,
-    ToricPLFunction,
-    refine,
-)
+from .toric import PolyComplex, SupportFn, ToricPLFunction, compose_with_retraction, refine
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
@@ -50,29 +45,8 @@ _PI_PRIME_CELLS = (
 
 CELL_LABELS = ("delta", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6")
 
-# g(u, v) = u on the triangle; its composition with either retraction,
-# written as one affine piece per cell in the orders above
+# g(u, v) = u on the triangle, the one skeleton cell
 _G_PIECE = ((1, 0), 0)
-
-_F_PIECES = (
-    ((1, 0), 0),    # delta:  u
-    ((0, -1), 1),   # sigma1: 1 - v   (horizontal projection onto the diagonal)
-    ((0, 0), 1),    # sigma2: 1       (everything retracts to (1, 0))
-    ((0, 0), 0),    # sigma3: 0       (everything retracts to (0, 1))
-    ((0, 0), 0),    # sigma4: 0
-    ((0, 0), 0),    # sigma5: 0       (retracts to (0, v - u))
-    ((1, -1), 0),   # sigma6: u - v   (retracts to (u - v, 0))
-)
-
-_F_PRIME_PIECES = (
-    ((1, 0), 0),    # delta:   u
-    ((0, 0), 1),    # sigma1': 1      (everything retracts to (1, 0))
-    ((0, 0), 1),    # sigma2': 1
-    ((1, 0), 0),    # sigma3': u      (vertical projection onto the diagonal)
-    ((0, 0), 0),    # sigma4': 0
-    ((0, 0), 0),    # sigma5': 0
-    ((1, -1), 0),   # sigma6': u - v
-)
 
 
 class CounterexampleFixture(NamedTuple):
@@ -82,7 +56,6 @@ class CounterexampleFixture(NamedTuple):
     f: ToricPLFunction
     f_prime: ToricPLFunction
     psi: SupportFn
-    labels: dict
 
     def refined(self) -> PolyComplex:
         return refine(self.pi, self.pi_prime)
@@ -95,16 +68,12 @@ def counterexample_fixture() -> CounterexampleFixture:
     and must not mutate them."""
     pi = PolyComplex(_PI_CELLS)
     pi_prime = PolyComplex(_PI_PRIME_CELLS)
-    f = ToricPLFunction(pi, _F_PIECES)
-    f_prime = ToricPLFunction(pi_prime, _F_PRIME_PIECES)
-    psi = SupportFn.from_polytope(((0, 0), (1, 0), (0, 1)))
-    labels = {name: i for i, name in enumerate(CELL_LABELS)}
+    g = (_G_PIECE,)
     return CounterexampleFixture(
         pi=pi,
         pi_prime=pi_prime,
-        g=(_G_PIECE,),
-        f=f,
-        f_prime=f_prime,
-        psi=psi,
-        labels=labels,
+        g=g,
+        f=compose_with_retraction(pi, g),
+        f_prime=compose_with_retraction(pi_prime, g),
+        psi=SupportFn.from_polytope(DELTA.gen_points),
     )

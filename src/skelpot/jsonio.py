@@ -2,8 +2,8 @@
 
 Every rational travels as a string -- "3", "-1/2" -- never as a JSON
 number with a fractional part.  Floats are rejected on decode (including
-``1e3`` and ``NaN``) and can never be produced on encode; :func:`dumps`
-walks its input once more to enforce that.  A key or string holding a
+``1e3`` and ``NaN``) and can never be produced on encode: :func:`dumps`
+walks its input, once, to enforce that.  A key or string holding a
 lone surrogate, which UTF-8 cannot encode, is rejected on decode too, and
 so is a vertex name that XML 1.0 cannot carry into the SVG figures.
 Structural validation is :func:`validate`, a walk of the value and a JSON
@@ -360,11 +360,11 @@ def measure_to_json(mu: AtomicMeasure) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _vec2_from_json(row):
+def vec2_from_json(row):
     return (rat_from_str(row[0]), rat_from_str(row[1]))
 
 
-def _vec2_to_json(v) -> list:
+def vec2_to_json(v) -> list:
     return [rat_str(x) for x in v]
 
 
@@ -372,8 +372,8 @@ def complex_from_json(obj) -> PolyComplex:
     validate(obj, COMPLEX_SCHEMA, "complex")
     cells = []
     for c in obj["cells"]:
-        pts = [_vec2_from_json(p) for p in c["points"]]
-        rays = [_vec2_from_json(r) for r in c.get("rays", ())]
+        pts = [vec2_from_json(p) for p in c["points"]]
+        rays = [vec2_from_json(r) for r in c.get("rays", ())]
         try:
             cells.append(Polyhedron(pts, rays))
         except ValueError as ex:
@@ -384,23 +384,21 @@ def complex_from_json(obj) -> PolyComplex:
         raise SchemaError(str(ex)) from None
 
 
-def complex_to_json(pc: PolyComplex) -> dict:
+def cell_to_json(cell: Polyhedron) -> dict:
     return {
-        "dim": 2,
-        "cells": [
-            {
-                "points": [_vec2_to_json(p) for p in cell.gen_points],
-                "rays": [_vec2_to_json(r) for r in cell.gen_rays],
-            }
-            for cell in pc.cells
-        ],
+        "points": [vec2_to_json(p) for p in cell.gen_points],
+        "rays": [vec2_to_json(r) for r in cell.gen_rays],
     }
+
+
+def complex_to_json(pc: PolyComplex) -> dict:
+    return {"dim": 2, "cells": [cell_to_json(cell) for cell in pc.cells]}
 
 
 def toric_plf_from_json(pc: PolyComplex, obj) -> ToricPLFunction:
     validate(obj, TORIC_PLF_SCHEMA, "pl function")
     pieces = [
-        (_vec2_from_json(row["grad"]), rat_from_str(row["const"]))
+        (vec2_from_json(row["grad"]), rat_from_str(row["const"]))
         for row in obj["pieces"]
     ]
     try:
@@ -412,7 +410,7 @@ def toric_plf_from_json(pc: PolyComplex, obj) -> ToricPLFunction:
 def toric_plf_to_json(f: ToricPLFunction) -> dict:
     return {
         "pieces": [
-            {"grad": _vec2_to_json(grad), "const": rat_str(c)}
+            {"grad": vec2_to_json(grad), "const": rat_str(c)}
             for grad, c in f.pieces
         ]
     }
@@ -421,7 +419,7 @@ def toric_plf_to_json(f: ToricPLFunction) -> dict:
 def toric_measure_to_json(mu: ToricAtomicMeasure) -> dict:
     return {
         "atoms": [
-            {"point": _vec2_to_json(pt), "mass": rat_str(m)} for pt, m in mu.atoms
+            {"point": vec2_to_json(pt), "mass": rat_str(m)} for pt, m in mu.atoms
         ]
     }
 

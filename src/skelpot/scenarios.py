@@ -8,21 +8,22 @@ import importlib.resources
 from typing import NamedTuple
 
 from . import jsonio
-from .fixtures import CELL_LABELS, counterexample_fixture
+from .fixtures import CELL_LABELS, DELTA, counterexample_fixture
 from .jsonio import SchemaError
-from .polyhedra import Polyhedron, poly_equal
+from .polyhedra import poly_equal
 from .potential import energy, envelope, orthogonality_residual, solve_ma
 from .rat import Rat, rat_str
 from .svg import render_svg
 from .testideals import PRIME_LIMIT, is_prime, newton_certifies, test_ideal
 from .toric import (
-    ToricPLFunction,
+    SupportFn,
     is_concave,
     pl_functions_equal,
     recession_fan,
     restrict_to_skeleton,
     retraction,
     skeleton,
+    support_on_complex,
     toric_ma,
     validate_complex,
 )
@@ -151,17 +152,8 @@ def _complex_from(payload):
 def _run_toric_skeleton(payload, opts: _Options) -> ScenarioOutput:
     pc = _complex_from(payload)
     skel = skeleton(pc)
-    result = {
-        "skeleton": [
-            {
-                "points": [[rat_str(x) for x in p] for p in cell.gen_points],
-                "rays": [[rat_str(x) for x in r] for r in cell.gen_rays],
-            }
-            for cell in skel
-        ]
-    }
     return ScenarioOutput(
-        result,
+        {"skeleton": [jsonio.cell_to_json(cell) for cell in skel]},
         {
             "complex.svg": render_svg(pc, bbox=opts.bbox),
             "skeleton.svg": render_svg(list(skel), bbox=opts.bbox),
@@ -172,10 +164,10 @@ def _run_toric_skeleton(payload, opts: _Options) -> ScenarioOutput:
 def _run_toric_retract(payload, opts: _Options) -> ScenarioOutput:
     pc = _complex_from(payload)
     jsonio.validate(payload["points"], _POINTS_SCHEMA, "points")
-    images = []
-    for row in payload["points"]:
-        u = (jsonio.rat_from_str(row[0]), jsonio.rat_from_str(row[1]))
-        images.append([rat_str(x) for x in retraction(pc, u)])
+    images = [
+        jsonio.vec2_to_json(retraction(pc, jsonio.vec2_from_json(row)))
+        for row in payload["points"]
+    ]
     return ScenarioOutput(
         {"images": images}, {"complex.svg": render_svg(pc, bbox=opts.bbox)}
     )
@@ -189,7 +181,7 @@ def _run_toric_concavity(payload, opts: _Options) -> ScenarioOutput:
     if witness is not None:
         result["witness"] = {
             "cells": list(witness["facet"]),
-            "point": [rat_str(x) for x in witness["point"]],
+            "point": jsonio.vec2_to_json(witness["point"]),
         }
     return ScenarioOutput(result, {"complex.svg": render_svg(pc, bbox=opts.bbox)})
 
@@ -209,29 +201,20 @@ def _run_toric_ma(payload, opts: _Options) -> ScenarioOutput:
 
 def _run_toric_counterexample(payload, opts: _Options) -> ScenarioOutput:
     fx = counterexample_fixture()
-    delta = Polyhedron(((0, 0), (1, 0), (0, 1)))
 
     skel = skeleton(fx.pi)
     skel_prime = skeleton(fx.pi_prime)
     skeletons_match = (
         len(skel) == 1
         and len(skel_prime) == 1
-        and poly_equal(skel[0], delta)
-        and poly_equal(skel_prime[0], delta)
+        and poly_equal(skel[0], DELTA)
+        and poly_equal(skel_prime[0], DELTA)
     )
 
     sum_prime = fx.f_prime.add_support(fx.psi)
-    min_form = ToricPLFunction(
-        fx.pi_prime,
-        (
-            ((1, 0), 0),  # u on the triangle
-            ((0, 0), 1),  # 1
-            ((0, 1), 1),  # 1 + v
-            ((1, 0), 0),
-            ((1, 0), 0),
-            ((1, 0), 0),
-            ((1, 0), 0),
-        ),
+    # min(u, 1, 1 + v) on the cells of Pi'
+    min_form = support_on_complex(
+        SupportFn((((1, 0), 0), ((0, 0), 1), ((0, 1), 1))), fx.pi_prime
     )
     concave_prime, _ = is_concave(sum_prime)
 
@@ -261,7 +244,7 @@ def _run_toric_counterexample(payload, opts: _Options) -> ScenarioOutput:
             bbox=opts.bbox,
             labels=["delta", "sigma1p", "sigma2p", "sigma3p", "sigma4", "sigma5", "sigma6"],
         ),
-        "delta.svg": render_svg(delta, bbox=opts.bbox),
+        "delta.svg": render_svg(DELTA, bbox=opts.bbox),
     }
     return ScenarioOutput(result, figures)
 
@@ -344,9 +327,7 @@ def execute(scenario, *, bbox=DEFAULT_BBOX, max_lp_vars=DEFAULT_MAX_LP_VARS):
     schema, runner = _KINDS[kind]
     jsonio.validate(scenario, schema, f"{kind} scenario")
     out = runner(scenario, _Options(bbox=bbox, max_lp_vars=max_lp_vars))
-    result = {"kind": kind, **out.result}
-    jsonio.assert_no_floats(result)
-    return ScenarioOutput(result, out.figures)
+    return ScenarioOutput({"kind": kind, **out.result}, out.figures)
 
 
 def builtin_names() -> tuple:

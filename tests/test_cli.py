@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, error JSON on stderr, reproducible outputs."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -464,6 +465,48 @@ def test_result_json_has_no_floats(tmp_path):
         assert r.returncode == 0, r.stderr
         text = (out / "result.json").read_text()
         jsonio.assert_no_floats(jsonio.loads(text))  # loads itself rejects floats
+
+
+def test_float_in_a_result_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Each result is walked for floats once, by jsonio.dumps.  A runner
+    that returns a float fails in that walk, before the output directory
+    is made, under either format."""
+    from skelpot import cli as cli_mod, scenarios
+
+    walked = []
+    walk = jsonio.assert_no_floats
+    monkeypatch.setattr(jsonio, "assert_no_floats", lambda obj: (walked.append(obj), walk(obj)))
+    assert cli_mod.main(["run", "envelope_edge.json", "--out", str(tmp_path / "ok")]) == 0
+    assert [obj.get("kind") for obj in walked] == ["curve-envelope"]
+    schema, _ = scenarios._KINDS["curve-envelope"]
+    runner = lambda payload, opts: scenarios.ScenarioOutput({"x": [1, {"y": 0.5}]}, {"f.svg": "<svg/>"})
+    monkeypatch.setitem(scenarios._KINDS, "curve-envelope", (schema, runner))
+    for fmt in ("json", "svg"):
+        walked.clear()
+        out = tmp_path / fmt
+        assert cli_mod.main(["run", "envelope_edge.json", "--out", str(out), "--format", fmt]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"exit_code": 2, "kind": "validation", "message": "float at $.x[1].y"}
+        assert not out.exists()
+        # the result once, then the error payload on stderr
+        assert [obj.get("kind") for obj in walked] == ["curve-envelope", None]
+
+
+def test_builtins_match_the_golden_digests(tmp_path):
+    """Every built-in, run through cli.main, writes result.json and SVGs
+    whose SHA-256 digests are the builtin:<name> entries of
+    bench/golden.json."""
+    from skelpot import cli as cli_mod, scenarios
+
+    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))["digests"]
+    names = scenarios.builtin_names()
+    assert len(names) == 5
+    for name in names:
+        out = tmp_path / name
+        assert cli_mod.main(["run", name, "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == golden[f"builtin:{name}"], name
 
 
 def _envelope_edge_named(label):

@@ -39,6 +39,7 @@ from skelpot import (
 from skelpot import polyhedra as polyhedra_mod
 from skelpot import scenarios
 from skelpot import toric as toric_mod
+from skelpot.fixtures import CELL_LABELS
 from skelpot.toric import _facets
 from skelpot.polyhedra import halfplanes, poly_dim
 from skelpot.rat import Rat, rat_str
@@ -67,6 +68,28 @@ from planar_oracle import (
 )
 
 DELTA = Polyhedron(((0, 0), (1, 0), (0, 1)))
+
+# g(u, v) = u composed with each retraction of the fixture, one affine
+# piece per cell in CELL_LABELS order: the oracle for the derived f and f'
+_F_PIECES = (
+    ((1, 0), 0),    # delta:  u
+    ((0, -1), 1),   # sigma1: 1 - v   (horizontal projection onto the diagonal)
+    ((0, 0), 1),    # sigma2: 1       (everything retracts to (1, 0))
+    ((0, 0), 0),    # sigma3: 0       (everything retracts to (0, 1))
+    ((0, 0), 0),    # sigma4: 0
+    ((0, 0), 0),    # sigma5: 0       (retracts to (0, v - u))
+    ((1, -1), 0),   # sigma6: u - v   (retracts to (u - v, 0))
+)
+
+_F_PRIME_PIECES = (
+    ((1, 0), 0),    # delta:   u
+    ((0, 0), 1),    # sigma1': 1      (everything retracts to (1, 0))
+    ((0, 0), 1),    # sigma2': 1
+    ((1, 0), 0),    # sigma3': u      (vertical projection onto the diagonal)
+    ((0, 0), 0),    # sigma4': 0
+    ((0, 0), 0),    # sigma5': 0
+    ((1, -1), 0),   # sigma6': u - v
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +223,7 @@ def test_retraction_does_not_minimalize_again(fx, monkeypatch):
 
 
 def test_decompose_unique_on_simplicial_cell(fx):
-    sigma1 = fx.pi.cells[fx.labels["sigma1"]]
+    sigma1 = fx.pi.cells[CELL_LABELS.index("sigma1")]
     a, lam = decompose(sigma1, (Rat(5), Rat(1, 3)))
     assert sum(a) == 1 and all(x >= 0 for x in a)
     assert all(t >= 0 for t in lam)
@@ -237,10 +260,8 @@ def test_boundary_data_restricts_equally(fx):
 
 
 def test_pinned_functions_come_from_the_retraction(fx):
-    assert pl_functions_equal(fx.f, compose_with_retraction(fx.pi, fx.g))
-    assert pl_functions_equal(
-        fx.f_prime, compose_with_retraction(fx.pi_prime, fx.g)
-    )
+    assert fx.f.pieces == _F_PIECES
+    assert fx.f_prime.pieces == _F_PRIME_PIECES
 
 
 def test_concavity_split(fx):
@@ -251,7 +272,7 @@ def test_concavity_split(fx):
     h = fx.f.add_support(fx.psi)
     ok, witness = is_concave(h)
     assert not ok
-    bad = {fx.labels["sigma1"], fx.labels["sigma3"]}
+    bad = {CELL_LABELS.index("sigma1"), CELL_LABELS.index("sigma3")}
     assert set(witness["facet"]) == bad
 
 
