@@ -215,7 +215,7 @@ def halfplanes(poly: Polyhedron) -> tuple:
     gens, rays = _split(poly)
     L = math.lcm(*(g[2] for g in gens))
     pts = [(x * (L // w), y * (L // w)) for x, y, w in gens]
-    hull = _hull_keys(set(pts) | {(x + L * r[0], y + L * r[1]) for x, y in pts for r in rays})
+    hull = hull_keys(set(pts) | {(x + L * r[0], y + L * r[1]) for x, y in pts for r in rays})
     out = []
     for a, b in zip(hull, hull[1:] + hull[:1]):
         # the hull runs counterclockwise, so the outward normal points right
@@ -347,7 +347,7 @@ def _chain(keys) -> list:
     return out
 
 
-def _hull_keys(keys) -> list:
+def hull_keys(keys) -> list:
     """Andrew's monotone chain on a set of int points: the hull vertices in
     counterclockwise order, collinear points pruned."""
     keys = sorted(keys)
@@ -362,7 +362,7 @@ def convex_hull_2d(points) -> list:
     to one common denominator, so sorting and cross products run on int."""
     pts = list({(rat(p[0]), rat(p[1])) for p in points})
     point_of = dict(zip(over_common_denominator(pts)[1], pts))
-    return [point_of[k] for k in _hull_keys(point_of)]
+    return [point_of[k] for k in hull_keys(point_of)]
 
 
 def hull_area_2d(points) -> Rat:

@@ -19,7 +19,6 @@ from .toric import (
     SupportFn,
     is_concave,
     pl_functions_equal,
-    recession_fan,
     restrict_to_skeleton,
     retraction,
     skeleton,
@@ -145,7 +144,7 @@ def _run_curve_energy(payload, opts: _Options) -> ScenarioOutput:
 
 def _complex_from(payload):
     pc = jsonio.complex_from_json(payload["complex"])
-    validate_complex(pc, recession_fan(pc))
+    validate_complex(pc)
     return pc
 
 
@@ -260,9 +259,7 @@ def _run_testideal(payload, opts: _Options) -> ScenarioOutput:
         raise SchemaError(f"p must be below {PRIME_LIMIT}, where primality is exact")
     if not is_prime(p):
         raise SchemaError(f"p = {p} is not prime")
-    a = jsonio.ideal_from_json(
-        {"n": payload["n"], "gens": payload["gens"]}
-    )
+    a = jsonio.ideal_from_json({"n": payload["n"], "gens": payload["gens"]})
     lam = jsonio.rat_from_str(payload["lambda"])
     if lam < 0:
         raise SchemaError("lambda must be >= 0")

@@ -24,11 +24,12 @@ special handling of its rays, and each cut costs O(ring).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .graphs import MetrizedGraph, PLFunction
-from .polyhedra import Polyhedron, clip_ring, convex_hull_2d, inequalities, over_common_denominator
-from .rat import Rat, rat, rat_str
+from .polyhedra import Polyhedron, clip_ring, hull_keys, inequalities
+from .rat import rat, rat_str
 from .toric import PolyComplex
 
 _SIZE = 640
@@ -137,15 +138,19 @@ class _Plane:
 
 
 def _clipped_hull(poly: Polyhedron, plane: _Plane, facets=None):
-    """Hull vertices of poly ∩ box, in drawing order; None when disjoint.
+    """(L, keys): the hull vertices of poly ∩ box, in drawing order, as int
+    points over one common denominator L; None when disjoint.
 
     The box's corner ring is clipped by each inequality of poly, of any
     dimension: facets when given (a complex passes its cached cell facets)
-    and inequalities(poly) otherwise.  convex_hull_2d drops the repeated
-    and collinear points the cuts leave and puts the vertices in canonical
+    and inequalities(poly) otherwise.  hull_keys drops the repeated and
+    collinear points the cuts leave and puts the vertices in canonical
     order."""
     ring = clip_ring(plane.ring, facets if facets is not None else inequalities(poly))
-    return None if ring is None else convex_hull_2d([(Rat(x, w), Rat(y, w)) for x, y, w in ring])
+    if ring is None:
+        return None
+    L = math.lcm(*(w for _, _, w in ring))
+    return L, hull_keys({(x * (L // w), y * (L // w)) for x, y, w in ring})
 
 
 def _render_complex(pc: PolyComplex, bbox, labels) -> str:
@@ -158,11 +163,10 @@ def _render_complex(pc: PolyComplex, bbox, labels) -> str:
         xml_name("cell label", label)
     fills, edges, texts = [], [], []
     for i, cell in enumerate(pc.cells):
-        hull = _clipped_hull(cell, plane, pc.halfplanes[i])
-        if hull is None:
+        if (clipped := _clipped_hull(cell, plane, pc.halfplanes[i])) is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        L, keys = over_common_denominator(hull)
+        L, keys = clipped
         px = [plane.to_px(x, y, L) for x, y in keys]
         if len(px) >= 3:
             pts = " ".join(map(",".join, px))
@@ -185,10 +189,9 @@ def _render_skeleton(polys, bbox) -> str:
     for poly in polys:
         if poly.ambient_dim != 2:
             raise ValueError("only 2-D data can be rendered")
-        hull = _clipped_hull(poly, plane)
-        if hull is None:
+        if (clipped := _clipped_hull(poly, plane)) is None:
             continue
-        L, keys = over_common_denominator(hull)
+        L, keys = clipped
         px = [plane.to_px(x, y, L) for x, y in keys]
         if len(px) == 1:
             dots.append(_circle(px[0], "3", "#111111"))

@@ -5,14 +5,16 @@ test ideal tau(a^lambda) is the stable value of the increasing chain
 (a^ceil(lambda p^e))^[1/p^e].  No power is materialized: a root is an
 up-closed set whose staircase is walked corner to corner.  Membership of a
 point is a packing integer program with at most 3 rows, bounded in closed
-form by the dual vertices of its LP relaxation and decided exactly, in
-integers, only between those bounds.  A Newton-polyhedron route computes
-the same ideal from the interior condition u + (1,..,1) in
-int(lambda * Newt(a)), exact row by row in closed form, with the same
-corner walker; the tests compare the two routes.  At runtime the chain
-route's answer is checked by newton_certifies, which walks nothing: it
-tests the answer's generators and the outer corners of its staircase
-against the interior condition, work linear in the answer's size.
+form by the dual vertices of its LP relaxation.  At the index that
+_stop_exponent proves stable the bounds meet on every row, and each row's
+least member is read off them: an undecided row is an error, never a guess.
+A Newton-polyhedron route computes the same ideal from the interior
+condition u + (1,..,1) in int(lambda * Newt(a)), exact row by row in
+closed form, with the same corner walker; the tests compare the two
+routes.  At runtime the chain route's answer is checked by
+newton_certifies, which walks nothing: it tests the answer's generators and
+the outer corners of its staircase against the interior condition, work
+linear in the answer's size.
 """
 
 from __future__ import annotations
@@ -247,125 +249,32 @@ def frobenius_root(a: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     return MonomialIdeal(a.n, (tuple(x // q for x in g) for g in a.gens))
 
 
-_BB_NODE_LIMIT = 20_000
-
-
-class _BasisTable:
-    """Integer precomputation for packing queries against fixed generators.
-
-    For the LP relaxation  max sum(c)  s.t.  sum(c_k u_k) <= w,  c >= 0,
-    every basic solution picks coordinates S and generators B with
-    |S| = |B| <= n and U[S,B] nonsingular, and sets c_B = adj U[S,B] w_S /
-    det U[S,B] (the other c_k at a bound).  `bases` holds (S, B, det, adj,
-    rest) for each such subsystem, det > 0, where rest lists the rows
-    outside S with their coefficients on B.  Subsystems whose complementary
-    dual point is feasible come first: when primal feasible they are LP
-    optima.  `duals` holds the vertices y of {y >= 0 : <y, u_k> >= 1} as
-    (integer numerators, denominator); by LP duality the relaxation's
-    optimum is min <w, y> over them."""
-
-    __slots__ = ("gens", "bases", "duals")
-
-    def __init__(self, gens):
-        gens = tuple(gens)
-        n, g = len(gens[0]), len(gens)
-        dual_feasible, other, duals = [], [((), (), 1, (), ())], set()
-        for k in range(1, min(n, g) + 1):
-            for S in combinations(range(n), k):
-                for B in combinations(range(g), k):
-                    mat = [[gens[b][i] for b in B] for i in S]
-                    det = rat_det(mat)
-                    if det == 0:
-                        continue
-                    adj = adjugate(mat)
-                    if det < 0:
-                        det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
-                    rest = tuple(
-                        (i, tuple(gens[b][i] for b in B)) for i in range(n) if i not in S
-                    )
-                    entry = (S, B, det, adj, rest)
-                    y = [0] * n
-                    for r, i in enumerate(S):
-                        y[i] = sum(row[r] for row in adj)
-                    if min(y) >= 0 and all(
-                        sum(yi * ui for yi, ui in zip(y, u)) >= det for u in gens
-                    ):
-                        d = gcd(det, *y)
-                        duals.add((tuple(yi // d for yi in y), det // d))
-                        dual_feasible.append(entry)
-                    else:
-                        other.append(entry)
-        self.gens = gens
-        self.bases = tuple(dual_feasible + other)
-        self.duals = tuple(sorted(duals))
-
-
-def _count_feasible(table: _BasisTable, w, m: int) -> bool:
-    """Is there c in N^g with sum(c) = m and sum(c_k gens_k) <= w
-    componentwise?  Equivalent to: the max total count packable under the
-    capacity vector w is >= m (dropping generators from a larger packing
-    never raises the weighted sums).
-
-    Exact and integer-only.  After the fast paths, the dual vertices bound
-    the LP relaxation (False when its optimum is < m); otherwise a basic
-    solution whose floors sum to >= m is an integer witness (True).  The
-    rare rest is branch-and-bound on the first fractional coordinate of the
-    best basic solution: the lower branch adds an upper bound, the upper
-    branch shifts its lower bound into (w, m)."""
-    if any(x < 0 for x in w):
-        return False
-    gens = table.gens
-    if any(all(m * u[i] <= w[i] for i in range(len(w))) for u in gens):
-        return True
-    if any(sum(a * b for a, b in zip(w, y)) < m * den for y, den in table.duals):
-        return False
-    nodes = 0
-
-    def search(w, m, hi) -> bool:
-        # hi: generator -> upper bound.  A basic solution sets each
-        # generator outside B to 0 or, if it has one, to its upper bound.
-        nonlocal nodes
-        nodes += 1
-        if nodes > _BB_NODE_LIMIT:
-            raise TestIdealError("feasibility search exceeded its node budget")
-        if min(w) < 0:
-            return False
-        best = None
-        best_val, best_den = -1, 1
-        for S, B, det, adj, rest in table.bases:
-            capped = [k for k in hi if k not in B]
-            for mask in range(1 << len(capped)):
-                base, wt = 0, list(w)
-                for j, k in enumerate(capped):
-                    if mask >> j & 1:
-                        base += hi[k]
-                        for i, x in enumerate(gens[k]):
-                            wt[i] -= hi[k] * x
-                if min(wt) < 0:
+def _dual_vertices(gens) -> tuple:
+    """The vertices y of {y >= 0 : <y, u_k> >= 1 for every generator u_k}
+    as sorted (integer numerators, denominator): by LP duality the packing
+    relaxation  max sum(c)  s.t.  sum(c_k u_k) <= w,  c >= 0  has optimum
+    min <w, y> over them.  Each is the complementary dual point
+    y_S = 1 adj U[S,B] / det U[S,B], y = 0 off S, of a nonsingular basic
+    subsystem (coordinates S, generators B, |S| = |B| <= n), kept when
+    feasible.  Up to scale they are the facet normals nu of Newt(a) with
+    h(nu) = min <nu, u_k> > 0 (blocking duality), each as nu / h(nu)."""
+    n, g = len(gens[0]), len(gens)
+    duals = set()
+    for k in range(1, min(n, g) + 1):
+        for S in combinations(range(n), k):
+            for B in combinations(range(g), k):
+                mat = [[gens[b][i] for b in B] for i in S]
+                det = rat_det(mat)
+                if det == 0:
                     continue
-                num = [sum(a * wt[i] for a, i in zip(row, S)) for row in adj]
-                if any(x < 0 or (b in hi and x > hi[b] * det) for b, x in zip(B, num)):
-                    continue
-                if any(sum(a * x for a, x in zip(co, num)) > wt[i] * det for i, co in rest):
-                    continue
-                if base + sum(x // det for x in num) >= m:
-                    return True  # the floors are an integer witness
-                val = base * det + sum(num)
-                if val * best_den > best_val * det:
-                    best, best_val, best_den = (B, num, det), val, det
-        if best is None or best_val < m * best_den:
-            return False
-        B, num, det = best
-        i, f = next((b, x // det) for b, x in zip(B, num) if x % det)
-        if search(w, m, {**hi, i: f}):
-            return True
-        right = dict(hi)
-        if i in right:
-            right[i] -= f + 1
-        shifted = tuple(wi - (f + 1) * x for wi, x in zip(w, gens[i]))
-        return search(shifted, m - f - 1, right)
-
-    return search(tuple(w), m, {})
+                y = [0] * n
+                for i, col in zip(S, zip(*adjugate(mat))):
+                    y[i] = sum(col) if det > 0 else -sum(col)
+                det = abs(det)
+                if min(y) >= 0 and all(sum(map(mul, y, u)) >= det for u in gens):
+                    d = gcd(det, *y)
+                    duals.add((tuple(yi // d for yi in y), det // d))
+    return tuple(sorted(duals))
 
 
 def _least(pred, lo: int, hi: int) -> int:
@@ -383,19 +292,32 @@ def _least(pred, lo: int, hi: int) -> int:
     return lo
 
 
-def _row_bounds(table: _BasisTable, q: int, m: int, prefix, bz: int):
-    """bounds(y) = (lo, hi) for the row v = prefix + (y, z).  The LP
-    relaxation of the query at w = q*v + (q-1)*(1,..,1) has optimum
-    min <w, a>/den over the dual vertices (a, den), each linear in y and z.
-    Below lo some vertex has <w, a> < m*den: a certified non-member.  From
-    hi on every vertex has <w, a> >= (m + r - 1)*den, r = min(n, g), so an
-    optimal basic solution (at most r positive coordinates) floors to m
-    generators: a certified member.  A bound past bz reads bz + 1: the row
-    has no member (lo; its least one is at most bz) or no certificate (hi)."""
-    spare = min(len(table.gens[0]), len(table.gens)) - 1
+def _row_bounds(gens, duals, q: int, m: int, prefix, bz: int):
+    """bounds(y) = (lo, hi) for the row v = prefix + (y, z) of the root
+    (a^m)^[1/q], any q: v is a member iff the packing query at
+    w = q*v + (q-1)*(1,..,1) fits m generators.  Its LP relaxation has
+    optimum min <w, a>/den over the dual vertices (a, den), each linear in
+    y and z.  Below lo some vertex has <w, a> < m*den: a certified
+    non-member.  From hi on every vertex has <w, a> >= (m + r - 1)*den,
+    r = min(n, g), so an optimal basic solution (at most r positive
+    coordinates) floors to m generators: a certified member.  A bound past
+    bz reads bz + 1: the row has no member (lo; its least one is at most
+    bz) or no certificate (hi).
+
+    When m = ceil(lambda*q) and q >= the q* of _stop_exponent, lo == hi on
+    every row.  Write w = q*(v+1) - 1 and take a vertex, nu/h up to scale
+    with nu a facet normal of Newt(a) and h = h(nu) > 0.
+    * If <nu, v+1> <= lambda*h, then <w, nu> <= q*lambda*h - sum(nu) < m*h:
+      the vertex certifies a non-member.
+    * Otherwise the gap is at least 1/den(lambda), so <w, nu> >=
+      q*lambda*h + q/den - sum(nu) >= (m + r - 1)*h as soon as
+      q >= den*(sum(nu) + r*h), which q* guarantees.
+    So on each vertex the two thresholds coincide, and both bounds are the
+    least z that clears every facet inequality."""
+    spare = min(len(gens[0]), len(gens)) - 1
     wp = [q * x + q - 1 for x in prefix]
     rows, top = [], bz + 1
-    for a, den in table.duals:
+    for a, den in duals:
         # <w, a> >= m*den  <=>  c*z >= t - s*y, and u for (m + r - 1)*den
         t = m * den - sum(map(mul, wp, a)) - (q - 1) * (a[-2] + a[-1])
         rows.append((t, t + spare * den, q * a[-2], q * a[-1]))
@@ -411,61 +333,32 @@ def _row_bounds(table: _BasisTable, q: int, m: int, prefix, bz: int):
     return bounds
 
 
-def _staircase(bounds, member, by: int, bz: int) -> list:
+def _staircase(least, by: int, bz: int) -> list:
     """The corners (minimal points), by increasing y, of an up-closed set in
-    [0, by] x [0, bz].  From a corner (y0, z0), first (-1, bz + 1), the next
-    lies at the least y > y0 with a member at z0 - 1 and the least z in
-    [lo(y), min(hi(y), z0 - 1)] there.  bounds(y) = (lo, hi): the row has
-    no member below lo and only members from hi on, so member is asked only
-    between them, and a one-point range asks nothing."""
-    bounds = cache(bounds)
-
-    def has(y):  # is (y, z0 - 1) a member?
-        lo, hi = bounds(y)
-        return z0 > hi or (z0 > lo and member(y, z0 - 1))
-
+    [0, by] x [0, bz], given least(y): the least z of row y in the set, or
+    any value past bz if the row has none.  From a corner (y0, z0), first
+    (-1, bz + 1), the next lies at the least y > y0 with least(y) < z0,
+    found by a gallop, and sits at least(y).  Each row is read once."""
+    least = cache(least)
     corners, y0, z0 = [], -1, bz + 1
-    while z0 > 0 and (y0 := _least(has, y0 + 1, by)) <= by:
-        lo, hi = bounds(y0)
-        top = min(hi, z0 - 1)
-        z0 = top if lo == top else _least(lambda z: member(y0, z), lo, top - 1)
+    while z0 > 0 and (y0 := _least(lambda y: least(y) < z0, y0 + 1, by)) <= by:
+        z0 = least(y0)
         corners.append((y0, z0))
     return corners
 
 
-def _corners(box, member, cert) -> list:
+def _corners(box, row) -> list:
     """The corners (minimal points), sorted, of an up-closed set in N^n,
-    n = 2 or 3, whose corners lie in box: cert(prefix) bounds the rows
-    prefix + (y, z) for _staircase, and member(v) decides a point between
-    the bounds.  For n = 3 the slices t = 0, 1, .. grow with t up to the
-    limit slice t = box[0], walked first; from slice t a gallop on t finds
-    the next slice that differs, whose corners outside slice t are new,
-    until the slice equals the limit.  Where cert leaves a gap, a row is
-    also bounded by the nearest walked slices below (members) and above
-    (all members)."""
+    n = 2 or 3, whose corners lie in box: row(prefix) is the least function
+    of the rows prefix + (y, z) for _staircase.  For n = 3 the slices
+    t = 0, 1, .. grow with t up to the limit slice t = box[0], walked first;
+    from slice t a gallop on t finds the next slice that differs, whose
+    corners outside slice t are new, until the slice equals the limit."""
     by, bz = box[-2:]
-    walks, done = {}, []  # prefix -> corners of its slice; walked prefixes, sorted
 
-    def level(corners, y):  # least z at y of a walked slice, bz + 1 if none
-        i = bisect.bisect(corners, (y, bz + 1))
-        return corners[i - 1][1] if i else bz + 1
-
+    @cache
     def walk(prefix):
-        if prefix not in walks:
-            certified = cert(prefix)
-            i = bisect.bisect(done, prefix)
-            below = walks[done[i - 1]] if i else []
-            above = walks[done[i]] if i < len(done) else [(0, 0)]
-
-            def bounds(y):
-                lo, hi = certified(y)
-                if lo < hi:  # nested slices: above has all, below only members
-                    lo, hi = max(lo, level(above, y)), min(hi, level(below, y))
-                return lo, hi
-
-            walks[prefix] = _staircase(bounds, lambda y, z: member(prefix + (y, z)), by, bz)
-            bisect.insort(done, prefix)
-        return walks[prefix]
+        return _staircase(row(prefix), by, bz)
 
     if len(box) == 2:
         return walk(())
@@ -483,30 +376,42 @@ def _corners(box, member, cert) -> list:
     return cand
 
 
-def _root_by_queries(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
+def _certified_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     """(a^m)^[1/p^e] without materializing a^m: v is in the root iff
     q*v + (q-1)*(1,..,1) lies in the exponent set of a^m (q = p^e), an
     up-closed criterion (n = 2 or 3) whose minimal points lie in a box of
-    size ~ (m/q) * max exponent.  _corners walks it, each row bounded by
-    _row_bounds and decided by _count_feasible between those bounds."""
+    size ~ (m/q) * max exponent.  _corners walks it, each row's least
+    member the lo of _row_bounds.  e must be at least
+    _stop_exponent(a, lam, p) for a lambda with m = ceil(lam * p^e), where
+    lo == hi on every row; below it a row may be left undecided, and that
+    raises RuntimeError rather than guess."""
     q, gens, n = p**e, a.gens, a.n
     box = tuple(max(0, -((q - 1 - m * max(u[i] for u in gens)) // q)) for i in range(n))
-    table = _BasisTable(gens)
+    duals = _dual_vertices(gens)
 
-    @cache
-    def member(v) -> bool:
-        return _count_feasible(table, tuple(q * vi + q - 1 for vi in v), m)
+    def row(prefix):
+        bounds = _row_bounds(gens, duals, q, m, prefix, box[-1])
 
-    assert member(box)  # every coordinate constraint is slack at the corner
-    corners = _corners(box, member, lambda prefix: _row_bounds(table, q, m, prefix, box[-1]))
-    return MonomialIdeal._from_valid(n, corners)
+        def least(y):
+            lo, hi = bounds(y)
+            if lo != hi:
+                raise RuntimeError(
+                    f"row {prefix + (y,)} of (a^{m})^[1/{p}^{e}] is undecided for "
+                    f"z in [{lo}, {hi}): e is below the stable index"
+                )
+            return lo
+
+        return least
+
+    return MonomialIdeal._from_valid(n, _corners(box, row))
 
 
 def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     """(a^m)^[1/p^e]: the componentwise floors of the minimal generators of
     a^m, re-minimalized.  No power is materialized: a principal ideal has a
-    closed form, and every other root is probed by membership queries
-    (e >= 1, 2 <= n <= 3, at least two generators)."""
+    closed form, and every other root is read off its certificates by
+    _certified_root (e at the stable index, 2 <= n <= 3, at least two
+    generators)."""
     if a.is_zero():
         return zero_ideal(a.n) if m > 0 else unit_ideal(a.n)
     if m == 0 or a.is_unit():
@@ -514,7 +419,7 @@ def _power_root(a: MonomialIdeal, m: int, p: int, e: int) -> MonomialIdeal:
     if len(a.gens) == 1:
         q = p**e
         return MonomialIdeal(a.n, (tuple((x * m) // q for x in a.gens[0]),))
-    return _root_by_queries(a, m, p, e)
+    return _certified_root(a, m, p, e)
 
 
 def _stop_exponent(b: MonomialIdeal, lam, p: int) -> int:
@@ -531,29 +436,39 @@ def _stop_exponent(b: MonomialIdeal, lam, p: int) -> int:
     * conversely, if u clears every such inequality by at least 1/den(lam)
       -- and any strict rational gap is at least that big -- then rounding
       a real decomposition of q*(u+1) shows q*u + (q-1)*1 really is a sum
-      of cnt generators plus slop, once q >= q* below.  The one extra
-      generator of the ceiling costs h(nu); the floor-rounding wastes at
-      most (g-1) generators, hence the (g-1)*U correction.
+      of cnt generators plus slop, once q >= q* = den(lam) * max over nu
+      of h(nu) + sum(nu) + (g-1)*<nu, cap>, cap the componentwise maximum
+      of the g generators.  The one extra generator of the ceiling costs
+      h(nu); the floor-rounding wastes at most (g-1) generators, hence the
+      (g-1)*<nu, cap> correction.
+
+    Since <nu, cap> >= h(nu), q* >= den*(sum(nu) + g*h(nu)) for every
+    facet normal nu, which is what the proof in _row_bounds needs: from
+    q* on, the certificates decide every row of the chain member.
 
     Consecutive-agreement stopping is NOT sound here: chains exist that
     pause for several steps and then grow (e.g. (y^3, x^3*y) at lambda=3/4,
     p=2 pauses for e in {2,3,4} and picks up x at e=5)."""
-    lam = rat(lam)
     gens = b.gens
-    g = len(gens)
-    n = b.n
-    cap = tuple(max(u[i] for u in gens) for i in range(n))
-    shift = tuple(1 + (g - 1) * cap[i] for i in range(n))
-    den = int(lam.denominator)
-    worst = 1
-    for nu in b.newton_normals:
-        h = min(sum(c * x for c, x in zip(nu, u)) for u in gens)
-        worst = max(worst, h + sum(c * s for c, s in zip(nu, shift)))
-    qstar = den * worst
+    shift = [1 + (len(gens) - 1) * max(col) for col in zip(*gens)]
+    worst = max(min(sum(map(mul, nu, u)) for u in gens) + sum(map(mul, nu, shift))
+                for nu in b.newton_normals)
+    qstar = int(rat(lam).denominator) * max(worst, 1)
     e = 1
     while p**e < qstar:
         e += 1
     return e
+
+
+def _trivial_tau(a: MonomialIdeal, lam):
+    """tau(a^lambda) if lambda = 0 or a is the unit or zero ideal, else None;
+    TestIdealError if lambda < 0.  Shared by both routes and the certificate."""
+    if lam < 0:
+        raise TestIdealError("exponent must be >= 0")
+    if lam == 0 or a.is_unit():
+        return unit_ideal(a.n)
+    if a.is_zero():
+        return zero_ideal(a.n)
 
 
 def test_ideal(a: MonomialIdeal, lam, p: int) -> MonomialIdeal:
@@ -562,12 +477,8 @@ def test_ideal(a: MonomialIdeal, lam, p: int) -> MonomialIdeal:
     (see _stop_exponent).  At most 3 variables."""
     _check_prime(p)
     lam = rat(lam)
-    if lam < 0:
-        raise TestIdealError("exponent must be >= 0")
-    if lam == 0 or a.is_unit():
-        return unit_ideal(a.n)
-    if a.is_zero():
-        return zero_ideal(a.n)
+    if (trivial := _trivial_tau(a, lam)) is not None:
+        return trivial
     e = _stop_exponent(a, lam, p)
     return _power_root(a, rceil(lam * p**e), p, e)
 
@@ -678,9 +589,7 @@ def _normalize_nonneg(c):
         c = tuple(-x for x in c)
     if any(x < 0 for x in c):
         return None
-    g = 0
-    for x in c:
-        g = gcd(g, x)
+    g = gcd(*c)
     return tuple(x // g for x in c)
 
 
@@ -689,31 +598,21 @@ def newton_normals(a: MonomialIdeal) -> tuple:
     return a.newton_normals
 
 
-def _newton_bounds(constraints, prefix, bz: int):
-    """bounds(y) = (z, z) for the row v = prefix + (y, z): the least z with
-    <c, v> > r for every (c, r), or bz + 1 if no z will do.  Exact, so no
-    membership query is asked, and in integers (integer data, c >= 0)."""
+def _newton_row(constraints, prefix, bz: int):
+    """least(y) for the row v = prefix + (y, z): the least z with
+    <c, v> > r for every (c, r), or bz + 1 if no z will do.  Exact, and in
+    integers (integer data, c >= 0)."""
     k, top = len(prefix), bz + 1
     rows = [(r - sum(map(mul, c, prefix)), c[k], c[k + 1]) for c, r in constraints]
 
-    def bounds(y):
+    def least(y):
         z = 0
         for t, s, c in rows:  # c*z > t - s*y
             zt = (t - s * y) // c + 1 if c else top * (t >= s * y)
             z = zt if zt > z else z
-        return z, z
+        return z
 
-    return bounds
-
-
-def _newton_trivial(a: MonomialIdeal, lam):
-    """tau(a^lambda) if lambda = 0 or a is the unit or zero ideal, else None."""
-    if lam < 0:
-        raise TestIdealError("exponent must be >= 0")
-    if lam == 0 or a.is_unit():
-        return unit_ideal(a.n)
-    if a.is_zero():
-        return zero_ideal(a.n)
+    return least
 
 
 def _newton_constraints(a: MonomialIdeal, lam):
@@ -736,11 +635,11 @@ def newton_test_ideal(a: MonomialIdeal, lam) -> MonomialIdeal:
     """tau(a^lambda) via the interior criterion: exponents u with
     u + (1,..,1) in the interior of lambda * Newt(a), walked by _corners
     on integer data.  Independent of p."""
-    if (trivial := _newton_trivial(a, rat(lam))) is not None:
+    if (trivial := _trivial_tau(a, rat(lam))) is not None:
         return trivial
     constraints, box = _newton_constraints(a, rat(lam))
-    corners = [box] if a.n == 1 else _corners(  # exact rows: member is never asked
-        box, None, lambda prefix: _newton_bounds(constraints, prefix, box[-1]))
+    corners = [box] if a.n == 1 else _corners(
+        box, lambda prefix: _newton_row(constraints, prefix, box[-1]))
     return MonomialIdeal._from_valid(a.n, corners)
 
 
@@ -754,14 +653,14 @@ def newton_certifies(a: MonomialIdeal, lam, tau) -> bool:
     (the box's t after the last).  They dominate every monomial of the box
     outside tau, so tau holds every minimal member.  Linear work in the
     generators plus the slice staircases."""
-    if (trivial := _newton_trivial(a, rat(lam))) is not None:
+    if (trivial := _trivial_tau(a, rat(lam))) is not None:
         return trivial == tau
     constraints, box = _newton_constraints(a, rat(lam))
     pad = (0,) * (3 - a.n)
     rows = [pad + c + (r,) for c, r in constraints]
     bt, by, bz = pad + box
 
-    def member(t, y, z) -> bool:
+    def interior(t, y, z) -> bool:
         for ct, cy, cz, r in rows:
             if ct * t + cy * y + cz * z <= r:
                 return False
@@ -776,7 +675,7 @@ def newton_certifies(a: MonomialIdeal, lam, tau) -> bool:
     ys, zs = [], []  # the staircase so far: ys ascending, zs descending
     for (t, y, z), nxt in zip(gens, gens[1:] + [None]):
         i = bisect.bisect_right(ys, y)
-        if (i and zs[i - 1] <= z) or not member(t, y, z):
+        if (i and zs[i - 1] <= z) or not interior(t, y, z):
             return False  # an earlier generator divides it, or no member
         j = i
         while j < len(ys) and zs[j] >= z:
@@ -787,4 +686,4 @@ def newton_certifies(a: MonomialIdeal, lam, tau) -> bool:
             outer.append((u, ys[0] - 1, bz))
             outer.extend((u, ys[k + 1] - 1, zs[k] - 1) for k in range(len(ys) - 1))
             outer.append((u, by, zs[-1] - 1))
-    return not any(min(v) >= 0 and member(*v) for v in outer)
+    return not any(min(v) >= 0 and interior(*v) for v in outer)

@@ -209,9 +209,9 @@ def recession_fan(pc: PolyComplex) -> tuple:
     return pc.recession_fan
 
 
-def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
-    """Full validity check from local data, recession fan equal to the
-    given fan, and per-cell simplicial/unimodular flags.  Raises
+def validate_complex(pc: PolyComplex, fan=None) -> SimplicialFlag:
+    """Full validity check from local data, recession fan equal to fan
+    when one is given, and per-cell simplicial/unimodular flags.  Raises
     ComplexInvalid with the offending cells named; returns the flags when
     valid.
 
@@ -255,14 +255,15 @@ def validate_complex(pc: PolyComplex, fan) -> SimplicialFlag:
     # only the match with the given fan is left to check.
     # A cone of the complex's own fan is minimal already, and minimalize
     # is canonical, so it is not minimalized again.
-    own = recession_fan(pc)
-    maximal = [k for k in own if poly_dim(k) == 2]
-    fan_cells = list(fan.cells) if isinstance(fan, PolyComplex) else list(fan)
-    fan_max = {k if k in own else minimalize(k) for k in fan_cells if poly_dim(k) == 2}
-    if any(k not in fan_max for k in maximal):
-        raise ComplexInvalid("recession fan does not match the expected fan")
-    if not fan_max <= set(maximal):
-        raise ComplexInvalid("expected fan has a cone the complex misses")
+    if fan is not None:
+        own = recession_fan(pc)
+        maximal = [k for k in own if poly_dim(k) == 2]
+        fan_cells = list(fan.cells) if isinstance(fan, PolyComplex) else list(fan)
+        fan_max = {k if k in own else minimalize(k) for k in fan_cells if poly_dim(k) == 2}
+        if any(k not in fan_max for k in maximal):
+            raise ComplexInvalid("recession fan does not match the expected fan")
+        if not fan_max <= set(maximal):
+            raise ComplexInvalid("expected fan has a cone the complex misses")
     simplicial, unimodular = zip(*(_cell_flags(c) for c in cells))
     return SimplicialFlag(simplicial=simplicial, unimodular=unimodular)
 

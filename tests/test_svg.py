@@ -22,6 +22,7 @@ from skelpot.polyhedra import (
     halfplanes,
     is_pointed,
     minimalize,
+    over_common_denominator,
     poly_dim,
 )
 from skelpot.rat import Rat, cross2, rfloor
@@ -134,12 +135,24 @@ def _clip_by_intersect2(poly, plane, facets=None):
     return convex_hull_2d(pts) if len(pts) > 2 else list(pts)
 
 
+def _clipped_points(poly, plane, facets=None):
+    """svg._clipped_hull's int keys over L as Rat pairs; None when
+    disjoint."""
+    clipped = svg_mod._clipped_hull(poly, plane, facets)
+    return None if clipped is None else [(Rat(x, clipped[0]), Rat(y, clipped[0])) for x, y in clipped[1]]
+
+
+def _keyed(points):
+    """Rat points, or None, in the form svg._clipped_hull returns them."""
+    return None if points is None else over_common_denominator(points)
+
+
 def test_complex_clipping_matches_bare_intersections(monkeypatch):
     fx = counterexample_fixture()
     complexes = (fx.pi, fx.pi_prime, fx.refined())
     cases = [(pc, bbox) for pc in complexes for bbox in (3, Rat(1, 2))]
     cached = [render_svg(pc, bbox=bbox) for pc, bbox in cases]
-    monkeypatch.setattr(svg_mod, "_clipped_hull", _clip_by_intersect2)
+    monkeypatch.setattr(svg_mod, "_clipped_hull", lambda *args: _keyed(_clip_by_intersect2(*args)))
     assert cached == [render_svg(pc, bbox=bbox) for pc, bbox in cases]
 
 
@@ -176,10 +189,10 @@ def test_box_cut_matches_halfplane_intersection(case, rnd):
     cell, b = case
     plane = svg_mod._Plane(b)
     want = _clip_by_intersect2(cell, plane)
-    assert svg_mod._clipped_hull(cell, plane) == want
+    assert _clipped_points(cell, plane) == want
     facets = list(halfplanes(cell))
     rnd.shuffle(facets)
-    assert svg_mod._clipped_hull(cell, plane, tuple(facets)) == want
+    assert _clipped_points(cell, plane, tuple(facets)) == want
 
 
 def test_box_cut_degenerate_cases():
@@ -197,7 +210,7 @@ def test_box_cut_degenerate_cases():
         (Polyhedron(((0, 0),), ((1, 0), (0, 1))), [(0, 0), (3, 0), (3, 3), (0, 3)]),
     ]
     for cell, want in cases:
-        got = svg_mod._clipped_hull(cell, plane)
+        got = _clipped_points(cell, plane)
         assert got == (None if want is None else [tuple(map(Rat, p)) for p in want])
         assert got == _clip_by_intersect2(cell, plane)
 
@@ -245,7 +258,7 @@ def test_thin_piece_cut_matches_parametric_clipping(case):
     whose parametric endpoints follow its direction instead of sorting."""
     piece, b = case
     plane = svg_mod._Plane(b)
-    got, want = svg_mod._clipped_hull(piece, plane), clip_thin(piece, plane)
+    got, want = _clipped_points(piece, plane), clip_thin(piece, plane)
     if not piece.gen_rays or want is None:
         assert got == want
     else:

@@ -2,11 +2,14 @@
 
 Dual routes everywhere: the floor-division root is checked against its
 defining minimality property, the stabilization-loop test ideal against
-the Newton-polyhedron membership oracle, and the integer-only packing
-solver behind the membership queries against brute-force enumeration and a
-branch-and-bound over the general simplex.
+the Newton-polyhedron membership oracle, the walked root against the
+floors of a brute-force power, and the dual vertices that certify its rows
+against brute-force powers and the general simplex.
 """
 
+import ast
+import json
+import pathlib
 import random
 from itertools import permutations
 from math import gcd
@@ -30,20 +33,21 @@ from skelpot.testideals import newton_test_ideal as newton_tau
 from skelpot.testideals import test_ideal as tau
 from skelpot.testideals import (
     _antichain,
-    _BasisTable,
-    _count_feasible,
-    _root_by_queries,
+    _certified_root,
+    _dual_vertices,
     _row_bounds,
     _staircase,
+    _stop_exponent,
     is_prime,
     newton_certifies,
     newton_normals,
 )
-from skelpot.rat import Rat, rceil, rfloor
+from skelpot.rat import Rat, rceil
 
 from helpers import rand_lambda, rand_proper_ideal
 from lp_oracle import LinearProgram, lp_solve
 from newton_oracle import newton_by_slices
+from planar_oracle import matrix_rank
 
 
 def I(n, *gens):
@@ -343,102 +347,127 @@ def test_deep_chain_power_compatibility():
     assert direct == via_cube == newton_tau(a, lam)
 
 
-def test_query_route_matches_materialized_floors():
-    """The query route against the definition: the floors of the minimal
-    generators of a^m, for counts on both sides of 64 and q = p^e from p
-    up to the first power of p that reaches m."""
-    from skelpot.testideals import _root_by_queries
-
-    rng = random.Random(98)
-    done = 0
-    while done < 12:
-        n = rng.choice((2, 3))
-        a = rand_proper_ideal(rng, n)
+def _stable_roots(rng, count):
+    """(a, m, p, e) for count random (a, lambda, p), each at every e from
+    the stable index of _stop_exponent up to two past it, with
+    m = ceil(lambda * p^e): n = 2 or 3, two or three generators with
+    exponents <= 3, lambda = a/b with a <= 4 and b <= 2.  Brute-force
+    powers cost ~m^(g-1) sums, so three generators take p = 2."""
+    out = []
+    while len(out) < 3 * count:
+        a = rand_proper_ideal(rng, rng.choice((2, 3)), max_gens=rng.choice((2, 3)), max_exp=3)
         if len(a.gens) < 2:
             continue
-        p = rng.choice((2, 3, 5))
-        m = rng.randint(2, 90)
-        e = 1
-        while p**e < m:
-            e += 1
-        e = rng.randint(1, e)
-        root = _root_by_queries(a, m, p, e)
-        assert root == frobenius_root(a**m, p, e)
+        p = rng.choice((2, 3)) if len(a.gens) == 2 else 2
+        lam = Rat(rng.randint(1, 4), rng.randint(1, 2))
+        e = _stop_exponent(a, lam, p)
+        out.extend((a, rceil(lam * p**k), p, k) for k in range(e, e + 3))
+    return out
+
+
+def test_query_route_matches_materialized_floors():
+    """The chain route's root against the definition, the floors of the
+    minimal generators of a^m (enumerated by _power_by_counts), at every e
+    from the stable index up to two past it."""
+    roots = _stable_roots(random.Random(98), 12)
+    assert {len(a.gens) for a, *_ in roots} == {2, 3} and {a.n for a, *_ in roots} == {2, 3}
+    for a, m, p, e in roots:
+        root = _certified_root(a, m, p, e)
+        assert root == frobenius_root(_power_by_counts(a, m), p, e), (a, m, p, e)
         assert _antichain(root.gens) == root.gens
-        done += 1
 
 
 @st.composite
-def _root_instances(draw):
-    """Mostly n = 3, 2-4 generators with exponents <= 4, m <= 60, and e from
-    1 up to the first power of p that reaches m."""
+def _stable_instances(draw):
+    """n = 2 or 3 (mostly 3), two or three generators with exponents <= 3,
+    lambda = a/b with a <= 3 and b <= 2, and e at the stable index or one
+    past it; three generators take p = 2, as in _stable_roots."""
     n = draw(st.sampled_from((3, 3, 3, 2)))
-    k = draw(st.integers(2, 4))
-    vec = st.tuples(*[st.integers(0, 4)] * n)
+    k = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * n)
     ideals = st.lists(vec, min_size=k, max_size=k, unique=True).map(lambda gs: MonomialIdeal(n, gs))
     a = draw(ideals.filter(lambda a: len(a.gens) == k))
-    m = draw(st.sampled_from(range(1, 61)))
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    top = 1
-    while p**top < m:
-        top += 1
-    return a, m, p, draw(st.integers(1, top))
+    p = draw(st.sampled_from((2, 3))) if k == 2 else 2
+    lam = Rat(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    e = _stop_exponent(a, lam, p) + draw(st.integers(0, 1))
+    return a, rceil(lam * p**e), p, e
 
 
-def _power_by_counts(a, m):
-    """a^m from its definition, every sum of m generators, enumerated by the
-    count of each generator.  Far cheaper at m near 60 than the repeated
-    squaring of MonomialIdeal.__pow__, whose products it skips."""
+def _power_by_counts(a, m, q=1):
+    """a^m from its definition, every sum of m generators (at least two),
+    enumerated by the count of each generator; with q > 1, the ideal of the
+    floors of those sums divided by q, which is frobenius_root(a^m, p, e)
+    at q = p^e (a sum that is not minimal floors above the floors of a
+    minimal one).  Far cheaper at m near 60 than the repeated squaring of
+    MonomialIdeal.__pow__, whose products it skips."""
+    gens = a.gens
 
-    def sums(k, left):
-        if k == len(a.gens) - 1:
-            yield tuple(left * x for x in a.gens[k])
+    def sums(k, left, base):
+        if k == len(gens) - 2:  # c of gens[k], the rest of the last one
+            start = tuple(b + left * y for b, y in zip(base, gens[k + 1]))
+            step = tuple(x - y for x, y in zip(gens[k], gens[k + 1]))
+            for c in range(left + 1):
+                yield tuple((s + c * d) // q for s, d in zip(start, step))
             return
         for c in range(left + 1):
-            for rest in sums(k + 1, left - c):
-                yield tuple(c * x + y for x, y in zip(a.gens[k], rest))
+            yield from sums(k + 1, left - c, tuple(b + c * x for b, x in zip(base, gens[k])))
 
-    return MonomialIdeal(a.n, sums(0, m))
+    return MonomialIdeal(a.n, sums(0, m, (0,) * a.n))
 
 
 def test_bounded_slices_match_floors():
-    """The bounded slices against the floors of the minimal generators of
-    a^m, on instances that reach rows with no member and rows whose bounds
-    meet at their corner (found with no query)."""
+    """The walked slices against the floors of the minimal generators of
+    a^m at and past the stable index, on instances that reach rows with no
+    member in the box and rows whose least member is z = 0."""
     real = skelpot.testideals._staircase
     seen = set()
 
-    def spy(bounds, member, by, bz):
-        rows, asked = {}, set()
+    def spy(least, by, bz):
+        def spied(y):
+            z = least(y)
+            if z > bz:
+                seen.add("row with no member")
+            elif z == 0:
+                seen.add("member at z = 0")
+            return z
 
-        def spied_bounds(y):
-            rows[y] = bounds(y)
-            return rows[y]
-
-        def spied_member(y, z):
-            asked.add(y)
-            return member(y, z)
-
-        corners = real(spied_bounds, spied_member, by, bz)
-        if any(lo > bz for lo, _ in rows.values()):
-            seen.add("row with no member")
-        if any(y not in asked and rows[y] == (z, z) for y, z in corners):
-            seen.add("bounds meet, no query")
-        return corners
+        return real(spied, by, bz)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_root_instances())
+    @given(_stable_instances())
     def check(instance):
         a, m, p, e = instance
         with patch.object(skelpot.testideals, "_staircase", spy):
-            got = _root_by_queries(a, m, p, e)
-        power = _power_by_counts(a, m)
+            got = _certified_root(a, m, p, e)
+        floors = _power_by_counts(a, m, p**e)
         if m <= 12:
-            assert power == a**m
-        assert got == frobenius_root(power, p, e)
+            assert _power_by_counts(a, m) == a**m
+            assert floors == frobenius_root(a**m, p, e)
+        assert got == floors
 
     check()
-    assert seen == {"row with no member", "bounds meet, no query"}
+    assert seen == {"row with no member", "member at z = 0"}
+
+
+@st.composite
+def _tau_instances(draw):
+    """n <= 3, one to five generators with exponents <= 10, lambda with
+    denominator <= 7 and p in {2, 3, 5, 7}."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 10)] * n).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=5))
+    den = draw(st.integers(1, 7))
+    lam = Rat(draw(st.integers(1, 4 * den)), den)
+    return MonomialIdeal(n, gens), lam, draw(st.sampled_from((2, 3, 5, 7)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tau_instances())
+def test_stable_index_decides_every_row(instance):
+    """At the stable index every row's certificates meet (lo == hi), so the
+    chain route raises on no row, and it agrees with the Newton route."""
+    a, lam, p = instance
+    assert tau(a, lam, p) == newton_tau(a, lam)
 
 
 def _log2_ceil(x):
@@ -446,64 +475,31 @@ def _log2_ceil(x):
 
 
 def test_staircase_against_brute_force_scan():
-    """_staircase on random up-closed sets in [0,by] x [0,bz], without
-    bounds and between the rows of a larger set (below) and of a smaller
-    one (above).  It asks member only between a row's bounds, never twice
-    at a point, at most 4 (#corners + 1) ceil(log2(by + bz + 2)) times, and
-    not at all when both bounds sit at the answer."""
+    """_staircase on random up-closed sets in [0,by] x [0,bz], a row with
+    no member reading as any value past bz.  It reads each row at most
+    once, and at most 4 (#corners + 1) ceil(log2(by + bz + 2)) rows."""
     rng = random.Random(102)
     for _ in range(400):
         by, bz = rng.randint(0, 40), rng.randint(0, 40)
-
-        def corners(k):
-            return [(rng.randint(0, by + 1), rng.randint(0, bz + 1)) for _ in range(k)]
-
-        gens = corners(rng.randint(0, 6))
-        small = rng.sample(gens, rng.randint(0, len(gens)))
-        big = gens + corners(rng.randint(0, 3))
-
-        def scan(cs):  # least z in each row, bz + 1 where there is none
-            return [min([d for c, d in cs if c <= y] + [bz + 1]) for y in range(by + 1)]
-
-        row, below, above = scan(gens), scan(big), scan(small)
+        gens = [(rng.randint(0, by + 1), rng.randint(0, bz + 1)) for _ in range(rng.randint(0, 6))]
+        row = [min([d for c, d in gens if c <= y] + [bz + 1 + rng.randint(0, 9)]) for y in range(by + 1)]
         truth = [(y, z) for y, z in enumerate(row) if z <= bz and (y == 0 or z < row[y - 1])]
-        none = [0] * (by + 1), [bz + 1] * (by + 1)
-        for lower, upper in (none, (below, none[1]), (none[0], above), (below, above), (row, row)):
-            asked = []
+        read = []
 
-            def member(y, z):
-                assert lower[y] <= z < upper[y]
-                asked.append((y, z))
-                return any(c <= y and d <= z for c, d in gens)
+        def least(y):
+            read.append(y)
+            return row[y]
 
-            assert _staircase(lambda y: (lower[y], upper[y]), member, by, bz) == truth
-            assert len(asked) == len(set(asked))
-            assert len(asked) <= 4 * (len(truth) + 1) * _log2_ceil(by + bz + 2)
-            if lower is row:
-                assert not asked
-
-
-def test_pinned_deep_chain_query_count(monkeypatch):
-    """The bounded slices answer the pinned deep chain with at most 450
-    membership queries (1,478 when each slice was searched on its own)."""
-    calls = []
-    real = skelpot.testideals._count_feasible
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
-    a = MonomialIdeal(3, [(4, 0, 2), (0, 4, 1), (2, 1, 3)])
-    assert tau(a, Rat(11, 2), 2) == newton_tau(a, Rat(11, 2))
-    assert len(calls) <= 450
+        assert _staircase(least, by, bz) == truth
+        assert len(read) == len(set(read))
+        assert len(read) <= 4 * (len(truth) + 1) * _log2_ceil(by + bz + 2)
 
 
 @st.composite
 def _certificate_rows(draw):
-    """A row v = prefix + (y, z) of a membership query at w = q*v + q - 1:
-    n = 2 or 3 (the rows of _root_by_queries), 2-4 generators with
-    exponents <= 6, a count m and a scale q."""
+    """A row v = prefix + (y, z) of the root (a^m)^[1/q], any q: n = 2 or 3
+    (the rows of _certified_root), 2-4 generators with exponents <= 6, a
+    count m and a scale q."""
     n = draw(st.integers(2, 3))
     vec = st.tuples(*[st.integers(0, 6)] * n).filter(any)
     gens = draw(st.lists(vec, min_size=2, max_size=4, unique=True))
@@ -512,22 +508,23 @@ def _certificate_rows(draw):
     cap = -(-m * 6 // q) + 1
     prefix = draw(st.tuples(*[st.integers(0, cap)] * (n - 2)))
     y = draw(st.integers(0, cap))
-    return gens, m, q, prefix, y, cap
+    return tuple(gens), m, q, prefix, y, cap
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_certificate_rows(), st.randoms(use_true_random=False))
-def test_row_bounds_against_the_integer_solver(row, rnd):
+def test_row_bounds_against_the_power(row, rnd):
     """Below lo every point is a non-member and from hi on every point a
-    member, by _count_feasible, which decides each point exactly; lo past
-    bz means the row has no member at all.  Both bounds are ints in
+    member of the root, at any q, by brute force: v is a member iff
+    q*v + (q-1)*(1,..,1) lies in a^m, enumerated by _power_by_counts.  lo
+    past bz means the row has no member at all.  Both bounds are ints in
     [0, bz + 1]."""
     gens, m, q, prefix, y, bz = row
-    table = _BasisTable(gens)
-    lo, hi = _row_bounds(table, q, m, prefix, bz)(y)
+    power = _power_by_counts(MonomialIdeal._from_valid(len(gens[0]), gens), m)
+    lo, hi = _row_bounds(gens, _dual_vertices(gens), q, m, prefix, bz)(y)
 
     def member(z):
-        return _count_feasible(table, tuple(q * x + q - 1 for x in prefix + (y, z)), m)
+        return power.contains_exponent(q * x + q - 1 for x in prefix + (y, z))
 
     assert type(lo) is int and type(hi) is int
     assert 0 <= lo <= hi <= bz + 1
@@ -540,64 +537,78 @@ def test_row_bounds_against_the_integer_solver(row, rnd):
         assert member(hi) and member(rnd.randint(hi, bz + 3))
 
 
-def test_small_e_roots_still_reach_the_branch_and_bound(monkeypatch):
-    """Below the stable index the certificates leave gaps: random roots at
-    small e query beyond the box corner, and some of those queries get past
-    both of _count_feasible's fast paths into its branch and bound.  The
-    nearest walked slices bound the gaps: 1,465 queries in all (1,758 for
-    the row-by-row search, 2,246 without the slice above)."""
-    real = skelpot.testideals._count_feasible
-    calls, searched = [], []
-
-    def counting(table, w, m):
-        calls.append(w)
-        fits = any(all(m * u[i] <= w[i] for i in range(len(w))) for u in table.gens)
-        bounded = any(sum(a * b for a, b in zip(w, y)) < m * den for y, den in table.duals)
-        if min(w) >= 0 and not fits and not bounded:
-            searched.append(w)
-        return real(table, w, m)
-
-    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+def test_small_e_roots_match_or_raise():
+    """Below the stable index the certificates can leave a row undecided:
+    on random roots at e = 1 to 4, all below it, each root either equals
+    the floors of the generators of a^m or raises RuntimeError naming the
+    row, never a wrong ideal; both happen."""
     rng = random.Random(104)
-    beyond = total = 0
+    matched = raised = 0
     for _ in range(40):
         n = rng.choice((2, 3))
         a = rand_proper_ideal(rng, n)
         if len(a.gens) < 2:
             continue
         m, p = rng.randint(6, 40), rng.choice((2, 3))
-        calls.clear()
-        assert _root_by_queries(a, m, p, 1) == frobenius_root(a**m, p, 1)
-        beyond += len(calls) > 1
-        total += len(calls)
-    assert beyond >= 10 and total <= 1600
-    assert searched
+        power = a**m
+        for e in range(1, 5):
+            assert e < _stop_exponent(a, Rat(m, p**e), p)
+            try:
+                root = _certified_root(a, m, p, e)
+            except RuntimeError as ex:
+                assert "is undecided" in str(ex) and "below the stable index" in str(ex)
+                raised += 1
+                continue
+            assert root == frobenius_root(power, p, e)
+            matched += 1
+    assert matched and raised
 
 
-def test_probe_rows_query_counts(monkeypatch):
-    """The two probe families of large outputs, pinned by query count: the
-    certificates decide every row at the stable index, in every variable
-    order, so the chain route makes a handful of queries whatever the size
-    of the output (373k at n = 2, lambda = 10^4, before the certificates)."""
-    calls = []
-    real = skelpot.testideals._count_feasible
+def test_undecided_row_exits_1_internal(tmp_path, capsys, monkeypatch):
+    """With the stopping rule forced to e = 1, (y, x^3) at lambda = 9/2 and
+    p = 2 reaches a row the certificates leave undecided: the command line
+    reports it as an internal error with exit 1, not as infeasible."""
+    from skelpot import cli as cli_mod
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    a = I(2, (0, 1), (3, 0))
+    with pytest.raises(RuntimeError):
+        _certified_root(a, 9, 2, 1)
+    path = tmp_path / "t.json"
+    path.write_text(
+        '{"kind": "testideal", "n": 2, "p": 2, "gens": [[0, 1], [3, 0]], "lambda": "9/2"}',
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(skelpot.testideals, "_stop_exponent", lambda *args: 1)
+    assert cli_mod.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["exit_code"] == 1 and err["kind"] == "internal"
+    assert err["message"].startswith("RuntimeError: row ")
+    assert not (tmp_path / "out").exists()
 
-    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
+
+def test_package_has_no_assert_statements():
+    """python -O strips assert statements, so no check of src/skelpot may
+    be one."""
+    root = pathlib.Path(skelpot.testideals.__file__).parent
+    files = sorted(root.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
+
+
+def test_probe_rows_query_counts():
+    """The two probe families of large outputs: the certificates decide
+    every row at the stable index, in every variable order, so the chain
+    route lists the 2,000 generators at n = 2, lambda = 10^3, and agrees
+    with the Newton route on the n = 3 family."""
     a = I(2, (3, 0), (0, 3), (1, 1))
     got = tau(a, 1000, 2)
     assert got == newton_tau(a, 1000) and len(got.gens) == 2000
-    assert len(calls) <= 10
     base = ((7, 0, 1), (0, 9, 2), (2, 3, 11))
     for order in permutations(range(3)):
         a = MonomialIdeal(3, [tuple(g[i] for i in order) for g in base])
-        calls.clear()
-        got = tau(a, 20, 3)
-        assert got == newton_tau(a, 20)
-        assert len(calls) <= 10, order
+        assert tau(a, 20, 3) == newton_tau(a, 20), order
 
 
 @pytest.mark.parametrize(
@@ -607,190 +618,108 @@ def test_probe_rows_query_counts(monkeypatch):
     ids=["2^20", "2^40", "2^70", "n2-1000", "deep-chain"],
 )
 def test_probes_follow_the_staircase_not_the_box(monkeypatch, a, lam, p):
-    """Membership queries plus row-bound evaluations stay within
-    #generators * ceil(log2(box size)): the walk costs what the answer
-    has, however large the box (2^70 wide for the first family).  The
-    Newton route's row bounds are exact: within the same bound on its own
-    box, all of them row evaluations, and no membership query."""
+    """Rows read stay within #generators * ceil(log2(box size)): the walk
+    costs what the answer has, however large the box (2^70 wide for the
+    first family).  The Newton route's rows are exact too: within the same
+    bound on its own box."""
     expected = newton_tau(a, lam)
-    probes, asked, boxes = [], [], []
-    real_count, real_walk = skelpot.testideals._count_feasible, skelpot.testideals._staircase
-    real_corners = skelpot.testideals._corners
+    reads, boxes = [], []
+    real_walk, real_corners = skelpot.testideals._staircase, skelpot.testideals._corners
 
-    def counting(*args):
-        probes.append(args)
-        return real_count(*args)
+    def walk(least, by, bz):
+        return real_walk(lambda y: reads.append(y) or least(y), by, bz)
 
-    def walk(bounds, member, by, bz):
-        return real_walk(lambda y: probes.append(y) or bounds(y),
-                         lambda y, z: asked.append((y, z)) or member(y, z), by, bz)
-
-    def corners(box, member, cert):
+    def corners(box, row):
         boxes.append(box)
-        return real_corners(box, member, cert)
+        return real_corners(box, row)
 
-    monkeypatch.setattr(skelpot.testideals, "_count_feasible", counting)
     monkeypatch.setattr(skelpot.testideals, "_staircase", walk)
     monkeypatch.setattr(skelpot.testideals, "_corners", corners)
     got = tau(a, lam, p)
     assert got == expected
-    e = skelpot.testideals._stop_exponent(a, lam, p)
+    e = _stop_exponent(a, lam, p)
     q = p**e
     m = rceil(Rat(lam) * q)
     box = [-((q - 1 - m * max(u[i] for u in a.gens)) // q) for i in range(a.n)]
-    assert len(probes) <= len(got.gens) * _log2_ceil(sum(box) + 2)
-    probes.clear()
+    assert reads and len(reads) <= len(got.gens) * _log2_ceil(sum(box) + 2)
+    reads.clear()
     assert newton_tau(a, lam) == expected
-    assert not asked
-    assert len(probes) <= len(got.gens) * _log2_ceil(sum(boxes[-1]) + 2)
+    assert reads and len(reads) <= len(got.gens) * _log2_ceil(sum(boxes[-1]) + 2)
 
 
 def test_power_root_matches_definition():
     """_power_root against the floors of the minimal generators of a^m on
-    every path: the zero, unit and principal closed forms and the queries."""
+    every path: the zero, unit and principal closed forms at any e, and
+    the walked roots at and past the stable index."""
     from skelpot.testideals import _power_root
 
     rng = random.Random(101)
     cases = [(zero_ideal(2), 0), (zero_ideal(2), 3), (unit_ideal(3), 5), (I(2, (1, 2)), 0)]
-    for _ in range(60):
-        n = rng.choice((1, 2, 3))
-        cases.append((rand_proper_ideal(rng, n, max_gens=rng.choice((1, 3))), rng.randint(1, 40)))
+    for _ in range(30):
+        cases.append((rand_proper_ideal(rng, rng.choice((1, 2, 3)), max_gens=1), rng.randint(1, 40)))
     for a, m in cases:
         p = rng.choice((2, 3, 5))
         e = rng.randint(1, 3)
         assert _power_root(a, m, p, e) == frobenius_root(a**m, p, e)
-
-
-# -- exact packing queries ------------------------------------------------
-
-
-def _packable_brute(gens, w, m):
-    """Enumerate c generator by generator: is there c >= 0 with sum(c) = m
-    and sum(c_k gens_k) <= w?"""
-
-    def rec(k, left, cap):
-        if left == 0:
-            return True
-        if k == len(gens) or min(cap) < 0:
-            return False
-        for c in range(left + 1):
-            rest = tuple(x - c * u for x, u in zip(cap, gens[k]))
-            if min(rest) < 0:
-                return False
-            if rec(k + 1, left - c, rest):
-                return True
-        return False
-
-    return min(w) >= 0 and rec(0, m, tuple(w))
-
-
-def _packable_lp(gens, w, m):
-    """Branch-and-bound over the general simplex: the LP relaxation bounds,
-    its floors witness, and the first fractional coordinate is split."""
-    if min(w) < 0:
-        return False
-    if any(all(m * u[i] <= w[i] for i in range(len(w))) for u in gens):
-        return True
-    g = len(gens)
-    rows = [(tuple(Rat(u[i]) for u in gens), "<=", Rat(w[i])) for i in range(len(w))]
-
-    def search(extra):
-        res = lp_solve(
-            LinearProgram(objective=(Rat(1),) * g, constraints=rows + extra, nonneg=True)
-        )
-        if res.status == "infeasible" or res.value < m:
-            return False
-        floors = [rfloor(x) for x in res.point]
-        if sum(floors) >= m:
-            return True
-        i = next(k for k in range(g) if res.point[k] != floors[k])
-        unit = tuple(Rat(int(k == i)) for k in range(g))
-        return search(extra + [(unit, "<=", Rat(floors[i]))]) or search(
-            extra + [(unit, ">=", Rat(floors[i] + 1))]
-        )
-
-    return search([])
-
-
-@st.composite
-def _packing_instances(draw):
-    n = draw(st.integers(1, 3))
-    vec = st.tuples(*[st.integers(0, 6)] * n)
-    gens = draw(st.lists(vec, min_size=1, max_size=4))
-    m = draw(st.integers(0, 10))
-    # capacities near a random packing of m generators, where queries are
-    # close calls rather than settled by one generator alone
-    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=m, max_size=m))
-    noise = draw(st.tuples(*[st.integers(-3, 3)] * n))
-    w = tuple(e + sum(gens[k][i] for k in picks) for i, e in enumerate(noise))
-    return gens, w, m
-
-
-@settings(max_examples=1000, deadline=None, derandomize=True)
-@given(_packing_instances())
-def test_count_feasible_two_routes(instance):
-    gens, w, m = instance
-    got = _count_feasible(_BasisTable(gens), w, m)
-    assert got == _packable_brute(gens, w, m) == _packable_lp(gens, w, m)
-
-
-@pytest.mark.parametrize(
-    "gens, w, m, expected",
-    [
-        # LP optimum 97/16 >= 6, but at most 5 generators fit
-        (((0, 4), (4, 1)), (15, 13), 6, False),
-        # LP optimum (23/6, 19/3) floors to 9; c = (4, 6) packs 10
-        (((0, 2), (3, 1)), (19, 14), 10, True),
-    ],
-)
-def test_count_feasible_branches(monkeypatch, gens, w, m, expected):
-    """Neither the LP bound nor a floored basic solution decides these, so
-    the search must branch: with a one-node budget it runs out."""
-    table = _BasisTable(gens)
-    assert _count_feasible(table, w, m) is expected
-    assert _packable_brute(gens, w, m) is expected
-    monkeypatch.setattr(skelpot.testideals, "_BB_NODE_LIMIT", 1)
-    with pytest.raises(IdealError, match="node budget"):
-        _count_feasible(table, w, m)
+    for a, m, p, e in _stable_roots(rng, 4):
+        assert _power_root(a, m, p, e) == frobenius_root(_power_by_counts(a, m), p, e)
 
 
 def test_basis_table_stays_in_int():
-    """The shared 3x3 kernel keeps integer data integer: every stored
-    determinant and adjugate entry is a Python int, and U adj U = det I."""
-    gens = ((4, 0, 2), (0, 4, 1), (2, 1, 3), (1, 1, 1))
-    table = _BasisTable(gens)
-    assert len(table.bases) > 1
-    for S, B, det, adj, _ in table.bases:
-        assert type(det) is int and det > 0
-        assert all(type(x) is int for row in adj for x in row)
-        mat = [[gens[b][i] for b in B] for i in S]
-        assert [
-            [sum(a * c for a, c in zip(row, col)) for col in zip(*adj)] for row in mat
-        ] == [[det if i == j else 0 for j in range(len(S))] for i in range(len(S))]
+    """The dual-vertex table keeps integer data integer: every vertex is a
+    tuple of Python ints over a positive int denominator, in lowest terms,
+    feasible and tight on enough generators and axes to be a vertex, and
+    min <w, y> over the table is the optimum of the packing relaxation
+    max sum(c), sum(c_k u_k) <= w, c >= 0, by the simplex oracle."""
+    rng = random.Random(106)
+    cases = [((4, 0, 2), (0, 4, 1), (2, 1, 3), (1, 1, 1))]
+    for _ in range(20):
+        n = rng.choice((2, 3))
+        cases.append(tuple({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(2, 4))} - {(0,) * n}))
+    for gens in cases:
+        n = len(gens[0])
+        table = _dual_vertices(gens)
+        assert table and table == tuple(sorted(set(table)))
+        for y, den in table:
+            assert type(den) is int and den > 0 and all(type(x) is int and x >= 0 for x in y)
+            assert gcd(den, *y) == 1
+            sums = [sum(a * b for a, b in zip(y, u)) for u in gens]
+            assert min(sums) == den
+            tight = [tuple(Rat(x) for x in u) for u, s in zip(gens, sums) if s == den]
+            axes = [tuple(Rat(int(i == j)) for j in range(n)) for i in range(n) if y[i] == 0]
+            assert matrix_rank(tight + axes) == n
+        for _ in range(3):
+            w = tuple(rng.randint(0, 12) for _ in range(n))
+            res = lp_solve(LinearProgram(
+                objective=(Rat(1),) * len(gens),
+                constraints=[(tuple(Rat(u[i]) for u in gens), "<=", Rat(w[i])) for i in range(n)],
+                nonneg=True,
+            ))
+            assert res.value == min(Rat(sum(a * b for a, b in zip(w, y)), den) for y, den in table)
 
 
 def test_newton_slices_stay_in_int(monkeypatch):
     """Scaled by the denominator of lambda once, every constraint that
-    reaches _newton_bounds is a tuple of ints with an int right-hand side,
-    and every row bound it returns is an exact int (lo = hi); the integer
+    reaches _newton_row is a tuple of ints with an int right-hand side,
+    and every row's least point it returns is an exact int; the integer
     route still agrees with the chain on n = 1, 2 and 3."""
-    real = skelpot.testideals._newton_bounds
+    real = skelpot.testideals._newton_row
     seen, ns = set(), set()
 
     def checked(constraints, prefix, bz):
         for c, r in constraints:
             assert type(c) is tuple and all(type(x) is int for x in c) and type(r) is int
-        bounds = real(constraints, prefix, bz)
+        least = real(constraints, prefix, bz)
 
         def typed(y):
-            lo, hi = bounds(y)
-            assert type(lo) is int and lo == hi
+            z = least(y)
+            assert type(z) is int
             seen.add(len(prefix) + 2)
-            return lo, hi
+            return z
 
         return typed
 
-    monkeypatch.setattr(skelpot.testideals, "_newton_bounds", checked)
+    monkeypatch.setattr(skelpot.testideals, "_newton_row", checked)
     rng = random.Random(103)
     for den in range(1, 8):
         for _ in range(6):
@@ -884,7 +813,7 @@ def test_newton_certificate_on_trivial_inputs():
 
 def test_newton_certificate_walks_nothing(monkeypatch):
     """The certificate decides the pinned inputs with the corner walker, the
-    packing solver and their helpers all broken."""
+    row certificates and their helpers all broken."""
     cases = []
     for gens, lam, p in _PINNED:
         a = MonomialIdeal(len(gens[0]), gens)
@@ -894,7 +823,7 @@ def test_newton_certificate_walks_nothing(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the certificate walked")
 
-    for name in ("_corners", "_staircase", "_least", "_row_bounds", "_BasisTable", "_count_feasible"):
+    for name in ("_corners", "_staircase", "_least", "_row_bounds", "_dual_vertices", "_newton_row"):
         monkeypatch.setattr(skelpot.testideals, name, broken)
     for a, lam, t, dropped in cases:
         assert newton_certifies(a, lam, t)
@@ -977,8 +906,8 @@ def test_sequence_table_rejects_non_int_index(index):
 def test_asymptotic_matches_plain_for_principal():
     """The asymptotic test ideal of the powers of b is tau(b^lam): for
     principal b, which has a closed form, and for b with several
-    generators, whose roots come from membership queries; those are also
-    checked against the Newton route."""
+    generators, whose roots are read off their row certificates; those
+    are also checked against the Newton route."""
     rng = random.Random(99)
     for _ in range(8):
         n = rng.choice((2, 3))

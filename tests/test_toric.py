@@ -111,6 +111,22 @@ def test_validate_rejects_wrong_fan(fx):
         validate_complex(fx.pi, quadrant_fan)
 
 
+def test_validation_without_a_fan_skips_the_fan_match(fx, monkeypatch):
+    """validate_complex(pc) checks everything but the fan match: it builds
+    no recession fan (no minimalize beyond the cells' own), returns the
+    flags of validate_complex(pc, its own fan), and still rejects an
+    invalid complex."""
+    calls = []
+    real = toric_mod.minimalize
+    monkeypatch.setattr(toric_mod, "minimalize", lambda k: calls.append(k) or real(k))
+    pc = PolyComplex(fx.pi.cells)
+    flags = validate_complex(pc)
+    assert len(calls) == len(pc.cells) and "recession_fan" not in vars(pc)
+    assert flags == validate_complex(pc, recession_fan(pc))
+    with pytest.raises(ComplexInvalid):
+        validate_complex(PolyComplex(fx.pi.cells[1:]))
+
+
 def test_own_fan_is_not_minimalized_again(fx, monkeypatch):
     """validate_complex minimalizes no cone of the complex's own recession
     fan, which is minimal already: building and validating Pi calls
